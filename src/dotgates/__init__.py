@@ -35,6 +35,7 @@ from .simulate import (
     DegenerateSpectrum,
     EigensolverFailure,
     SimReport,
+    Spectrum,
     average_gate_fidelity,
     build_hamiltonian,
     fidelity_lower_bound,

@@ -16,7 +16,7 @@ far, whose action on bond (j, k) is the sign ``sig_j * sig_k`` with
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gamma as gamma_function
 from typing import Iterable, Sequence
 
@@ -26,14 +26,10 @@ from .basis import TWO_PI, circular_distance, wrap_2pi
 from .gates import FreePhase
 from .model import Bond, DotArray, bond_vector, embed_bond_values
 
-PAULI_SIG = {"I": 1, "Z": 1, "X": -1, "Y": -1}
-
-_PAULI_MAT = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+# (x, z) bits of each single-qubit Pauli, with Y = i X Z
+_PAULI_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+_PAULI_LABEL = {bits: lab for lab, bits in _PAULI_BITS.items()}
+_I_POWERS = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
 
 
 class InfeasibleSchedule(RuntimeError):
@@ -49,17 +45,72 @@ class BudgetExceeded(RuntimeError):
 
 
 @dataclass(frozen=True)
+class SignedPermutation:
+    """Operator ``|b> -> phase[b] |b ^ flip>`` on the computational basis.
+
+    Pauli strings are signed permutations with phases in {1, i, -1, -i};
+    products with diagonal unitaries keep the form, so any unit-modulus
+    phases are allowed.  Applying one to a 2^N x 2^N matrix costs O(4^N).
+    """
+
+    flip: int
+    phase: np.ndarray
+
+    @classmethod
+    def diagonal(cls, phase) -> "SignedPermutation":
+        return cls(0, np.asarray(phase, dtype=complex))
+
+    def _shifted(self) -> np.ndarray:
+        return np.arange(self.phase.shape[0]) ^ self.flip
+
+    def after(self, other: "SignedPermutation") -> "SignedPermutation":
+        """``self`` applied after ``other``."""
+        return SignedPermutation(
+            self.flip ^ other.flip, other.phase * self.phase[other._shifted()]
+        )
+
+    def inverse(self) -> "SignedPermutation":
+        return SignedPermutation(self.flip, np.conj(self.phase[self._shifted()]))
+
+    def apply_rows(self, matrix: np.ndarray) -> np.ndarray:
+        """``self @ matrix``."""
+        return (self.phase[:, None] * matrix)[self._shifted()]
+
+    def apply_columns(self, matrix: np.ndarray) -> np.ndarray:
+        """``matrix @ self``."""
+        return matrix[:, self._shifted()] * self.phase[None, :]
+
+    def matrix(self) -> np.ndarray:
+        idx = np.arange(self.phase.shape[0])
+        out = np.zeros((idx.shape[0], idx.shape[0]), dtype=complex)
+        out[idx ^ self.flip, idx] = self.phase
+        return out
+
+
+@dataclass(frozen=True)
 class PauliAssignment:
-    """One Pauli label per dot, applied simultaneously."""
+    """One Pauli label per dot, applied simultaneously.
+
+    On bits the assignment is ``i^|x & z| X^x Z^z``: ``x_mask`` and
+    ``z_mask`` are indexed like basis states (dot 0 the most significant
+    bit), so it maps ``|b>`` to ``i^|x & z| (-1)^|b & z| |b ^ x>``.
+    """
 
     labels: tuple[str, ...]
+    x_mask: int = field(init=False, repr=False, compare=False)
+    z_mask: int = field(init=False, repr=False, compare=False)
 
     def __init__(self, labels: Iterable[str]):
         labels = tuple(labels)
+        x = z = 0
         for lab in labels:
-            if lab not in PAULI_SIG:
+            if lab not in _PAULI_BITS:
                 raise ValueError(f"unknown Pauli label {lab!r}")
+            bx, bz = _PAULI_BITS[lab]
+            x, z = (x << 1) | bx, (z << 1) | bz
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "x_mask", x)
+        object.__setattr__(self, "z_mask", z)
 
     @classmethod
     def identity(cls, n_dots: int) -> "PauliAssignment":
@@ -72,38 +123,53 @@ class PauliAssignment:
             labels[d] = "X"
         return cls(labels)
 
+    @classmethod
+    def _from_masks(cls, x: int, z: int, n_dots: int) -> "PauliAssignment":
+        shifts = range(n_dots - 1, -1, -1)
+        return cls(_PAULI_LABEL[(x >> s) & 1, (z >> s) & 1] for s in shifts)
+
     @property
     def n_dots(self) -> int:
         return len(self.labels)
 
     def sig(self, dot: int) -> int:
-        return PAULI_SIG[self.labels[dot]]
+        """-1 where the label flips the bit (X or Y), +1 for I and Z."""
+        return 1 - 2 * _PAULI_BITS[self.labels[dot]][0]
 
     def flipped_dots(self) -> frozenset[int]:
         return frozenset(j for j, lab in enumerate(self.labels) if lab in ("X", "Y"))
 
     def is_identity(self) -> bool:
-        return all(lab == "I" for lab in self.labels)
+        return self.x_mask == 0 and self.z_mask == 0
 
     def compose(self, other: "PauliAssignment") -> tuple["PauliAssignment", complex]:
-        """``self`` applied after ``other``; returns labels and global phase."""
-        labels = []
-        phase = 1.0 + 0j
-        for a, b in zip(self.labels, other.labels):
-            prod = _PAULI_MAT[a] @ _PAULI_MAT[b]
-            for lab, mat in _PAULI_MAT.items():
-                ratio = np.trace(mat.conj().T @ prod) / 2.0
-                if abs(abs(ratio) - 1.0) < 1e-12:
-                    labels.append(lab)
-                    phase *= ratio
-                    break
-        return PauliAssignment(labels), phase
+        """``self`` applied after ``other``; returns labels and global phase.
+
+        Moving ``Z^z1`` past ``X^x2`` costs ``(-1)^|z1 & x2|``, and the
+        ``i^|x & z|`` prefactors of both factors and of the product balance
+        the rest.
+        """
+        x = self.x_mask ^ other.x_mask
+        z = self.z_mask ^ other.z_mask
+        power = (
+            (self.x_mask & self.z_mask).bit_count()
+            + (other.x_mask & other.z_mask).bit_count()
+            - (x & z).bit_count()
+            + 2 * (self.z_mask & other.x_mask).bit_count()
+        )
+        return PauliAssignment._from_masks(x, z, self.n_dots), _I_POWERS[power % 4]
+
+    def signed_permutation(self) -> SignedPermutation:
+        idx = np.arange(1 << self.n_dots)
+        odd = np.zeros(idx.shape, dtype=np.int64)  # parity of |b & z|
+        for shift in range(self.n_dots):
+            if (self.z_mask >> shift) & 1:
+                odd ^= (idx >> shift) & 1
+        prefactor = _I_POWERS[(self.x_mask & self.z_mask).bit_count() % 4]
+        return SignedPermutation(self.x_mask, prefactor * (1 - 2 * odd))
 
     def matrix(self) -> np.ndarray:
-        out = np.array([[1.0 + 0j]])
-        for lab in self.labels:
-            out = np.kron(out, _PAULI_MAT[lab])
-        return out
+        return self.signed_permutation().matrix()
 
 
 @dataclass(frozen=True)

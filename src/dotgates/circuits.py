@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .basis import bit_of
+from .calibrate import PauliAssignment
 from .gates import GateSpec, MqcpFactor, PhaseVector
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -117,15 +118,7 @@ def run_circuit(
 
 def pauli_string(n_qubits: int, ops: dict[int, str]) -> np.ndarray:
     """Dense operator with the given single-qubit Paulis, identity elsewhere."""
-    mats = {
-        "I": np.eye(2, dtype=complex),
-        "X": np.array([[0, 1], [1, 0]], dtype=complex),
-        "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-    }
-    out = np.array([[1.0 + 0j]])
-    for j in range(n_qubits):
-        out = np.kron(out, mats[ops.get(j, "I")])
-    return out
+    return PauliAssignment(ops.get(j, "I") for j in range(n_qubits)).matrix()
 
 
 # -- triangle logical Z --------------------------------------------------------

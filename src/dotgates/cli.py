@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +43,8 @@ from .gates import (
 from .model import DotArray, array_from_json
 from .simulate import (
     DegenerateSpectrum,
-    pulsed_evolution,
+    EigensolverFailure,
+    Spectrum,
     simulate_gate,
     sweep_rows,
 )
@@ -62,7 +62,10 @@ def _add_common(parser: argparse.ArgumentParser, need_gate: bool = True):
     parser.add_argument("--out", default=_env_default("OUT", "."), help="output directory")
     parser.add_argument("--tol", type=float, default=float(_env_default("TOL", 1e-9)))
     parser.add_argument("--seed", type=int, default=int(_env_default("SEED", 0)))
-    parser.add_argument("--jobs", type=int, default=int(_env_default("JOBS", 1)))
+    parser.add_argument(
+        "--jobs", type=int, default=int(_env_default("JOBS", 1)),
+        help="accepted for compatibility; sweeps run serially",
+    )
 
 
 def _load_array(path: str) -> DotArray:
@@ -181,7 +184,7 @@ def cmd_simulate(args) -> int:
         tau = args.tau
     report = simulate_gate(array, tau)
     target = gate.expand(array.n_dots)
-    diag = PhaseVector(np.angle(np.diag(report.u_exact)))
+    diag = PhaseVector(np.angle(report.u_diag))
     _, _, equiv_residual = equiv_up_to_free_phase(diag, target, tol=args.tol)
     doc = json.loads(report.to_json())
     doc["tau"] = tau
@@ -190,13 +193,7 @@ def cmd_simulate(args) -> int:
     if args.sweep is not None:
         lo, hi, steps = args.sweep.split(":")
         grid = np.geomspace(float(lo), float(hi), int(steps))
-        if args.jobs > 1:
-            chunks = np.array_split(grid, args.jobs)
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                parts = list(pool.map(lambda g: sweep_rows(array, tau, g), chunks))
-            rows = [row for part in parts for row in part]
-        else:
-            rows = sweep_rows(array, tau, grid)
+        rows = sweep_rows(array, tau, grid)
         lines = ["j_over_eps,infidelity,bound,max_residue"]
         lines += [f"{a!r},{b!r},{c!r},{d!r}" for a, b, c, d in rows]
         _write(args.out, "sweep.csv", "\n".join(lines) + "\n")
@@ -205,18 +202,21 @@ def cmd_simulate(args) -> int:
 
 
 def _per_bond_targets(array: DotArray, gate: GateSpec) -> list[float]:
-    """Target phase -theta/2 per bond, matched from the gate factors."""
+    """Target phase -theta/2 mod pi per bond, summed over the gate factors.
+
+    A factor pair with no bond cannot be calibrated and raises ValueError.
+    """
     if gate.factors is None:
         raise ValueError("calibration needs a factored gate spec")
-    wanted = {}
+    bonded = {(b.j, b.k) for b in array.bonds}
+    wanted: dict[tuple[int, int], float] = {}
     for f in gate.factors:
         for dot, theta in f.targets:
             key = (min(f.control, dot), max(f.control, dot))
-            wanted[key] = np.mod(-0.5 * theta, np.pi)
-    phases = []
-    for b in array.bonds:
-        phases.append(wanted.get((b.j, b.k), 0.0))
-    return phases
+            if key not in bonded:
+                raise ValueError(f"gate factor pair {key} has no bond in the array")
+            wanted[key] = wanted.get(key, 0.0) - 0.5 * theta
+    return [float(np.mod(wanted.get((b.j, b.k), 0.0), np.pi)) for b in array.bonds]
 
 
 def cmd_calibrate(args) -> int:
@@ -234,11 +234,12 @@ def cmd_calibrate(args) -> int:
     path = kspace_path(array, schedule, target, samples_per_stage=8)
     _write(args.out, "kspace.csv", path.to_csv())
 
+    spectrum = Spectrum.of(array)  # shared by the base and the woven verify
+
     def verify(sched):
-        u = pulsed_evolution(array, sched)
         pp = extra_local_phases(sched, array)
-        stripped = pp.net.matrix().conj().T @ u
-        diag = PhaseVector(np.angle(np.diag(stripped)) - pp.free.expand().values)
+        stripped = spectrum.pulsed_diagonal(sched, pp.net)
+        diag = PhaseVector(np.angle(stripped) - pp.free.expand().values)
         _, _, residual = equiv_up_to_free_phase(diag, gate.expand(array.n_dots), tol=1e-2)
         return residual
 
@@ -277,7 +278,7 @@ def cmd_apps(args) -> int:
     elif args.which == "reversal":
         matrix = circuits.order_reversal(args.n)
         rounded = np.round(matrix.real, 9)
-        lines = [",".join(repr(v) for v in row) for row in rounded]
+        lines = [",".join(repr(float(v)) for v in row) for row in rounded]
         _write(args.out, f"reversal_{args.n}.csv", "\n".join(lines) + "\n")
     else:
         print(f"unknown selector {args.which!r}")
@@ -337,6 +338,9 @@ def main(argv=None) -> int:
         return 1
     except DegenerateSpectrum as exc:
         print(f"degenerate spectrum: {exc}", file=sys.stderr)
+        return 1
+    except EigensolverFailure as exc:
+        print(f"eigensolver failure: {exc}", file=sys.stderr)
         return 1
 
 

@@ -31,7 +31,7 @@ from .basis import (
     single_bit_index,
     wrap_2pi,
 )
-from .model import DotArray, grid_vector
+from .model import DotArray, finite, grid_vector
 
 DEFAULT_TOL = 1e-9
 
@@ -156,9 +156,15 @@ class GateSpec:
     def from_json(cls, source: str | dict) -> "GateSpec":
         doc = json.loads(source) if isinstance(source, str) else source
         if "raw" in doc:
-            return cls(raw=PhaseVector(np.asarray(doc["raw"], dtype=float)))
+            raw = np.asarray(doc["raw"], dtype=float)
+            if not np.all(np.isfinite(raw)):
+                raise ValueError("raw gate phases must be finite")
+            return cls(raw=PhaseVector(raw))
         factors = tuple(
-            MqcpFactor(f["control"], [(t["dot"], t["theta"]) for t in f["targets"]])
+            MqcpFactor(
+                f["control"],
+                [(t["dot"], finite(t["theta"], f"theta on dot {t['dot']}")) for t in f["targets"]],
+            )
             for f in doc["factors"]
         )
         return cls(factors=factors)

@@ -234,20 +234,37 @@ def soi_strength_table(x_so: Sequence[float], gamma_so: Sequence[float]) -> Call
 
 # -- JSON ingestion -----------------------------------------------------------
 
+def finite(value, what: str) -> float:
+    """``float(value)``, rejecting NaN and infinities as input errors."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{what} must be finite, got {x!r}")
+    return x
+
+
 def _bond_from_record(rec: dict) -> Bond:
     keys = set(rec)
     has_ts = "t" in keys or "s" in keys
     has_soi = "gamma_so" in keys or "theta_b" in keys
     if has_ts and has_soi:
         raise ValueError("bond record must give either (t, s) or (gamma_so, theta_b), not both")
-    j, k, exch = int(rec["j"]), int(rec["k"]), float(rec["J"])
+    j, k = int(rec["j"]), int(rec["k"])
+    exch = finite(rec["J"], f"bond ({j}, {k}) J")
     if has_soi:
-        return Bond.from_soi(j, k, exch, float(rec["gamma_so"]), float(rec["theta_b"]))
+        return Bond.from_soi(
+            j, k, exch,
+            finite(rec["gamma_so"], f"bond ({j}, {k}) gamma_so"),
+            finite(rec["theta_b"], f"bond ({j}, {k}) theta_b"),
+        )
     if not ("t" in keys and "s" in keys):
         raise ValueError("bond record with amplitudes needs both t and s")
-    t = complex(rec["t"][0], rec["t"][1])
-    s = complex(rec["s"][0], rec["s"][1])
-    return Bond(j, k, exch, t, s)
+
+    def amplitude(name: str) -> complex:
+        re, im = rec[name][0], rec[name][1]
+        what = f"bond ({j}, {k}) {name}"
+        return complex(finite(re, what), finite(im, what))
+
+    return Bond(j, k, exch, amplitude("t"), amplitude("s"))
 
 
 def array_from_json(source: str | dict) -> DotArray:
@@ -258,10 +275,14 @@ def array_from_json(source: str | dict) -> DotArray:
     | {"j": .., "k": .., "J": .., "gamma_so": .., "theta_b": ..}]}``.
     """
     doc = json.loads(source) if isinstance(source, str) else source
-    dots = [
-        Dot(int(d["id"]), float(d["zeeman"]), d.get("chem_potential"))
-        for d in doc["dots"]
-    ]
+    dots = []
+    for d in doc["dots"]:
+        mu = d.get("chem_potential")
+        dots.append(Dot(
+            int(d["id"]),
+            finite(d["zeeman"], f"dot {d['id']} zeeman"),
+            None if mu is None else finite(mu, f"dot {d['id']} chem_potential"),
+        ))
     bonds = [_bond_from_record(rec) for rec in doc.get("bonds", [])]
     return DotArray(dots, bonds)
 

@@ -2,26 +2,34 @@
 
 The computational Hamiltonian splits into a diagonal Zeeman part and an
 exchange part assembled from one projector per bond onto the entangled
-state ``(s* |uu> + t* |ud> - t |du> + s |dd>) / sqrt(2)``.  The
-qubit-frame propagator ``exp(+i tau H0) exp(-i tau (H0 + Hex))`` is
-computed by Hermitian eigendecomposition; its first-order approximation is
-the diagonal gate ``exp(+i tau Lambda)`` with Lambda the grid vector.
+state ``(s* |uu> + t* |ud> - t |du> + s |dd>) / sqrt(2)``.  One Hermitian
+eigendecomposition per array, held by :class:`Spectrum`, serves every
+exact flow: the qubit-frame propagator ``exp(+i tau H0) exp(-i tau (H0 +
+Hex))``, the matching of perturbed eigenstates to basis states, and staged
+evolutions with instantaneous Pauli pulses.  Its first-order approximation
+is the diagonal gate ``exp(+i tau Lambda)`` with Lambda the grid vector.
 
-The difference is coherent error, quantified by the average gate fidelity,
-a perturbative lower bound, per-state residue phases, the leaked
-population, and an optimally compensated residue obtained from a
-pseudoinverse fit over the free-phase column space.
+The flows read only the diagonal of the propagator, which costs O(4^N)
+given the spectrum; pulses act as signed permutations of rows.  The dense
+propagator is built only on request (``qubit_frame_evolution``,
+``pulsed_evolution``, ``SimReport.u_exact``).
+
+The difference from the ideal gate is coherent error, quantified by the
+average gate fidelity, a perturbative lower bound, per-state residue
+phases, the leaked population, and an optimally compensated residue
+obtained from a pseudoinverse fit over the free-phase column space.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .basis import bit_table, wrap_pm_pi
-from .calibrate import PulseSchedule
+from .calibrate import PauliAssignment, PulseSchedule, SignedPermutation
 from .gates import FreePhase, PhaseVector
 from .model import Bond, Dot, DotArray, grid_vector
 
@@ -87,20 +95,117 @@ def _eigh(matrix: np.ndarray):
         raise EigensolverFailure(str(exc)) from exc
 
 
-def _expm_herm(matrix: np.ndarray, scale: complex) -> np.ndarray:
-    """exp(scale * matrix) for Hermitian matrix via eigendecomposition."""
-    evals, evecs = _eigh(matrix)
-    return (evecs * np.exp(scale * evals)) @ evecs.conj().T
+@dataclass(frozen=True)
+class Spectrum:
+    """One eigendecomposition of ``H = H0 + Hex`` per array.
+
+    Holds the Zeeman diagonal ``h0``, the real diagonal of ``Hex`` (minus
+    the grid vector), and the eigenvalues and eigenvector columns of H from
+    a single ``eigh``; every exact quantity of the array is read from it.
+    """
+
+    h0: np.ndarray
+    h_ex_diag: np.ndarray
+    evals: np.ndarray
+    evecs: np.ndarray
+
+    @classmethod
+    def of(cls, array: DotArray) -> "Spectrum":
+        pair = build_hamiltonian(array)
+        h_ex_diag = np.real(np.diag(pair.h_ex)).copy()
+        h = pair.h_ex  # a fresh matrix: add H0 in place rather than copy it
+        h[np.diag_indices_from(h)] += pair.h0
+        evals, evecs = _eigh(h)
+        return cls(pair.h0, h_ex_diag, evals, evecs)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """``weights[n, m] = |<n|m'>|^2``, basis state n and eigenvector m."""
+        return np.abs(self.evecs) ** 2
+
+    def propagator(self, tau: float) -> np.ndarray:
+        """Dense ``exp(+i tau H0) exp(-i tau H)``."""
+        u = (self.evecs * np.exp(-1j * tau * self.evals)) @ self.evecs.conj().T
+        return np.exp(1j * tau * self.h0)[:, None] * u
+
+    def diagonal(self, tau: float) -> np.ndarray:
+        """Diagonal of :meth:`propagator`, ``e^{i tau h0} (|V|^2 e^{-i tau E})``."""
+        rot = np.exp(-1j * tau * self.evals)
+        mixed = self.weights @ np.column_stack([rot.real, rot.imag])
+        return np.exp(1j * tau * self.h0) * (mixed[:, 0] + 1j * mixed[:, 1])
+
+    def match(self, min_overlap: float = 0.5) -> MatchedSpectrum:
+        """Pair eigenvectors with basis states; see :func:`match_eigenstates`."""
+        dim = self.evals.shape[0]
+        basis_of = _match_columns(self.weights)
+        overlaps = self.weights[np.arange(dim), basis_of]
+        if np.min(overlaps) < min_overlap:
+            worst = int(np.argmin(overlaps))
+            raise DegenerateSpectrum(
+                f"state {worst} overlaps its eigenvector by only {overlaps[worst]:.3f}; "
+                "the spectrum is outside the perturbative regime"
+            )
+        return MatchedSpectrum(
+            energies_0=self.h0.copy(),
+            energies=self.evals[basis_of],
+            overlaps=overlaps,
+            first_order=self.h_ex_diag.copy(),
+        )
+
+    def _pulsed_factors(self, schedule: PulseSchedule, head: SignedPermutation):
+        """``(left, right)`` with ``left @ right = head U``, U the staged
+        evolution of the schedule before the final frame rotation.
+
+        The running product is kept as ``V w`` in eigen coordinates ``w``.
+        Evolving stages scale the rows of ``w``; the pulses between two of
+        them, composed into one signed permutation P, cost the two dense
+        products of ``V^dag P V``.  Pulses before the first evolution act on
+        the columns of ``V^dag`` and pulses after the last one, with
+        ``head``, on the rows of ``V``, so neither takes a dense product.
+        """
+        v = self.evecs
+        vh = v.conj().T
+        w = None
+        pending = None  # pulses since the last evolving stage
+        for stage in schedule.stages:
+            if stage.duration > 0:
+                if w is None:
+                    w = vh if pending is None else pending.apply_columns(vh)
+                elif pending is not None:
+                    w = vh @ pending.apply_rows(v @ w)
+                w = np.exp(-1j * stage.duration * self.evals)[:, None] * w
+                pending = None
+            if stage.pulse is not None:
+                pulse = stage.pulse.signed_permutation()
+                pending = pulse if pending is None else pulse.after(pending)
+        if w is None:  # nothing evolves: the schedule is its pulses alone
+            w = vh if pending is None else pending.apply_columns(vh)
+        elif pending is not None:
+            head = head.after(pending)
+        return head.apply_rows(v), w
+
+    def _frame(self, schedule: PulseSchedule) -> SignedPermutation:
+        return SignedPermutation.diagonal(np.exp(1j * schedule.total_time * self.h0))
+
+    def pulsed(self, schedule: PulseSchedule) -> np.ndarray:
+        """Dense qubit-frame propagator of a staged, pulsed evolution."""
+        left, right = self._pulsed_factors(schedule, self._frame(schedule))
+        return left @ right
+
+    def pulsed_diagonal(self, schedule: PulseSchedule, net: PauliAssignment) -> np.ndarray:
+        """``diag(net^dag U)`` of the pulsed propagator U, in O(4^N) beyond
+        the products between evolving stages; ``net`` is the schedule's net
+        Pauli, so the result holds the gate's phases."""
+        head = net.signed_permutation().inverse().after(self._frame(schedule))
+        left, right = self._pulsed_factors(schedule, head)
+        return np.einsum("bk,kb->b", left, right)
 
 
 def qubit_frame_evolution(array: DotArray, tau: float) -> np.ndarray:
     """Exact propagator ``exp(+i tau H0) exp(-i tau (H0 + Hex))``."""
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    pair = build_hamiltonian(array)
-    h = np.diag(pair.h0).astype(complex) + pair.h_ex
-    u = _expm_herm(h, -1j * tau)
-    return (np.exp(1j * tau * pair.h0)[:, None]) * u
+    return Spectrum.of(array).propagator(tau)
 
 
 def ideal_evolution(array: DotArray, tau: float) -> PhaseVector:
@@ -120,10 +225,14 @@ def average_gate_fidelity(u: np.ndarray, v_diag: PhaseVector) -> float:
 
     Only the diagonal of U enters the trace product.
     """
-    d = u.shape[0]
+    return _diagonal_fidelity(np.diag(u), v_diag)
+
+
+def _diagonal_fidelity(u_diag: np.ndarray, v_diag: PhaseVector) -> float:
+    d = u_diag.shape[0]
     if v_diag.values.shape[0] != d:
         raise ValueError("dimension mismatch")
-    tr = np.sum(np.conj(np.diag(u)) * np.exp(1j * v_diag.values))
+    tr = np.sum(np.conj(u_diag) * np.exp(1j * v_diag.values))
     return float((d + np.abs(tr) ** 2) / (d * (d + 1)))
 
 
@@ -160,14 +269,11 @@ def match_eigenstates(array: DotArray, min_overlap: float = 0.5) -> MatchedSpect
     index tie-breaking; an overlap below ``min_overlap`` signals a
     non-perturbative spectrum and raises :class:`DegenerateSpectrum`.
     """
-    pair = build_hamiltonian(array)
-    h = np.diag(pair.h0).astype(complex) + pair.h_ex
-    evals, evecs = _eigh(h)
-    return _match_from(pair, evals, evecs, min_overlap)
+    return Spectrum.of(array).match(min_overlap)
 
 
-def _match_from(pair, evals, evecs, min_overlap: float) -> MatchedSpectrum:
-    weights = np.abs(evecs) ** 2  # weights[n, m] = |<n|m'>|^2
+def _greedy_match(weights: np.ndarray) -> np.ndarray:
+    """Basis row -> eigenvector column, pairs taken by descending weight."""
     dim = weights.shape[0]
     order = np.argsort(-weights, axis=None, kind="stable")
     basis_of = np.full(dim, -1)
@@ -182,24 +288,31 @@ def _match_from(pair, evals, evecs, min_overlap: float) -> MatchedSpectrum:
         assigned += 1
         if assigned == dim:
             break
-    overlaps = weights[np.arange(dim), basis_of]
-    if np.min(overlaps) < min_overlap:
-        worst = int(np.argmin(overlaps))
-        raise DegenerateSpectrum(
-            f"state {worst} overlaps its eigenvector by only {overlaps[worst]:.3f}; "
-            "the spectrum is outside the perturbative regime"
-        )
-    return MatchedSpectrum(
-        energies_0=pair.h0.copy(),
-        energies=evals[basis_of],
-        overlaps=overlaps,
-        first_order=np.real(np.diag(pair.h_ex)),
-    )
+    return basis_of
+
+
+def _match_columns(weights: np.ndarray) -> np.ndarray:
+    """The greedy pairing, in O(4^N) when every column's best row differs.
+
+    Each column's largest weight (lowest row on ties) comes first in the
+    greedy order among that column's entries, so when those rows are all
+    distinct no pair can block another and greedy takes exactly them.
+    """
+    dim = weights.shape[0]
+    basis_of = np.full(dim, -1)
+    basis_of[np.argmax(weights, axis=0)] = np.arange(dim)
+    if np.any(basis_of < 0):  # two columns picked the same row
+        return _greedy_match(weights)
+    return basis_of
 
 
 def diagonal_residues(u: np.ndarray, ideal: PhaseVector) -> np.ndarray:
     """arg(U_nn e^{-i tau Lambda_n}) folded to (-pi, pi]."""
-    return wrap_pm_pi(np.angle(np.diag(u)) - ideal.values)
+    return _diagonal_residues(np.diag(u), ideal)
+
+
+def _diagonal_residues(u_diag: np.ndarray, ideal: PhaseVector) -> np.ndarray:
+    return wrap_pm_pi(np.angle(u_diag) - ideal.values)
 
 
 @dataclass(frozen=True)
@@ -275,28 +388,20 @@ def pulsed_evolution(array: DotArray, schedule: PulseSchedule) -> np.ndarray:
     """Exact qubit-frame propagator of a staged, pulsed evolution.
 
     Stages evolve under the full Hamiltonian for their duration and each
-    boundary pulse is applied as an explicit Pauli operator; the final
-    frame rotation uses the total elapsed time.
+    boundary pulse is applied as a Pauli operator; the final frame rotation
+    uses the total elapsed time.  The dense oracle of
+    :meth:`Spectrum.pulsed_diagonal`.
     """
-    pair = build_hamiltonian(array)
-    h = np.diag(pair.h0).astype(complex) + pair.h_ex
-    evals, evecs = _eigh(h)
-    dim = h.shape[0]
-    u = np.eye(dim, dtype=complex)
-    for stage in schedule.stages:
-        if stage.duration > 0:
-            step = (evecs * np.exp(-1j * stage.duration * evals)) @ evecs.conj().T
-            u = step @ u
-        if stage.pulse is not None:
-            u = stage.pulse.matrix() @ u
-    return (np.exp(1j * schedule.total_time * pair.h0)[:, None]) * u
+    return Spectrum.of(array).pulsed(schedule)
 
 
 @dataclass(frozen=True)
 class SimReport:
     """Exact-versus-ideal comparison for one evolution."""
 
-    u_exact: np.ndarray
+    array: DotArray
+    tau: float
+    u_diag: np.ndarray  # diagonal of the exact propagator
     u_ideal: PhaseVector
     fidelity: float
     bound: float
@@ -304,6 +409,11 @@ class SimReport:
     leak: float
     correction: FreePhase
     post_residues: np.ndarray
+
+    @cached_property
+    def u_exact(self) -> np.ndarray:
+        """Dense exact propagator, rebuilt on first request."""
+        return qubit_frame_evolution(self.array, self.tau)
 
     @property
     def max_residue(self) -> float:
@@ -326,7 +436,7 @@ class SimReport:
             },
             "post_residues": list(map(float, self.post_residues)),
             "max_post_residue": self.max_post_residue,
-            "u_exact_diag_phase": list(map(float, np.angle(np.diag(self.u_exact)))),
+            "u_exact_diag_phase": list(map(float, np.angle(self.u_diag))),
             "u_ideal": list(map(float, self.u_ideal.values)),
         }
         return json.dumps(doc, indent=2)
@@ -336,24 +446,19 @@ def simulate_gate(array: DotArray, tau: float) -> SimReport:
     """Run the exact evolution and assemble the fidelity accounting."""
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    pair = build_hamiltonian(array)
-    h = np.diag(pair.h0).astype(complex) + pair.h_ex
-    evals, evecs = _eigh(h)  # shared by the propagator and the matching
-    u = (np.exp(1j * tau * pair.h0)[:, None]) * (
-        (evecs * np.exp(-1j * tau * evals)) @ evecs.conj().T
-    )
-    ideal = PhaseVector(-tau * np.real(np.diag(pair.h_ex)))
-    fid = average_gate_fidelity(u, ideal)
-    spectrum = _match_from(pair, evals, evecs, 0.5)
-    residues = diagonal_residues(u, ideal)
-    leak = spectrum.leak
-    bound = fidelity_lower_bound(residues, leak)
+    spectrum = Spectrum.of(array)
+    u_diag = spectrum.diagonal(tau)
+    ideal = PhaseVector(-tau * spectrum.h_ex_diag)
+    residues = _diagonal_residues(u_diag, ideal)
+    leak = spectrum.match(0.5).leak
     corr = optimal_phase_correction(residues, array.n_dots)
     return SimReport(
-        u_exact=u,
+        array=array,
+        tau=tau,
+        u_diag=u_diag,
         u_ideal=ideal,
-        fidelity=fid,
-        bound=bound,
+        fidelity=_diagonal_fidelity(u_diag, ideal),
+        bound=fidelity_lower_bound(residues, leak),
         residues=residues,
         leak=leak,
         correction=corr.free,

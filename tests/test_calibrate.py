@@ -64,6 +64,51 @@ EQ_SIGN_MATRIX = np.array(
 RECT_STAGE_SUBSETS = [frozenset(), frozenset({2}), frozenset({2, 3}), frozenset({3})]
 
 
+PAULI_2X2 = {
+    "I": np.eye(2),
+    "X": np.array([[0, 1], [1, 0]]),
+    "Y": np.array([[0, -1j], [1j, 0]]),
+    "Z": np.diag([1, -1]),
+}
+
+
+def kron_labels(labels):
+    out = np.array([[1.0 + 0j]])
+    for lab in labels:
+        out = np.kron(out, PAULI_2X2[lab])
+    return out
+
+
+class TestPauliBits:
+    @pytest.mark.parametrize("a", "IXYZ")
+    @pytest.mark.parametrize("b", "IXYZ")
+    def test_compose_matches_dense_product(self, a, b):
+        prod, phase = PauliAssignment([a]).compose(PauliAssignment([b]))
+        assert np.max(np.abs(phase * prod.matrix() - PAULI_2X2[a] @ PAULI_2X2[b])) <= 1e-15
+        assert abs(abs(phase) - 1.0) <= 1e-15
+
+    def test_strings_on_bits(self, rng):
+        for _ in range(100):
+            n = int(rng.integers(1, 6))
+            la, lb = (list(rng.choice(list("IXYZ"), size=n)) for _ in range(2))
+            pa, pb = PauliAssignment(la), PauliAssignment(lb)
+            assert np.array_equal(pa.matrix(), kron_labels(la))
+            prod, phase = pa.compose(pb)
+            assert np.max(np.abs(phase * prod.matrix() - kron_labels(la) @ kron_labels(lb))) <= 1e-15
+            sa, sb = pa.signed_permutation(), pb.signed_permutation()
+            assert np.array_equal(sa.after(sb).matrix(), kron_labels(la) @ kron_labels(lb))
+            assert np.array_equal(sa.inverse().matrix(), kron_labels(la).conj().T)
+            m = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
+            assert np.allclose(sa.apply_rows(m), kron_labels(la) @ m, atol=1e-14)
+            assert np.allclose(sa.apply_columns(m), m @ kron_labels(la), atol=1e-14)
+
+    def test_masks_follow_basis_order(self):
+        p = PauliAssignment("XYZI")
+        assert (p.x_mask, p.z_mask) == (0b1100, 0b0110)
+        assert PauliAssignment.identity(3).is_identity()
+        assert not PauliAssignment("IZI").is_identity()
+
+
 class TestConjugatedGridVector:
     def test_identity_assignment(self, rng):
         arr = stellar_array(2, rng=rng)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,6 +138,81 @@ class TestCalibrate:
         assert path_lines[0] == "time,bond_id,phase_over_pi,folded_phase_over_pi"
         assert (out / "schedule_dd.json").exists()
 
+    def test_unbonded_factor_pair_exits_one(self, tmp_path, capsys):
+        array = {
+            "dots": [{"id": j, "zeeman": 1.0 + 0.3 * j} for j in range(3)],
+            "bonds": [
+                {"j": j, "k": j + 1, "J": 1e-3, "t": [np.sqrt(0.8), 0.0], "s": [0.0, np.sqrt(0.2)]}
+                for j in range(2)
+            ],
+        }
+        gate = {"factors": [{"control": 0, "targets": [{"dot": 2, "theta": np.pi}]}]}
+        (tmp_path / "chain.json").write_text(json.dumps(array))
+        (tmp_path / "gate.json").write_text(json.dumps(gate))
+        out = tmp_path / "out"
+        code = main(["calibrate", "--array", str(tmp_path / "chain.json"),
+                     "--gate", str(tmp_path / "gate.json"), "--out", str(out)])
+        assert code == 1
+        assert "(0, 2)" in capsys.readouterr().err
+        assert not (out / "calibrate.json").exists()
+
+    def test_repeated_factor_pairs_sum(self, stellar_files, tmp_path):
+        # pi/2 on (0, 1) from each side is the pi of the CZZ fixture
+        array, czz, _ = stellar_files
+        split = {
+            "factors": [
+                {"control": 0, "targets": [{"dot": 1, "theta": np.pi / 2}, {"dot": 2, "theta": np.pi}]},
+                {"control": 1, "targets": [{"dot": 0, "theta": np.pi / 2}]},
+            ]
+        }
+        split_file = tmp_path / "split.json"
+        split_file.write_text(json.dumps(split))
+        outs = []
+        for gate, name in ((czz, "whole"), (str(split_file), "split")):
+            out = tmp_path / name
+            assert main(["calibrate", "--array", array, "--gate", gate, "--out", str(out)]) == 0
+            outs.append(out)
+        assert (outs[0] / "schedule.json").read_bytes() == (outs[1] / "schedule.json").read_bytes()
+        record = json.loads((outs[1] / "calibrate.json").read_text())
+        assert record["equiv_residual"] <= 1e-2
+
+
+class TestInputErrors:
+    def test_nan_zeeman_exits_one_without_traceback(self, stellar_files, tmp_path, capsys):
+        array, gate, out = stellar_files
+        doc = json.loads(Path(array).read_text())
+        doc["dots"][1]["zeeman"] = float("nan")
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["simulate", "--array", str(bad), "--gate", gate, "--out", str(out),
+                     "--tau", "100.0"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        assert "finite" in err and len(err.strip().splitlines()) == 1
+
+    def test_infinite_theta_exits_one(self, stellar_files, tmp_path, capsys):
+        array, _, out = stellar_files
+        gate = {"factors": [{"control": 0, "targets": [{"dot": 1, "theta": float("inf")}]}]}
+        bad = tmp_path / "inf.json"
+        bad.write_text(json.dumps(gate))
+        assert main(["check", "--array", array, "--gate", str(bad), "--out", str(out)]) == 1
+        assert "finite" in capsys.readouterr().err
+
+    def test_eigensolver_failure_exits_one(self, stellar_files, monkeypatch, capsys):
+        array, gate, out = stellar_files
+
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        code = main(["simulate", "--array", array, "--gate", gate, "--out", str(out),
+                     "--tau", "100.0"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        assert err.startswith("eigensolver failure") and len(err.strip().splitlines()) == 1
+
 
 class TestEnvOverrides:
     def test_out_dir_from_environment(self, stellar_files, tmp_path, monkeypatch):
@@ -177,3 +253,8 @@ class TestApps:
         assert code == 0
         rows = (tmp_path / "reversal_4.csv").read_text().splitlines()
         assert len(rows) == 16
+        cells = [cell for row in rows for cell in row.split(",")]
+        assert len(cells) == 16 * 16
+        assert not any("np." in cell for cell in cells)
+        values = [float(cell) for cell in cells]
+        assert sorted(set(abs(v) for v in values)) == [0.0, 1.0]

@@ -370,3 +370,16 @@ class TestGateSpecJson:
         spec = GateSpec(raw=PhaseVector(rng.uniform(0, 2 * np.pi, size=8)))
         back = GateSpec.from_json(spec.to_json())
         assert back.expand(3).distance(spec.expand(3)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"raw": [0.0, float("nan"), 0.0, 0.0]},
+            {"raw": [0.0, 0.0, float("inf"), 0.0]},
+            {"factors": [{"control": 0, "targets": [{"dot": 1, "theta": float("nan")}]}]},
+        ],
+        ids=["raw-nan", "raw-inf", "theta-nan"],
+    )
+    def test_rejects_non_finite_phases(self, doc):
+        with pytest.raises(ValueError, match="finite"):
+            GateSpec.from_json(doc)

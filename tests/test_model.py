@@ -209,3 +209,28 @@ class TestJsonInterface:
         }
         with pytest.raises(ValueError):
             array_from_json(doc)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d, x: d["dots"][1].update(zeeman=x),
+            lambda d, x: d["dots"][0].update(chem_potential=x),
+            lambda d, x: d["bonds"][0].update(J=x),
+            lambda d, x: d["bonds"][0]["t"].__setitem__(1, x),
+            lambda d, x: d["bonds"][1].update(theta_b=x),
+        ],
+        ids=["zeeman", "chem_potential", "J", "t", "theta_b"],
+    )
+    def test_rejects_non_finite_numbers(self, edit, bad):
+        doc = {
+            "dots": [{"id": j, "zeeman": 1.0 + 0.1 * j} for j in range(3)],
+            "bonds": [
+                {"j": 0, "k": 1, "J": 0.5, "t": [0.8, 0.0], "s": [0.0, 0.6]},
+                {"j": 0, "k": 2, "J": 0.5, "gamma_so": 0.1, "theta_b": 0.2},
+            ],
+        }
+        array_from_json(doc)
+        edit(doc, bad)
+        with pytest.raises(ValueError, match="finite"):
+            array_from_json(doc)

@@ -1,0 +1,223 @@
+"""One spectrum per array: diagonal readouts against dense references."""
+
+import numpy as np
+import pytest
+from scipy.linalg import expm
+
+from dotgates import (
+    CalibrationTarget,
+    PauliAssignment,
+    PulseSchedule,
+    Spectrum,
+    Stage,
+    build_hamiltonian,
+    pulsed_evolution,
+    simulate_gate,
+    solve_intervals,
+    weave_dd,
+)
+from dotgates.basis import circular_distance, wrap_pm_pi
+from dotgates.simulate import (
+    _greedy_match,
+    _match_columns,
+    match_eigenstates,
+    optimal_phase_correction,
+)
+
+from conftest import chain_array, random_connected_array, stellar_array
+
+PAULI_2X2 = {
+    "I": np.eye(2),
+    "X": np.array([[0, 1], [1, 0]]),
+    "Y": np.array([[0, -1j], [1j, 0]]),
+    "Z": np.diag([1, -1]),
+}
+
+
+def kron_pulse(pulse):
+    out = np.array([[1.0 + 0j]])
+    for lab in pulse.labels:
+        out = np.kron(out, PAULI_2X2[lab])
+    return out
+
+
+def expm_reference(array, schedule):
+    """Stage-by-stage expm and Kronecker pulses, independent of Spectrum."""
+    pair = build_hamiltonian(array)
+    h = np.diag(pair.h0) + pair.h_ex
+    u = np.eye(h.shape[0], dtype=complex)
+    for st in schedule.stages:
+        u = expm(-1j * st.duration * h) @ u
+        if st.pulse is not None:
+            u = kron_pulse(st.pulse) @ u
+    return np.exp(1j * schedule.total_time * pair.h0)[:, None] * u
+
+
+def dense_readout(array, schedule):
+    net = schedule.net_pulse()
+    return np.diag(net.matrix().conj().T @ pulsed_evolution(array, schedule))
+
+
+def random_schedule(rng, n, n_stages, labels="IXYZ", zero_frac=0.25):
+    stages = []
+    for i in range(n_stages):
+        duration = 0.0 if rng.random() < zero_frac else float(rng.uniform(50.0, 900.0))
+        pulse = None
+        if i < n_stages - 1 or rng.random() < 0.5:
+            pulse = PauliAssignment(rng.choice(list(labels), size=n))
+            if pulse.is_identity():
+                pulse = None
+        stages.append(Stage(duration, pulse))
+    return PulseSchedule(n, stages)
+
+
+def array_family(rng, n):
+    yield chain_array(n, j_scale=1e-3, rng=rng)
+    yield stellar_array(n - 1, rng=rng)
+    yield random_connected_array(rng, n)
+
+
+class TestPulsedDiagonal:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_matches_dense_on_random_schedules(self, n):
+        rng = np.random.default_rng(100 + n)
+        for arr in array_family(rng, n):
+            spectrum = Spectrum.of(arr)
+            for _ in range(2):
+                sched = random_schedule(rng, n, int(rng.integers(2, 6)))
+                woven = [weave_dd(sched)] if sched.total_time > 0 else []
+                for s in [sched] + woven:
+                    got = spectrum.pulsed_diagonal(s, s.net_pulse())
+                    assert np.max(np.abs(got - dense_readout(arr, s))) <= 1e-12
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_matches_dense_on_solved_schedules(self, n):
+        rng = np.random.default_rng(7 + n)
+        for arr in (stellar_array(n - 1, j_scale=2e-4, rng=rng),
+                    chain_array(n, j_scale=2e-4, rng=rng)):
+            target = CalibrationTarget.for_array(arr, [np.pi / 2] * arr.n_bonds)
+            base = solve_intervals(arr, target, offset_bound=3)
+            spectrum = Spectrum.of(arr)
+            for s in (base, weave_dd(base)):
+                got = spectrum.pulsed_diagonal(s, s.net_pulse())
+                assert np.max(np.abs(got - dense_readout(arr, s))) <= 1e-12
+
+    EDGE_SCHEDULES = {
+        "y_and_z_labels": [
+            Stage(300.0, PauliAssignment("YZI")),
+            Stage(200.0, PauliAssignment("ZYY")),
+            Stage(150.0, None),
+        ],
+        "zero_duration_stages": [
+            Stage(250.0, PauliAssignment("XII")),
+            Stage(0.0, PauliAssignment("IYZ")),
+            Stage(0.0, PauliAssignment("YIX")),
+            Stage(400.0, None),
+            Stage(0.0, None),
+        ],
+        "pulse_before_first_evolution": [
+            Stage(0.0, PauliAssignment("XYZ")),
+            Stage(500.0, PauliAssignment("IXI")),
+            Stage(120.0, None),
+        ],
+        "adjacent_evolutions": [
+            Stage(100.0, None),
+            Stage(200.0, None),
+            Stage(300.0, PauliAssignment("YYY")),
+        ],
+        "total_time_zero": [
+            Stage(0.0, PauliAssignment("XZY")),
+            Stage(0.0, PauliAssignment("ZIX")),
+        ],
+        "nothing_at_all": [Stage(0.0, None)],
+    }
+
+    @pytest.mark.parametrize("name", sorted(EDGE_SCHEDULES))
+    def test_edge_schedules(self, name):
+        arr = random_connected_array(np.random.default_rng(5), 3, j_scale=3e-3)
+        sched = PulseSchedule(3, self.EDGE_SCHEDULES[name])
+        dense = pulsed_evolution(arr, sched)
+        assert np.max(np.abs(dense - expm_reference(arr, sched))) <= 1e-9
+        net = sched.net_pulse()
+        got = Spectrum.of(arr).pulsed_diagonal(sched, net)
+        assert np.max(np.abs(got - np.diag(kron_pulse(net).conj().T @ dense))) <= 1e-12
+
+
+class TestMatching:
+    def test_argmax_equals_greedy_on_arrays(self):
+        rng = np.random.default_rng(11)
+        for n in range(2, 8):
+            for arr in array_family(rng, max(n, 3)):
+                weights = Spectrum.of(arr).weights
+                assert np.array_equal(_match_columns(weights), _greedy_match(weights))
+
+    def test_argmax_equals_greedy_on_random_weights(self):
+        # strongly mixed unitaries make column collisions common
+        rng = np.random.default_rng(12)
+        collisions = 0
+        for dim in (2, 4, 8, 16):
+            for _ in range(25):
+                z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                q, _ = np.linalg.qr(z)
+                weights = np.abs(q) ** 2
+                rows = np.argmax(weights, axis=0)
+                collisions += len(set(rows.tolist())) < dim
+                assert np.array_equal(_match_columns(weights), _greedy_match(weights))
+        assert collisions > 0
+
+    def test_collision_falls_back_to_greedy(self):
+        # both columns peak on row 0; greedy gives row 0 to the larger weight
+        weights = np.array([[0.6, 0.5], [0.4, 0.5]])
+        assert np.argmax(weights, axis=0).tolist() == [0, 0]
+        assert _match_columns(weights).tolist() == [0, 1]
+        weights = np.array([[0.5, 0.7, 0.1], [0.3, 0.2, 0.5], [0.2, 0.1, 0.4]])
+        assert _match_columns(weights).tolist() == _greedy_match(weights).tolist() == [1, 2, 0]
+
+    def test_match_eigenstates_uses_the_spectrum(self, rng):
+        arr = random_connected_array(rng, 4)
+        a = match_eigenstates(arr)
+        b = Spectrum.of(arr).match()
+        assert np.array_equal(a.energies, b.energies)
+        assert np.array_equal(a.overlaps, b.overlaps)
+
+
+class TestSimulateGateDiagonal:
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_fields_match_dense_reference(self, n):
+        rng = np.random.default_rng(40 + n)
+        for arr in array_family(rng, n):
+            tau = float(rng.uniform(100.0, 3000.0))
+            report = simulate_gate(arr, tau)
+
+            pair = build_hamiltonian(arr)
+            evals, evecs = np.linalg.eigh(np.diag(pair.h0) + pair.h_ex)
+            u = np.exp(1j * tau * pair.h0)[:, None] * (
+                (evecs * np.exp(-1j * tau * evals)) @ evecs.conj().T
+            )
+            d = u.shape[0]
+            ideal = -tau * np.real(np.diag(pair.h_ex))
+            tr = np.sum(np.conj(np.diag(u)) * np.exp(1j * ideal))
+            fidelity = (d + abs(tr) ** 2) / (d * (d + 1))
+            residues = wrap_pm_pi(np.angle(np.diag(u)) - ideal)
+            weights = np.abs(evecs) ** 2
+            leak = float(np.sum(1.0 - weights[np.arange(d), _greedy_match(weights)]))
+            bound = 1.0 - 2 * d / (d + 1) * np.max(np.abs(residues)) - 4 / (d + 1) * leak
+            post = optimal_phase_correction(residues, n).post
+
+            assert np.max(np.abs(report.u_diag - np.diag(u))) <= 1e-12
+            assert abs(report.fidelity - fidelity) <= 1e-12
+            assert abs(report.leak - leak) <= 1e-12
+            assert abs(report.bound - bound) <= 1e-12
+            assert np.max(circular_distance(report.residues, residues)) <= 1e-12
+            assert np.max(np.abs(report.post_residues - post)) <= 1e-12
+            assert np.max(np.abs(report.u_exact - u)) <= 1e-12
+
+    def test_one_eigh_per_report(self, monkeypatch, rng):
+        calls = []
+        real_eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or real_eigh(a))
+        report = simulate_gate(stellar_array(3, rng=rng), 500.0)
+        assert len(calls) == 1
+        report.u_exact  # built on request, once
+        report.u_exact
+        assert len(calls) == 2

@@ -310,12 +310,8 @@ def conjugated_grid_vector(array: DotArray, q: PauliAssignment) -> np.ndarray:
     return total
 
 
-def bond_signs(array: DotArray, q: PauliAssignment) -> np.ndarray:
-    """Per-bond velocity sign under the dot assignment q."""
-    return np.array([q.sig(b.j) * q.sig(b.k) for b in array.bonds])
-
-
 def subset_signs(array: DotArray, flipped: frozenset[int]) -> np.ndarray:
+    """Per-bond velocity sign when the dots in ``flipped`` carry X or Y."""
     return np.array(
         [
             (-1 if b.j in flipped else 1) * (-1 if b.k in flipped else 1)
@@ -327,7 +323,7 @@ def subset_signs(array: DotArray, flipped: frozenset[int]) -> np.ndarray:
 def stage_sign_matrix(array: DotArray, schedule: PulseSchedule) -> np.ndarray:
     """(bonds, stages) matrix of per-stage bond signs."""
     qs = schedule.cumulative_pulses()
-    return np.array([bond_signs(array, q) for q in qs]).T
+    return np.array([subset_signs(array, q.flipped_dots()) for q in qs]).T
 
 
 def accumulated_bond_phases(array: DotArray, schedule: PulseSchedule) -> np.ndarray:
@@ -441,6 +437,85 @@ def _pulses_from_subsets(subsets: Sequence[frozenset[int]], n_dots: int) -> list
     return pulses
 
 
+def _narrow(lo: np.ndarray, hi: np.ndarray, value: np.ndarray, slope: float, floor: float):
+    """Shrink the per-row ranges [lo, hi] to the m with value + slope * m >= floor."""
+    if slope == 0:
+        hi[value < floor] = -np.inf
+    elif slope > 0:
+        np.maximum(lo, np.ceil((floor - value) / slope), out=lo)
+    else:
+        np.minimum(hi, np.floor((floor - value) / slope), out=hi)
+
+
+def _square_durations(
+    amat: np.ndarray, phi: np.ndarray, vel: np.ndarray, modulus: float, bound: int, tol: float
+) -> np.ndarray:
+    """Durations of the best offset tuple when there are as many stages as bonds.
+
+    ``tau(m) = A^-1 ((phi + modulus m) / vel)`` is affine in the offsets.  The
+    first b - 1 offsets are enumerated; for each such prefix tau is affine in
+    the last offset m_b, so the m_b that keep every tau >= -tol form an integer
+    interval, and the total time, linear in m_b, is least at one of its ends.
+    Ranges and totals are widened by a rounding bound, so the tuples kept are
+    a superset of those the exact rule below can accept; only they are
+    evaluated exactly.
+    """
+    n = amat.shape[0]
+    ainv = np.linalg.inv(amat)
+
+    def taus_of(mcombo):  # (rows, bonds) offsets -> (rows, stages) durations
+        return ((phi[None, :] + modulus * mcombo) / vel[None, :]) @ ainv.T
+
+    side = 2 * bound + 1
+    prefixes = np.indices((side,) * (n - 1)).reshape(n - 1, side ** (n - 1)).T - bound
+    base = taus_of(np.column_stack([prefixes, np.zeros(len(prefixes))]))  # at m_b = 0
+    beta = ainv[:, -1] * (modulus / vel[-1])
+    totals, total_slope = base.sum(axis=1), beta.sum()
+    # twice a forward-error bound of either way of computing tau (a dot
+    # product of length n over right-hand sides of at most reach)
+    reach = np.abs(ainv) @ ((np.abs(phi) + modulus * bound) / np.abs(vel))
+    slack = 8 * (n + 4) * np.finfo(float).eps * reach
+    total_slack = 2.0 * slack.sum()
+
+    def last_offsets(floor, ceiling):
+        lo, hi = np.full(len(base), -float(bound)), np.full(len(base), float(bound))
+        for s in range(n):
+            _narrow(lo, hi, base[:, s], beta[s], floor[s])
+        _narrow(lo, hi, -totals, -total_slope, -ceiling)
+        return lo, hi
+
+    # tuples that are feasible even after rounding bound the best total
+    lo, hi = last_offsets(-tol + slack, np.inf)
+    ok = lo <= hi
+    window = np.inf
+    if np.any(ok):
+        best = np.minimum(totals[ok] + total_slope * lo[ok], totals[ok] + total_slope * hi[ok])
+        window = (best.min() + total_slack) * (1.0 + 1e-12) + 1e-15 + total_slack
+    lo, hi = last_offsets(-tol - slack, window)
+    keep = np.flatnonzero(lo <= hi)
+    counts = (hi[keep] - lo[keep]).astype(np.int64) + 1
+    starts = np.repeat(np.cumsum(counts) - counts, counts)
+    last = np.repeat(lo[keep].astype(np.int64), counts) + np.arange(counts.sum()) - starts
+    mcombo = np.column_stack([prefixes[np.repeat(keep, counts)], last])
+
+    taus = taus_of(mcombo)
+    feasible = np.all(taus >= -tol, axis=1)
+    if not np.any(feasible):
+        least = np.inf
+        for m in range(-bound, bound + 1):
+            taus = taus_of(np.column_stack([prefixes, np.full(len(prefixes), m)]))
+            least = min(least, float(np.min(np.max(np.maximum(-taus, 0.0), axis=1))))
+        raise InfeasibleSchedule("no nonnegative durations in offset bound", least)
+    totals = np.where(feasible, taus.sum(axis=1), np.inf)
+    best_total = totals.min()
+    near = np.flatnonzero(totals <= best_total * (1.0 + 1e-12) + 1e-15)
+    # deterministic tie-break among minimal-time solutions: smallest
+    # offset magnitudes first, then the lexicographically smallest tuple
+    keys = np.vstack([mcombo[near].T[::-1], np.abs(mcombo[near]).sum(axis=1)])
+    winner = near[np.lexsort(keys)][0]
+    return np.clip(taus[winner], 0.0, None)
+
+
 def solve_intervals(
     array: DotArray,
     target: CalibrationTarget,
@@ -451,11 +526,18 @@ def solve_intervals(
     """Solve stage durations so every bond accumulates its target phase.
 
     The system is ``sum_n a_w^(n) tau_n = (phi_w + m_w * modulus) / Delta_w``
-    with free integer offsets ``|m_w| <= offset_bound`` searched exhaustively
-    (per-bond offsets are independent) and durations required nonnegative;
-    among exact solutions the smallest total time wins, ties broken by the
-    smallest offset magnitudes and then the lexicographically smallest
-    tuple.  Stage 0 must carry the trivial assignment (no pulses yet).
+    with free integer offsets ``|m_w| <= offset_bound`` (per-bond offsets are
+    independent) and durations required nonnegative; among exact solutions
+    the smallest total time wins, ties broken by the smallest offset
+    magnitudes and then the lexicographically smallest tuple.  Stage 0 must
+    carry the trivial assignment (no pulses yet).
+
+    With as many stages as active bonds (b of them, the default) the search
+    enumerates the first b - 1 offsets and solves for the last in closed
+    form, at O((2M+1)^(b-1) * stages) time and memory for M =
+    ``offset_bound``; the result is the one an exhaustive search over all
+    (2M+1)^b tuples picks by the rule above.  More stages than bonds solve
+    one linear program per offset tuple.
 
     Raises
     ------
@@ -486,29 +568,15 @@ def solve_intervals(
             "is too large; lower offset_bound or split the array"
         )
 
-    offsets = np.arange(-offset_bound, offset_bound + 1)
-    grids = np.meshgrid(*([offsets] * n_bonds), indexing="ij")
-    mcombo = np.stack([g.ravel() for g in grids], axis=1)  # (combos, bonds)
-    rhs = (phi[None, :] + target.modulus * mcombo) / vel[None, :]
-
     if n_stages == n_bonds:
-        ainv = np.linalg.inv(amat)
-        taus = rhs @ ainv.T  # (combos, stages)
-        feasible = np.all(taus >= -tol, axis=1)
-        if not np.any(feasible):
-            best = float(np.min(np.max(np.maximum(-taus, 0.0), axis=1)))
-            raise InfeasibleSchedule("no nonnegative durations in offset bound", best)
-        totals = np.where(feasible, taus.sum(axis=1), np.inf)
-        best_total = totals.min()
-        near = np.flatnonzero(totals <= best_total * (1.0 + 1e-12) + 1e-15)
-        # deterministic tie-break among minimal-time solutions: smallest
-        # offset magnitudes first, then the lexicographically smallest tuple
-        keys = np.vstack([mcombo[near].T[::-1], np.abs(mcombo[near]).sum(axis=1)])
-        winner = near[np.lexsort(keys)][0]
-        durations = np.clip(taus[winner], 0.0, None)
+        durations = _square_durations(amat, phi, vel, target.modulus, offset_bound, tol)
     else:
         from scipy.optimize import linprog
 
+        offsets = np.arange(-offset_bound, offset_bound + 1)
+        grids = np.meshgrid(*([offsets] * n_bonds), indexing="ij")
+        mcombo = np.stack([g.ravel() for g in grids], axis=1)  # (combos, bonds)
+        rhs = (phi[None, :] + target.modulus * mcombo) / vel[None, :]
         best_sol = None
         best_total = np.inf
         for row in range(rhs.shape[0]):

@@ -93,25 +93,32 @@ def _gate_free_phase(gate: GateSpec, n_qubits: int, tol: float):
     return target, theta_g, solution, analysis
 
 
+def unbonded_pairs(array: DotArray, gate: GateSpec) -> list[tuple[int, int]]:
+    """Dot pairs, sorted, that a gate factor couples but no bond joins.
+
+    The array acts only through its bonds, so a factored gate with such a
+    pair is out of reach; a raw phase vector names no pairs.
+    """
+    if gate.factors is None:
+        return []
+    bonded = {(b.j, b.k) for b in array.bonds}
+    pairs = {(min(f.control, d), max(f.control, d)) for f in gate.factors for d, _ in f.targets}
+    return sorted(pairs - bonded)
+
+
+def _no_bond_message(pairs) -> str:
+    return f"gate factor pairs {', '.join(map(str, pairs))} have no bond in the array"
+
+
 def cmd_check(args) -> int:
     array = _load_array(args.array)
     gate = _load_gate(args.gate)
-    if gate.factors is not None and len(gate.factors) > 1:
-        # a product of controlled-phase factors is feasible by construction;
-        # its corrections are the per-factor closed forms summed
-        combined = mqcp_phase_solution(gate.factors[0], array.n_dots)
-        for f in gate.factors[1:]:
-            combined = combined.combine(mqcp_phase_solution(f, array.n_dots))
-        report = {
-            "feasible": True,
-            "residual": 0.0,
-            "second_control": False,
-            "degenerate_two_qubit": False,
-            "local_phases": [float(x) for x in np.mod(combined.local, 2.0 * np.pi)],
-        }
+    unbonded = unbonded_pairs(array, gate)
+    if unbonded:
+        report = {"feasible": False, "unbonded_pairs": [list(p) for p in unbonded]}
         _write(args.out, "check.json", json.dumps(report, indent=2))
-        print("feasible (factored product); local phases:", report["local_phases"])
-        return 0
+        print(f"infeasible: {_no_bond_message(unbonded)}")
+        return 2
     target, theta_g, solution, analysis = _gate_free_phase(gate, array.n_dots, args.tol)
     report = {
         "feasible": solution.feasible,
@@ -131,6 +138,10 @@ def cmd_check(args) -> int:
 def cmd_solve(args) -> int:
     array = _load_array(args.array)
     gate = _load_gate(args.gate)
+    unbonded = unbonded_pairs(array, gate)
+    if unbonded:
+        print(f"infeasible: {_no_bond_message(unbonded)}")
+        return 2
     target, theta_g, solution, analysis = _gate_free_phase(gate, array.n_dots, args.tol)
     if not solution.feasible:
         print(f"infeasible by parity (residual {solution.residual:.3e})")
@@ -193,10 +204,15 @@ def cmd_simulate(args) -> int:
     if args.sweep is not None:
         lo, hi, steps = args.sweep.split(":")
         grid = np.geomspace(float(lo), float(hi), int(steps))
-        rows = sweep_rows(array, tau, grid)
+        rows, skipped = sweep_rows(array, tau, grid)
         lines = ["j_over_eps,infidelity,bound,max_residue"]
         lines += [f"{a!r},{b!r},{c!r},{d!r}" for a, b, c, d in rows]
         _write(args.out, "sweep.csv", "\n".join(lines) + "\n")
+        if skipped:
+            doc = [{"j_over_eps": x, "error": msg} for x, msg in skipped]
+            _write(args.out, "sweep_skipped.json", json.dumps(doc, indent=2))
+            print(f"skipped {len(skipped)} of {len(grid)} sweep points with a degenerate "
+                  "spectrum (sweep_skipped.json)")
     print(f"fidelity {report.fidelity!r}, bound {report.bound!r}")
     return 0
 
@@ -208,13 +224,13 @@ def _per_bond_targets(array: DotArray, gate: GateSpec) -> list[float]:
     """
     if gate.factors is None:
         raise ValueError("calibration needs a factored gate spec")
-    bonded = {(b.j, b.k) for b in array.bonds}
+    unbonded = unbonded_pairs(array, gate)
+    if unbonded:
+        raise ValueError(_no_bond_message(unbonded))
     wanted: dict[tuple[int, int], float] = {}
     for f in gate.factors:
         for dot, theta in f.targets:
             key = (min(f.control, dot), max(f.control, dot))
-            if key not in bonded:
-                raise ValueError(f"gate factor pair {key} has no bond in the array")
             wanted[key] = wanted.get(key, 0.0) - 0.5 * theta
     return [float(np.mod(wanted.get((b.j, b.k), 0.0), np.pi)) for b in array.bonds]
 

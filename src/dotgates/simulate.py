@@ -476,11 +476,21 @@ def scaled_zeeman_array(array: DotArray, j_over_eps: float) -> DotArray:
     return DotArray(dots, array.bonds)
 
 
-def sweep_rows(array: DotArray, tau: float, grid) -> list[tuple[float, float, float, float]]:
-    """(J/eps, infidelity, bound, max residue) rows over a coupling sweep."""
-    rows = []
+def sweep_rows(
+    array: DotArray, tau: float, grid
+) -> tuple[list[tuple[float, float, float, float]], list[tuple[float, str]]]:
+    """(J/eps, infidelity, bound, max residue) rows over a coupling sweep.
+
+    A point whose spectrum is degenerate is skipped; it is returned in the
+    second list as (J/eps, message), so one such point does not cost the rest.
+    """
+    rows, skipped = [], []
     for x in grid:
         scaled = scaled_zeeman_array(array, float(x))
-        report = simulate_gate(scaled, tau)
+        try:
+            report = simulate_gate(scaled, tau)
+        except DegenerateSpectrum as exc:
+            skipped.append((float(x), str(exc)))
+            continue
         rows.append((float(x), 1.0 - report.fidelity, report.bound, report.max_residue))
-    return rows
+    return rows, skipped

@@ -5,6 +5,10 @@ import numpy as np
 import pytest
 
 from dotgates.cli import main
+from dotgates.gates import GateSpec, parity_matrix
+from dotgates.model import array_to_json
+
+from conftest import stellar_array
 
 
 @pytest.fixture
@@ -30,6 +34,32 @@ def stellar_files(tmp_path):
     array_file.write_text(json.dumps(array))
     gate_file.write_text(json.dumps(czz))
     return str(array_file), str(gate_file), tmp_path
+
+
+def three_dot_files(tmp_path, edges, factors):
+    """Array with the given bonds on dots 0-2 and a factored gate."""
+    array = {
+        "dots": [{"id": j, "zeeman": 1.0 + 0.3 * j} for j in range(3)],
+        "bonds": [
+            {"j": j, "k": k, "J": 1e-3, "t": [np.sqrt(0.8), 0.0], "s": [0.0, np.sqrt(0.2)]}
+            for j, k in edges
+        ],
+    }
+    gate = {
+        "factors": [
+            {"control": c, "targets": [{"dot": d, "theta": th} for d, th in targets]}
+            for c, targets in factors
+        ]
+    }
+    (tmp_path / "array.json").write_text(json.dumps(array))
+    (tmp_path / "gate.json").write_text(json.dumps(gate))
+    return str(tmp_path / "array.json"), str(tmp_path / "gate.json"), tmp_path / "out"
+
+
+CHAIN = [(0, 1), (1, 2)]
+TRIANGLE = [(0, 1), (1, 2), (0, 2)]
+END_TO_END = [(0, [(2, np.pi)])]
+TWO_FACTORS = [(0, [(1, 1.1)]), (2, [(0, 2.3)])]
 
 
 def ccz_file(tmp_path):
@@ -76,7 +106,35 @@ class TestCheck:
         assert code == 1
 
 
+    @pytest.mark.parametrize("factors", [END_TO_END, TWO_FACTORS], ids=["end-to-end", "two-factor"])
+    def test_unbonded_pair_exits_two(self, tmp_path, factors):
+        array, gate, out = three_dot_files(tmp_path, CHAIN, factors)
+        assert main(["check", "--array", array, "--gate", gate, "--out", str(out)]) == 2
+        report = json.loads((out / "check.json").read_text())
+        assert report["feasible"] is False
+        assert report["unbonded_pairs"] == [[0, 2]]
+
+    def test_two_factor_gate_on_triangle_is_feasible(self, tmp_path):
+        array, gate, out = three_dot_files(tmp_path, TRIANGLE, TWO_FACTORS)
+        assert main(["check", "--array", array, "--gate", gate, "--out", str(out)]) == 0
+        report = json.loads((out / "check.json").read_text())
+        assert report["feasible"] is True
+        assert "unbonded_pairs" not in report
+        theta = GateSpec.from_json(Path(gate).read_text()).expand(3).reduced()
+        lhs = parity_matrix(3) @ np.array(report["local_phases"])
+        assert np.max(np.abs(np.angle(np.exp(1j * (lhs - theta))))) <= 1e-9
+
+
 class TestSolve:
+    @pytest.mark.parametrize("factors", [END_TO_END, TWO_FACTORS], ids=["end-to-end", "two-factor"])
+    def test_unbonded_pair_exits_two(self, tmp_path, factors, capsys):
+        array, gate, out = three_dot_files(tmp_path, CHAIN, factors)
+        assert main(["solve", "--array", array, "--gate", gate, "--out", str(out)]) == 2
+        assert "(0, 2)" in capsys.readouterr().out
+        assert not (out / "solve.json").exists()
+        assert main(["calibrate", "--array", array, "--gate", gate, "--out", str(out)]) == 1
+
+
     def test_reports_candidates(self, stellar_files):
         array, gate, out = stellar_files
         code = main(["solve", "--array", array, "--gate", gate, "--out", str(out)])
@@ -122,6 +180,35 @@ class TestSimulate:
             main(["simulate", "--array", array, "--gate", gate, "--out", str(out),
                   "--sweep", "1e-4:1e-2:6", "--jobs", jobs])
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+
+
+    def test_degenerate_point_is_skipped(self, tmp_path, capsys):
+        # at J/eps = 1e-1 a state of this 8-dot star overlaps its eigenvector
+        # by less than one half, which the sweep used to abort on
+        (tmp_path / "star.json").write_text(array_to_json(stellar_array(7)))
+        gate = {"factors": [{"control": 0, "targets": [{"dot": 1, "theta": np.pi}]}]}
+        (tmp_path / "gate.json").write_text(json.dumps(gate))
+        out = tmp_path / "out"
+        code = main(["simulate", "--array", str(tmp_path / "star.json"),
+                     "--gate", str(tmp_path / "gate.json"), "--out", str(out),
+                     "--tau", "1000", "--sweep", "1e-4:1e-1:16"])
+        assert code == 0
+        skipped = json.loads((out / "sweep_skipped.json").read_text())
+        assert skipped and all("overlaps" in rec["error"] for rec in skipped)
+        assert f"skipped {len(skipped)} of 16" in capsys.readouterr().out
+        sweep = (out / "sweep.csv").read_text().splitlines()
+        assert sweep[0] == "j_over_eps,infidelity,bound,max_residue"
+        assert len(sweep) == 1 + 16 - len(skipped)
+        kept = {float(line.split(",")[0]) for line in sweep[1:]}
+        assert kept.isdisjoint(rec["j_over_eps"] for rec in skipped)
+        assert len(kept | {rec["j_over_eps"] for rec in skipped}) == 16
+
+    def test_healthy_sweep_writes_no_skip_file(self, stellar_files):
+        array, gate, out = stellar_files
+        code = main(["simulate", "--array", array, "--gate", gate, "--out", str(out),
+                     "--sweep", "1e-4:1e-2:3"])
+        assert code == 0
+        assert not (out / "sweep_skipped.json").exists()
 
 
 class TestCalibrate:

@@ -8,7 +8,6 @@ from .model import (
     array_from_json,
     array_to_json,
     bond_vector,
-    effective_velocity,
     exchange_energy,
     grid_vector,
     tunneling_from_soi,
@@ -25,7 +24,6 @@ from .gates import (
     assert_single_control,
     decompose_intrinsic,
     equiv_up_to_free_phase,
-    ideal_gate_vector,
     mqcp_phase_solution,
     parity_matrix,
     solve_dynamics,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import gamma as gamma_function
 from typing import Iterable, Sequence
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .basis import TWO_PI, circular_distance, wrap_2pi
 from .gates import FreePhase
-from .model import Bond, DotArray, bond_vector, embed_bond_values
+from .model import Bond, DotArray, grid_vector
 
 # (x, z) bits of each single-qubit Pauli, with Y = i X Z
 _PAULI_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -303,11 +304,7 @@ def conjugated_bond(bond: Bond, q: PauliAssignment) -> Bond:
 def conjugated_grid_vector(array: DotArray, q: PauliAssignment) -> np.ndarray:
     """Grid vector with S and T swapped on every bond that has an odd number
     of X/Y labels on its endpoints; Z and I leave bonds unchanged."""
-    total = np.zeros(1 << array.n_dots)
-    for bond in array.bonds:
-        b = conjugated_bond(bond, q)
-        total += embed_bond_values(bond_vector(b), b.j, b.k, array.n_dots)
-    return total
+    return grid_vector(array.with_bonds(conjugated_bond(b, q) for b in array.bonds))
 
 
 def subset_signs(array: DotArray, flipped: frozenset[int]) -> np.ndarray:
@@ -450,7 +447,7 @@ def _narrow(lo: np.ndarray, hi: np.ndarray, value: np.ndarray, slope: float, flo
 def _square_durations(
     amat: np.ndarray, phi: np.ndarray, vel: np.ndarray, modulus: float, bound: int, tol: float
 ) -> np.ndarray:
-    """Durations of the best offset tuple when there are as many stages as bonds.
+    """Durations of the best offset tuple for one invertible b x b sign matrix.
 
     ``tau(m) = A^-1 ((phi + modulus m) / vel)`` is affine in the offsets.  The
     first b - 1 offsets are enumerated; for each such prefix tau is affine in
@@ -532,18 +529,25 @@ def solve_intervals(
     magnitudes and then the lexicographically smallest tuple.  Stage 0 must
     carry the trivial assignment (no pulses yet).
 
-    With as many stages as active bonds (b of them, the default) the search
-    enumerates the first b - 1 offsets and solves for the last in closed
-    form, at O((2M+1)^(b-1) * stages) time and memory for M =
-    ``offset_bound``; the result is the one an exhaustive search over all
-    (2M+1)^b tuples picks by the rule above.  More stages than bonds solve
-    one linear program per offset tuple.
+    For fixed offsets, min sum(tau) subject to the system and tau >= 0 is a
+    linear program, so it is attained at a basic solution: b of the stages
+    (b active bonds) whose b x b sign matrix is invertible, the others held
+    at zero.  Every such basis is searched in closed form: the first b - 1
+    offsets are enumerated and the last one solved for, so the whole search
+    costs C(stages, b) * (2M+1)^(b-1) * b for M = ``offset_bound``, and the
+    result within a basis is the one an exhaustive search over all (2M+1)^b
+    tuples picks by the rule above.  Across bases the least total wins; a
+    later basis replaces an earlier one only when its total is lower by
+    more than the tie window ``1e-12`` relative plus ``1e-15``, so among
+    equal totals the earliest basis (the fewest pulses) is kept.  With as
+    many stages as active bonds, the default, there is one basis.
 
     Raises
     ------
     InfeasibleSchedule
-        If no offset combination inside the bound admits tau >= 0; the
-        reported residual is the least worst-case duration violation found.
+        If no basis and offset combination inside the bound admits tau >= 0;
+        the reported residual is the least worst-case duration violation
+        over all of them.
     """
     if assignments is None:
         assignments = choose_assignments(array)
@@ -568,31 +572,23 @@ def solve_intervals(
             "is too large; lower offset_bound or split the array"
         )
 
-    if n_stages == n_bonds:
-        durations = _square_durations(amat, phi, vel, target.modulus, offset_bound, tol)
-    else:
-        from scipy.optimize import linprog
-
-        offsets = np.arange(-offset_bound, offset_bound + 1)
-        grids = np.meshgrid(*([offsets] * n_bonds), indexing="ij")
-        mcombo = np.stack([g.ravel() for g in grids], axis=1)  # (combos, bonds)
-        rhs = (phi[None, :] + target.modulus * mcombo) / vel[None, :]
-        best_sol = None
-        best_total = np.inf
-        for row in range(rhs.shape[0]):
-            res = linprog(
-                np.ones(n_stages),
-                A_eq=amat,
-                b_eq=rhs[row],
-                bounds=[(0, None)] * n_stages,
-                method="highs",
-            )
-            if res.success and res.fun < best_total - 1e-12:
-                best_total = res.fun
-                best_sol = res.x
-        if best_sol is None:
-            raise InfeasibleSchedule("no nonnegative durations in offset bound", np.inf)
-        durations = np.clip(best_sol, 0.0, None)
+    durations, best_total, least = None, np.inf, np.inf
+    for basis in combinations(range(n_stages), n_bonds):
+        sub = amat[:, list(basis)]
+        if np.linalg.matrix_rank(sub) < n_bonds:
+            continue
+        try:
+            taus = _square_durations(sub, phi, vel, target.modulus, offset_bound, tol)
+        except InfeasibleSchedule as exc:
+            least = min(least, exc.best_residual)
+            continue
+        total = taus.sum()
+        if total * (1.0 + 1e-12) + 1e-15 < best_total:
+            durations = np.zeros(n_stages)
+            durations[list(basis)] = taus
+            best_total = total
+    if durations is None:
+        raise InfeasibleSchedule("no nonnegative durations in offset bound", least)
 
     # Drop zero-length stages, composing their boundary pulses.
     assignments_kept = [assignments[0]]
@@ -791,7 +787,9 @@ class KSpacePath:
         lines = ["time,bond_id,phase_over_pi,folded_phase_over_pi"]
         for i, t in enumerate(self.times):
             for w in range(self.raw.shape[1]):
-                lines.append(f"{t!r},{w},{self.raw[i, w]!r},{self.folded[i, w]!r}")
+                lines.append(
+                    f"{float(t)!r},{w},{float(self.raw[i, w])!r},{float(self.folded[i, w])!r}"
+                )
         return "\n".join(lines) + "\n"
 
 

@@ -31,7 +31,7 @@ from .basis import (
     single_bit_index,
     wrap_2pi,
 )
-from .model import DotArray, finite, grid_vector
+from .model import DotArray, finite
 
 DEFAULT_TOL = 1e-9
 
@@ -436,8 +436,3 @@ def equiv_up_to_free_phase(
     free = FreePhase(global_phase, local)
     residual = float(np.max(circular_distance(delta, free.expand().values)))
     return residual <= tol, free, residual
-
-
-def ideal_gate_vector(array: DotArray, tau: float) -> PhaseVector:
-    """Phases ``tau * Lambda`` accumulated by the ideal evolution."""
-    return PhaseVector(tau * grid_vector(array))

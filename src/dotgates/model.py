@@ -133,11 +133,6 @@ class Bond:
         return Bond(self.j, self.k, self.exchange, t=self.s, s=self.t)
 
 
-def effective_velocity(bond: Bond) -> float:
-    """Delta = (J/2)(|t|^2 - |s|^2) for the bond."""
-    return bond.velocity
-
-
 def bond_vector(bond: Bond) -> np.ndarray:
     """Phase-rate quadruple (S, T, T, S) on the bond's (up-up, up-down,
     down-up, down-down) subspace."""
@@ -188,14 +183,19 @@ class DotArray:
         return DotArray(self.dots, bonds)
 
 
+def bond_pair_index(j: int, k: int, n_dots: int) -> np.ndarray:
+    """``2 b_j + b_k`` for every basis index: the entry of a bond's 4-vector
+    (up-up, up-down, down-up, down-down) that each basis state sees."""
+    idx = np.arange(1 << n_dots)
+    return 2 * bit_of(idx, j, n_dots) + bit_of(idx, k, n_dots)
+
+
 def embed_bond_values(values4: Sequence[float], j: int, k: int, n_dots: int) -> np.ndarray:
     """Expand a per-bond diagonal quadruple to the full 2^N diagonal.
 
     Entry order of ``values4`` follows the (b_j, b_k) bit pair of the bond.
     """
-    idx = np.arange(1 << n_dots)
-    sub = 2 * bit_of(idx, j, n_dots) + bit_of(idx, k, n_dots)
-    return np.asarray(values4, dtype=float)[sub]
+    return np.asarray(values4, dtype=float)[bond_pair_index(j, k, n_dots)]
 
 
 def grid_vector(array: DotArray) -> np.ndarray:

@@ -31,7 +31,7 @@ import numpy as np
 from .basis import bit_table, wrap_pm_pi
 from .calibrate import PauliAssignment, PulseSchedule, SignedPermutation
 from .gates import FreePhase, PhaseVector
-from .model import Bond, Dot, DotArray, grid_vector
+from .model import Bond, Dot, DotArray, bond_pair_index, grid_vector
 
 
 class EigensolverFailure(RuntimeError):
@@ -58,18 +58,13 @@ class HamiltonianPair:
 
 def _embed_projector_add(h: np.ndarray, xi: np.ndarray, weight: float, j: int, k: int, n: int):
     """Add weight * |xi><xi| (acting on dots j, k) into the dense matrix."""
-    dim = 1 << n
-    idx = np.arange(dim)
-    bits_j = (idx >> (n - 1 - j)) & 1
-    bits_k = (idx >> (n - 1 - k)) & 1
-    sub = 2 * bits_j + bits_k
-    rest = idx - (bits_j << (n - 1 - j)) - (bits_k << (n - 1 - k))
-    order = np.lexsort((sub, rest))
-    grouped = idx[order].reshape(dim // 4, 4)  # rows share the spectator bits
+    sub = bond_pair_index(j, k, n)
+    # each group lists its rows in spectator-bit order, so rows align across groups
+    grouped = [np.flatnonzero(sub == a) for a in range(4)]
     proj = weight * np.outer(xi, np.conj(xi))
     for a in range(4):
         for b in range(4):
-            h[grouped[:, a], grouped[:, b]] += proj[a, b]
+            h[grouped[a], grouped[b]] += proj[a, b]
 
 
 def build_hamiltonian(array: DotArray) -> HamiltonianPair:

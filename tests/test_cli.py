@@ -225,6 +225,16 @@ class TestCalibrate:
         assert path_lines[0] == "time,bond_id,phase_over_pi,folded_phase_over_pi"
         assert (out / "schedule_dd.json").exists()
 
+    def test_kspace_cells_are_plain_floats(self, stellar_files):
+        array, gate, out = stellar_files
+        assert main(["calibrate", "--array", array, "--gate", gate, "--out", str(out)]) == 0
+        rows = (out / "kspace.csv").read_text().splitlines()[1:]
+        assert len(rows) > 1
+        for row in rows:
+            cells = row.split(",")
+            assert len(cells) == 4 and not any("np." in cell for cell in cells)
+            assert all(np.isfinite(float(cell)) for cell in cells)
+
     def test_unbonded_factor_pair_exits_one(self, tmp_path, capsys):
         array = {
             "dots": [{"id": j, "zeeman": 1.0 + 0.3 * j} for j in range(3)],

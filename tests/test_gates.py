@@ -12,7 +12,7 @@ from dotgates import (
     assert_single_control,
     decompose_intrinsic,
     equiv_up_to_free_phase,
-    ideal_gate_vector,
+    ideal_evolution,
     mqcp_phase_solution,
     parity_matrix,
     solve_dynamics,
@@ -301,7 +301,7 @@ class TestDecomposeIntrinsic:
             rebuilt = PhaseVector(
                 factors.expand(arr.n_dots).values + corr.expand().values
             )
-            assert rebuilt.distance(ideal_gate_vector(arr, tau)) < 1e-7
+            assert rebuilt.distance(ideal_evolution(arr, tau)) < 1e-7
 
 
 class TestEquivalenceOracle:

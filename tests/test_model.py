@@ -9,7 +9,6 @@ from dotgates import (
     array_from_json,
     array_to_json,
     bond_vector,
-    effective_velocity,
     exchange_energy,
     grid_vector,
     tunneling_from_soi,
@@ -75,15 +74,15 @@ class TestBond:
     def test_vector_balanced_channels_is_off_state(self):
         b = make_bond(0, 1, 1.0, 0.5)
         assert bond_vector(b) == pytest.approx([0.25, 0.25, 0.25, 0.25])
-        assert effective_velocity(b) == pytest.approx(0.0)
+        assert b.velocity == pytest.approx(0.0)
 
     def test_vector_generic(self):
         b = make_bond(0, 1, 2.0, 0.625)
         assert bond_vector(b) == pytest.approx([0.375, 0.625, 0.625, 0.375])
-        assert effective_velocity(b) == pytest.approx(0.25)
+        assert b.velocity == pytest.approx(0.25)
 
     def test_velocity_single_channel(self):
-        assert effective_velocity(Bond(0, 1, 1.0, t=1.0, s=0.0)) == pytest.approx(0.5)
+        assert Bond(0, 1, 1.0, t=1.0, s=0.0).velocity == pytest.approx(0.5)
 
     def test_conjugation_swaps_rates(self, rng):
         for _ in range(50):

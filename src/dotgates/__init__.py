@@ -13,10 +13,12 @@ from .model import (
     tunneling_from_soi,
 )
 from .gates import (
+    BondReading,
     ControlAnalysis,
     DynamicsCandidates,
     FreePhase,
     GateSpec,
+    LatticeBudgetExceeded,
     MqcpFactor,
     NoBondVelocity,
     ParitySolution,
@@ -26,6 +28,7 @@ from .gates import (
     equiv_up_to_free_phase,
     mqcp_phase_solution,
     parity_matrix,
+    read_bonds,
     solve_dynamics,
     solve_parity,
 )

@@ -32,13 +32,13 @@ from .calibrate import (
     weave_dd,
 )
 from .gates import (
+    BondReading,
     GateSpec,
     PhaseVector,
     assert_single_control,
     equiv_up_to_free_phase,
-    mqcp_phase_solution,
+    read_bonds,
     solve_dynamics,
-    solve_parity,
 )
 from .model import DotArray, array_from_json
 from .simulate import (
@@ -84,84 +84,54 @@ def _write(out_dir: str, name: str, text: str) -> str:
     return str(target)
 
 
-def _gate_free_phase(gate: GateSpec, n_qubits: int, tol: float):
-    """Parity solution for the expanded target; None when infeasible."""
-    target = gate.expand(n_qubits)
-    theta_g = target.reduced()
-    solution = solve_parity(theta_g, n_qubits, tol=tol)
-    analysis = assert_single_control(theta_g)
-    return target, theta_g, solution, analysis
-
-
-def unbonded_pairs(array: DotArray, gate: GateSpec) -> list[tuple[int, int]]:
-    """Dot pairs, sorted, that a gate factor couples but no bond joins.
-
-    The array acts only through its bonds, so a factored gate with such a
-    pair is out of reach; a raw phase vector names no pairs.
-    """
-    if gate.factors is None:
-        return []
-    bonded = {(b.j, b.k) for b in array.bonds}
-    pairs = {(min(f.control, d), max(f.control, d)) for f in gate.factors for d, _ in f.targets}
-    return sorted(pairs - bonded)
-
-
-def _no_bond_message(pairs) -> str:
-    return f"gate factor pairs {', '.join(map(str, pairs))} have no bond in the array"
+def _infeasible_message(reading: BondReading) -> str:
+    if reading.unbonded_pairs:
+        return f"gate couples dot pairs {', '.join(map(str, reading.unbonded_pairs))} with no bond"
+    return f"not one controlled phase per bond times a free phase (residual {reading.residual:.3e})"
 
 
 def cmd_check(args) -> int:
     array = _load_array(args.array)
-    gate = _load_gate(args.gate)
-    unbonded = unbonded_pairs(array, gate)
-    if unbonded:
-        report = {"feasible": False, "unbonded_pairs": [list(p) for p in unbonded]}
-        _write(args.out, "check.json", json.dumps(report, indent=2))
-        print(f"infeasible: {_no_bond_message(unbonded)}")
-        return 2
-    target, theta_g, solution, analysis = _gate_free_phase(gate, array.n_dots, args.tol)
+    target = _load_gate(args.gate).expand(array.n_dots)
+    reading = read_bonds(array, target, args.tol)
+    half = target.values.shape[0] // 2  # the one-control analysis needs dot 0 to control
+    analysis = assert_single_control(target.values[half:]) if target.controlled else None
     report = {
-        "feasible": solution.feasible,
-        "residual": solution.residual,
-        "second_control": analysis.second_control,
-        "degenerate_two_qubit": analysis.degenerate_two_qubit,
-        "local_phases": list(solution.free.local) if solution.feasible else None,
+        "feasible": reading.feasible,
+        "residual": reading.residual,
+        "second_control": None if analysis is None else analysis.second_control,
+        "degenerate_two_qubit": None if analysis is None else analysis.degenerate_two_qubit,
+        "local_phases": list(reading.local_phases) if reading.feasible else None,
     }
+    if reading.unbonded_pairs:
+        report["unbonded_pairs"] = [list(p) for p in reading.unbonded_pairs]
     _write(args.out, "check.json", json.dumps(report, indent=2))
-    if solution.feasible:
+    if reading.feasible:
         print("feasible; local phases:", report["local_phases"])
         return 0
-    print(f"infeasible by parity (residual {solution.residual:.3e})")
+    print(f"infeasible: {_infeasible_message(reading)}")
     return 2
+
+
+def _candidate_times(array: DotArray, target: PhaseVector, args):
+    """Bond reading and candidate gate times; None, after saying why, when
+    the target is not native to the array."""
+    reading = read_bonds(array, target, args.tol)
+    if not reading.feasible:
+        print(f"infeasible: {_infeasible_message(reading)}")
+        return None
+    return reading, solve_dynamics(array, reading.bond_phases, args.tau_max, args.tol)
 
 
 def cmd_solve(args) -> int:
     array = _load_array(args.array)
-    gate = _load_gate(args.gate)
-    unbonded = unbonded_pairs(array, gate)
-    if unbonded:
-        print(f"infeasible: {_no_bond_message(unbonded)}")
+    solved = _candidate_times(array, _load_gate(args.gate).expand(array.n_dots), args)
+    if solved is None:
         return 2
-    target, theta_g, solution, analysis = _gate_free_phase(gate, array.n_dots, args.tol)
-    if not solution.feasible:
-        print(f"infeasible by parity (residual {solution.residual:.3e})")
-        return 2
-    if gate.factors is not None and len(gate.factors) == 1:
-        free = mqcp_phase_solution(gate.factors[0], array.n_dots)
-        control = gate.factors[0].control
-    else:
-        free, control = solution.free, None
-    candidates = solve_dynamics(array, free, tau_max=args.tau_max, control=control, tol=args.tol)
-    report = {
-        "local_phases": list(free.local),
-        "mod_pi": [
-            {"tau": c.tau, "max_residual": c.max_residual}
-            for c in candidates.mod_pi[:10]
-        ],
-        "mod_2pi": [
-            {"tau": c.tau, "max_residual": c.max_residual}
-            for c in candidates.mod_2pi[:10]
-        ],
+    reading, candidates = solved
+    report = {"local_phases": list(reading.local_phases)} | {
+        branch: [{"tau": c.tau, "max_residual": c.max_residual} for c in cands[:10]]
+        for branch, cands in (("mod_pi", candidates.mod_pi), ("mod_2pi", candidates.mod_2pi))
     }
     _write(args.out, "solve.json", json.dumps(report, indent=2))
     if not candidates.mod_pi:
@@ -174,27 +144,20 @@ def cmd_solve(args) -> int:
 
 def cmd_simulate(args) -> int:
     array = _load_array(args.array)
-    gate = _load_gate(args.gate)
+    target = _load_gate(args.gate).expand(array.n_dots)
     if args.tau is None:
-        _, _, solution, _ = _gate_free_phase(gate, array.n_dots, args.tol)
-        if not solution.feasible:
-            print("infeasible by parity; pass --tau to simulate anyway")
+        solved = _candidate_times(array, target, args)
+        if solved is None:
+            print("pass --tau to simulate anyway")
             return 2
-        if gate.factors is None or len(gate.factors) != 1:
-            print("automatic time solving needs a single-factor gate; pass --tau")
-            return 1
-        free = mqcp_phase_solution(gate.factors[0], array.n_dots)
-        cands = solve_dynamics(
-            array, free, tau_max=args.tau_max, control=gate.factors[0].control, tol=args.tol
-        )
-        if not cands.mod_pi:
+        _, candidates = solved
+        if not candidates.mod_pi:
             print("no candidate times within tau-max")
             return 2
-        tau = cands.best("mod_pi").tau
+        tau = candidates.best("mod_pi").tau
     else:
         tau = args.tau
     report = simulate_gate(array, tau)
-    target = gate.expand(array.n_dots)
     diag = PhaseVector(np.angle(report.u_diag))
     _, _, equiv_residual = equiv_up_to_free_phase(diag, target, tol=args.tol)
     doc = json.loads(report.to_json())
@@ -217,28 +180,13 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _per_bond_targets(array: DotArray, gate: GateSpec) -> list[float]:
-    """Target phase -theta/2 mod pi per bond, summed over the gate factors.
-
-    A factor pair with no bond cannot be calibrated and raises ValueError.
-    """
-    if gate.factors is None:
-        raise ValueError("calibration needs a factored gate spec")
-    unbonded = unbonded_pairs(array, gate)
-    if unbonded:
-        raise ValueError(_no_bond_message(unbonded))
-    wanted: dict[tuple[int, int], float] = {}
-    for f in gate.factors:
-        for dot, theta in f.targets:
-            key = (min(f.control, dot), max(f.control, dot))
-            wanted[key] = wanted.get(key, 0.0) - 0.5 * theta
-    return [float(np.mod(wanted.get((b.j, b.k), 0.0), np.pi)) for b in array.bonds]
-
-
 def cmd_calibrate(args) -> int:
     array = _load_array(args.array)
-    gate = _load_gate(args.gate)
-    target = CalibrationTarget.for_array(array, _per_bond_targets(array, gate))
+    gate = _load_gate(args.gate).expand(array.n_dots)
+    reading = read_bonds(array, gate, args.tol)
+    if not reading.feasible:
+        raise ValueError(_infeasible_message(reading))
+    target = CalibrationTarget.for_array(array, reading.bond_phases)
     try:
         schedule = solve_intervals(
             array, target, choose_assignments(array), offset_bound=args.offset_bound
@@ -256,7 +204,7 @@ def cmd_calibrate(args) -> int:
         pp = extra_local_phases(sched, array)
         stripped = spectrum.pulsed_diagonal(sched, pp.net)
         diag = PhaseVector(np.angle(stripped) - pp.free.expand().values)
-        _, _, residual = equiv_up_to_free_phase(diag, gate.expand(array.n_dots), tol=1e-2)
+        _, _, residual = equiv_up_to_free_phase(diag, gate, tol=1e-2)
         return residual
 
     record = {

@@ -2,13 +2,15 @@
 
 A diagonal multi-qubit gate is a phase vector over the computational
 basis, defined modulo a *free phase*: one global phase plus a virtual-Z
-angle per qubit.  For controlled-phase targets (first half of the phase
-vector zero, qubit 0 the control) the free-phase condition splits into
+angle per qubit.  To first order an array applies one controlled phase per
+bond, so ``read_bonds`` reads a target as an angle ``theta_w`` per bond
+times a free phase; a coupling of an unbonded pair, or of three or more
+dots, is out of reach.  The reading gives
 
-* the parity rule, a signed linear system ``L phi = theta mod 2pi`` on the
-  local phases, which decides whether the gate is reachable at all, and
-* the dynamics rule, per-bond conditions ``tau * Delta_w = phi_w`` on a
-  phase lattice, which fixes the evolution times an array geometry admits.
+* the dynamics rule, per-bond conditions ``tau * Delta_w = phi_w`` with
+  ``phi_w = -theta_w / 2 (mod pi)``, which are also the calibration targets,
+* and the local phases, which for gates controlled by dot 0 solve the
+  parity rule ``L phi = theta mod 2pi`` (``solve_parity``).
 
 Two lattice conventions are in circulation, differing by a factor of
 two (``mod pi`` against ``mod 2pi``), and they realize different gates;
@@ -40,6 +42,21 @@ class NoBondVelocity(ValueError):
     """A bond with zero effective velocity cannot realize a nonzero phase."""
 
 
+LATTICE_BUDGET = 10**6
+
+
+class LatticeBudgetExceeded(ValueError):
+    """A time search would generate more than ``LATTICE_BUDGET`` lattice points."""
+
+
+def _pair_block(n_qubits: int, j: int, k: int) -> tuple:
+    """Index into the ``(2,) * n_qubits`` view of a phase vector that picks
+    the rows with qubits j and k both excited."""
+    block = [slice(None)] * n_qubits
+    block[j] = block[k] = 1
+    return tuple(block)
+
+
 @dataclass(frozen=True)
 class PhaseVector:
     """Length-2^N vector of phases, canonicalized to [0, 2pi)."""
@@ -62,13 +79,17 @@ class PhaseVector:
     def zeros(cls, n_qubits: int) -> "PhaseVector":
         return cls(np.zeros(1 << n_qubits))
 
+    @property
+    def controlled(self) -> bool:
+        """Whether qubit 0 controls the gate: the first half is zero."""
+        top = self.values[: self.values.shape[0] // 2]
+        return bool(np.max(circular_distance(top, 0.0)) <= 1e-7)
+
     def reduced(self) -> np.ndarray:
         """Second half (control qubit excited), for controlled-type gates."""
-        half = self.values.shape[0] // 2
-        top = self.values[:half]
-        if np.max(circular_distance(top, 0.0)) > 1e-7:
+        if not self.controlled:
             raise ValueError("not a controlled-type gate: first half is not zero")
-        return self.values[half:].copy()
+        return self.values[self.values.shape[0] // 2 :].copy()
 
     def distance(self, other: "PhaseVector") -> float:
         return float(np.max(circular_distance(self.values, other.values)))
@@ -100,13 +121,6 @@ class FreePhase:
         bits = bit_table(self.n_qubits)
         return PhaseVector(self.global_phase + bits @ np.asarray(self.local))
 
-    def combine(self, other: "FreePhase") -> "FreePhase":
-        if len(self.local) != len(other.local):
-            raise ValueError("qubit counts differ")
-        return FreePhase(
-            self.global_phase + other.global_phase,
-            tuple(a + b for a, b in zip(self.local, other.local)),
-        )
 
 
 @dataclass(frozen=True)
@@ -141,16 +155,16 @@ class GateSpec:
             if n_qubits is not None and self.raw.n_qubits != n_qubits:
                 raise ValueError("raw phase vector size does not match qubit count")
             return self.raw
+        dots = [d for f in self.factors for d in (f.control, *(t for t, _ in f.targets))]
         if n_qubits is None:
-            n_qubits = 1 + max(
-                max([f.control] + [d for d, _ in f.targets]) for f in self.factors
-            )
-        bits = bit_table(n_qubits)
-        total = np.zeros(1 << n_qubits)
+            n_qubits = 1 + max(dots)
+        if min(dots) < 0 or max(dots) >= n_qubits:
+            raise ValueError(f"gate names a dot outside 0..{n_qubits - 1}")
+        total = np.zeros((2,) * n_qubits)
         for f in self.factors:
             for dot, theta in f.targets:
-                total += theta * bits[:, f.control] * bits[:, dot]
-        return PhaseVector(total)
+                total[_pair_block(n_qubits, f.control, dot)] += theta
+        return PhaseVector(total.ravel())
 
     @classmethod
     def from_json(cls, source: str | dict) -> "GateSpec":
@@ -226,9 +240,7 @@ def solve_parity(theta_g, n_qubits: int, tol: float = DEFAULT_TOL) -> ParitySolu
     lmat = parity_matrix(n_qubits)
     n_targets = n_qubits - 1
     phi = np.zeros(n_qubits)
-    for j in range(n_targets):
-        e_j = single_bit_index(j, n_targets)
-        phi[1 + j] = 0.5 * (theta_g[0] - theta_g[e_j])
+    phi[1:] = 0.5 * (theta_g[0] - theta_g[single_bit_index(np.arange(n_targets), n_targets)])
     phi[0] = np.sum(phi[1:]) - theta_g[0]
     best_phi, best_res = phi, _parity_residual(theta_g, phi, lmat)
     alt = phi.copy()
@@ -273,16 +285,71 @@ def assert_single_control(theta_g, tol: float = 1e-7) -> ControlAnalysis:
     phase) or are rejected by parity.
     """
     theta_g = wrap_2pi(np.asarray(theta_g, dtype=float))
-    m = theta_g.shape[0]
-    n_targets = m.bit_length() - 1
-    bits = bit_table(n_targets)
+    n_targets = theta_g.shape[0].bit_length() - 1
+    cube = theta_g.reshape((2,) * n_targets)
     for j in range(n_targets):
-        off = theta_g[bits[:, j] == 0]
-        if np.max(circular_distance(off, 0.0)) <= tol:
-            on = theta_g[bits[:, j] == 1]
-            constant = bool(np.max(circular_distance(on, on[0])) <= tol)
+        if np.max(circular_distance(cube.take(0, axis=j), 0.0)) <= tol:
+            on = cube.take(1, axis=j)
+            constant = bool(np.max(circular_distance(on, on.flat[0])) <= tol)
             return ControlAnalysis(True, j, constant)
     return ControlAnalysis(False, None, False)
+
+
+@dataclass(frozen=True)
+class BondReading:
+    """A target as ``sum_w bond_phases[w] [b_j != b_k] - sum_j local_phases[j] b_j``
+    up to a global phase; ``unbonded_pairs`` are coupled but have no bond."""
+
+    feasible: bool
+    residual: float
+    unbonded_pairs: tuple[tuple[int, int], ...]
+    bond_phases: tuple[float, ...]
+    local_phases: tuple[float, ...]
+
+
+def read_bonds(array: DotArray, target: PhaseVector, tol: float = DEFAULT_TOL) -> BondReading:
+    """Read a diagonal target as per-bond controlled phases times a free phase.
+
+    The angle of dots j < k is ``f[e_j|e_k] - f[e_j] - f[e_k] + f[0]``; a
+    pair without a bond whose angle is nonzero beyond ``tol`` is unbonded.
+    The residual is the worst row of ``f`` against ``f[0] + sum_j (f[e_j] -
+    f[0]) b_j + sum_bonds theta_w b_j b_k``.  ``bond_phases[w] = -theta_w / 2
+    (mod pi)``, and dot j's local phase, summed in bond order, is
+    ``sum_{w at j} bond_phases[w] - (f[e_j] - f[0])``: it solves the parity
+    rule when dot 0 controls, and is ``mqcp_phase_solution``'s for one factor.
+    """
+    n = array.n_dots
+    if target.n_qubits != n:
+        raise ValueError("target size does not match the array's dot count")
+    f = target.values
+    single = single_bit_index(np.arange(n), n)
+    at_single = f[single]
+    angles = wrap_2pi(f[single[:, None] | single] - at_single[:, None] - at_single + f[0])
+    ends = np.array([(b.j, b.k) for b in array.bonds], dtype=np.int64).reshape(-1, 2)
+    bonded = np.eye(n, dtype=bool)
+    bonded[ends[:, 0], ends[:, 1]] = True
+    stray = ~bonded & (circular_distance(angles, 0.0) > tol)
+    unbonded = tuple((int(j), int(k)) for j, k in zip(*np.nonzero(np.triu(stray))))
+
+    theta = angles[ends[:, 0], ends[:, 1]]
+    slopes = at_single - f[0]
+    model = np.full((2,) * n, f[0])
+    for j in range(n):
+        model[(slice(None),) * j + (1,)] += slopes[j]
+    for (j, k), th in zip(ends, theta):
+        model[_pair_block(n, j, k)] += th
+    residual = float(np.max(circular_distance(f, model.ravel())))
+
+    bond_phases = np.mod(-theta / 2, np.pi)
+    summed = np.bincount(ends.ravel(), weights=np.repeat(bond_phases, 2), minlength=n)
+    local = wrap_2pi(summed - slopes)
+    return BondReading(
+        feasible=residual <= tol and not unbonded,
+        residual=residual,
+        unbonded_pairs=unbonded,
+        bond_phases=tuple(float(x) for x in bond_phases),
+        local_phases=tuple(float(x) for x in local),
+    )
 
 
 @dataclass(frozen=True)
@@ -306,18 +373,6 @@ class DynamicsCandidates:
         return cands[0]
 
 
-def _detect_stellar_control(array: DotArray) -> int:
-    common = set(range(array.n_dots))
-    for b in array.bonds:
-        common &= {b.j, b.k}
-    if not common:
-        raise ValueError(
-            "array is not stellar; pass the control dot explicitly or use "
-            "per-bond calibration targets"
-        )
-    return min(common)
-
-
 def _scan_lattice(
     velocities: np.ndarray,
     phases: np.ndarray,
@@ -326,66 +381,59 @@ def _scan_lattice(
     tol: float,
     max_candidates: int = 10_000,
 ) -> tuple[TimeCandidate, ...]:
-    pieces = []
-    for delta, phi in zip(velocities, phases):
-        if abs(delta) < 1e-15:
-            if circular_distance(phi, 0.0, modulus) > tol:
-                raise NoBondVelocity(
-                    "a zero-velocity bond cannot accumulate the requested phase"
-                )
-            continue
-        # lattice points t = (phi + m * modulus) / delta inside (0, tau_max]
-        x_lo, x_hi = sorted((0.0, tau_max * delta))
-        m_lo = int(np.ceil((x_lo - phi) / modulus - 1e-12))
-        m_hi = int(np.floor((x_hi - phi) / modulus + 1e-12))
-        pts = (phi + modulus * np.arange(m_lo, m_hi + 1)) / delta
-        pieces.append(pts[(pts > 1e-15) & (pts <= tau_max * (1.0 + 1e-12))])
-    if not pieces:
+    still = np.abs(velocities) < 1e-15
+    if np.any(circular_distance(phases[still], 0.0, modulus) > tol):
+        raise NoBondVelocity("a zero-velocity bond cannot accumulate the requested phase")
+    # lattice points t = (phi + m * modulus) / delta inside (0, tau_max]
+    delta, phi = velocities[~still], phases[~still]
+    reach = tau_max * delta
+    m_lo = np.ceil((np.minimum(reach, 0.0) - phi) / modulus - 1e-12)
+    m_hi = np.floor((np.maximum(reach, 0.0) - phi) / modulus + 1e-12)
+    count = np.sum(np.maximum(m_hi - m_lo + 1, 0))
+    if count > LATTICE_BUDGET:
+        raise LatticeBudgetExceeded(
+            f"tau_max {tau_max!r} spans {count:.0f} lattice points, more than the "
+            f"{LATTICE_BUDGET} searched; lower --tau-max"
+        )
+    if not delta.size:
         return ()
-    times = np.sort(np.concatenate(pieces))
-    keep = np.concatenate([[True], np.diff(times) > 1e-12])
-    times = times[keep]
+    times = np.concatenate([
+        (p + modulus * np.arange(lo, hi + 1)) / d for d, p, lo, hi in zip(delta, phi, m_lo, m_hi)
+    ])
+    times = np.sort(times[(times > 1e-15) & (times <= tau_max * (1.0 + 1e-12))])
+    times = times[np.diff(times, prepend=-np.inf) > 1e-12]
     residuals = circular_distance(np.outer(times, velocities), phases, modulus)
     worst = residuals.max(axis=1)
     order = np.lexsort((times, np.round(worst, 12)))[:max_candidates]
     return tuple(
-        TimeCandidate(
-            float(times[i]),
-            tuple(float(r) for r in residuals[i]),
-            float(worst[i]),
-        )
+        TimeCandidate(float(times[i]), tuple(residuals[i].tolist()), float(worst[i]))
         for i in order
     )
 
 
 def solve_dynamics(
     array: DotArray,
-    free: FreePhase,
+    bond_phases: Sequence[float],
     tau_max: float,
-    control: int | None = None,
     tol: float = DEFAULT_TOL,
 ) -> DynamicsCandidates:
     """Score candidate gate times against each bond's phase condition.
 
-    The per-bond phase target is the free-phase solution on the bond's
-    non-control endpoint.  Candidates are the union of all per-bond lattice
-    points up to ``tau_max``, scored by the worst per-bond deviation; exact
-    hits exist when velocities are mutually rational.  The ``mod_pi`` branch
-    solves ``tau Delta_w = phi_w (mod pi)``; the ``mod_2pi`` branch solves
-    ``tau Delta_w = 2 phi_w (mod 2pi)`` and is reported alongside because
-    the two conventions differ by a factor of two and realize different
-    gates (exact simulation arbitrates which times hit a given target).
+    ``bond_phases`` holds one target phase per bond, as ``read_bonds`` gives
+    it.  Candidates are the union of all per-bond lattice points up to
+    ``tau_max`` (at most ``LATTICE_BUDGET``, else ``LatticeBudgetExceeded``),
+    scored by the worst per-bond deviation; exact hits exist when velocities
+    are mutually rational.  The ``mod_pi`` branch solves ``tau Delta_w =
+    phi_w (mod pi)``; the ``mod_2pi`` branch solves ``tau Delta_w = 2 phi_w
+    (mod 2pi)`` and is reported alongside because the two conventions differ
+    by a factor of two and realize different gates (exact simulation
+    arbitrates which times hit a given target).
     """
-    if control is None:
-        control = _detect_stellar_control(array)
+    tau_max = finite(tau_max, "tau_max")
     velocities = np.array([b.velocity for b in array.bonds])
-    phases = []
-    for b in array.bonds:
-        if control not in (b.j, b.k):
-            raise ValueError(f"bond ({b.j}, {b.k}) is not incident to control {control}")
-        other = b.k if b.j == control else b.j
-        phases.append(free.local[other])
-    phases = np.asarray(phases)
+    phases = np.asarray(bond_phases, dtype=float)
+    if phases.shape != velocities.shape:
+        raise ValueError(f"need one phase per bond ({array.n_bonds}), got {phases.shape}")
     return DynamicsCandidates(
         mod_pi=_scan_lattice(velocities, np.mod(phases, np.pi), np.pi, tau_max, tol),
         mod_2pi=_scan_lattice(velocities, wrap_2pi(2.0 * phases), TWO_PI, tau_max, tol),
@@ -430,9 +478,7 @@ def equiv_up_to_free_phase(
     n = u.n_qubits
     delta = wrap_2pi(u.values - target.values)
     global_phase = delta[0]
-    local = np.array(
-        [wrap_2pi(delta[single_bit_index(j, n)] - global_phase) for j in range(n)]
-    )
+    local = wrap_2pi(delta[single_bit_index(np.arange(n), n)] - global_phase)
     free = FreePhase(global_phase, local)
     residual = float(np.max(circular_distance(delta, free.expand().values)))
     return residual <= tol, free, residual

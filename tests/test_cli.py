@@ -355,3 +355,112 @@ class TestApps:
         assert not any("np." in cell for cell in cells)
         values = [float(cell) for cell in cells]
         assert sorted(set(abs(v) for v in values)) == [0.0, 1.0]
+
+
+STAR = [(0, 1), (0, 2)]
+
+
+def run(command, array, gate, out, *extra):
+    return main([command, "--array", array, "--gate", gate, "--out", str(out), *extra])
+
+
+def raw_gate_file(tmp_path, phases, name="raw.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps({"raw": [float(x) for x in phases]}))
+    return str(path)
+
+
+class TestOneReading:
+    """check, solve, simulate and calibrate read a target the same way."""
+
+    @pytest.mark.parametrize(
+        "edges, factors",
+        [
+            (CHAIN, [(0, [(1, np.pi)]), (1, [(2, np.pi)])]),
+            (STAR, [(0, [(1, np.pi / 2)]), (0, [(2, np.pi / 2)])]),
+        ],
+        ids=["chain-two-factors", "star-two-factors"],
+    )
+    def test_automatic_time_equals_solves_best(self, tmp_path, edges, factors):
+        array, gate, out = three_dot_files(tmp_path, edges, factors)
+        assert run("check", array, gate, out) == 0
+        assert run("solve", array, gate, out) == 0
+        assert run("simulate", array, gate, out) == 0
+        best = json.loads((out / "solve.json").read_text())["mod_pi"][0]
+        report = json.loads((out / "simulate.json").read_text())
+        assert best["max_residual"] <= 1e-9
+        assert report["tau"] == best["tau"]
+        assert report["equiv_residual_vs_target"] <= 1e-2
+        assert run("calibrate", array, gate, out) == 0
+
+    def test_chain_gate_not_controlled_by_dot_zero(self, tmp_path):
+        array, gate, out = three_dot_files(tmp_path, CHAIN, [(0, [(1, 1.1)]), (1, [(2, 2.3)])])
+        assert run("check", array, gate, out) == 0
+        report = json.loads((out / "check.json").read_text())
+        assert report["feasible"] is True
+        assert report["second_control"] is None and report["degenerate_two_qubit"] is None
+        assert run("solve", array, gate, out) == 0
+        assert run("simulate", array, gate, out) == 0
+
+    def test_bond_away_from_the_control(self, tmp_path):
+        array, gate, out = three_dot_files(tmp_path, CHAIN, [(0, [(1, 1.1)])])
+        for command in ("check", "solve", "simulate"):
+            assert run(command, array, gate, out) == 0
+        solved = json.loads((out / "solve.json").read_text())
+        assert json.loads((out / "simulate.json").read_text())["tau"] == solved["mod_pi"][0]["tau"]
+
+    def test_raw_gate_on_unbonded_pair(self, tmp_path, capsys):
+        array, _, out = three_dot_files(tmp_path, CHAIN, [(0, [(1, 1.1)])])
+        bits = np.arange(8)
+        gate = raw_gate_file(tmp_path, np.pi * ((bits >> 2) & 1) * (bits & 1))  # CZ(0, 2)
+        for command in ("check", "solve", "simulate"):
+            assert run(command, array, gate, out) == 2
+            assert "(0, 2)" in capsys.readouterr().out
+        report = json.loads((out / "check.json").read_text())
+        assert report["feasible"] is False
+        assert report["unbonded_pairs"] == [[0, 2]]
+        assert report["local_phases"] is None
+        assert not (out / "solve.json").exists()
+        assert not (out / "simulate.json").exists()
+        assert run("calibrate", array, gate, out) == 1
+
+    def test_check_and_solve_agree_on_local_phases(self, tmp_path):
+        array, gate, out = three_dot_files(tmp_path, STAR, [(0, [(1, 1.1)])])
+        assert run("check", array, gate, out) == 0
+        assert run("solve", array, gate, out) == 0
+        checked = json.loads((out / "check.json").read_text())["local_phases"]
+        solved = json.loads((out / "solve.json").read_text())["local_phases"]
+        assert checked == solved
+        theta = GateSpec.from_json(Path(gate).read_text()).expand(3).reduced()
+        lhs = parity_matrix(3) @ np.array(checked)
+        assert np.max(np.abs(np.angle(np.exp(1j * (lhs - theta))))) <= 1e-9
+
+    def test_raw_gate_calibrates_like_its_factored_form(self, stellar_files, tmp_path):
+        array, czz, _ = stellar_files
+        raw = raw_gate_file(tmp_path, GateSpec.from_json(Path(czz).read_text()).expand(3).values)
+        outs = [tmp_path / "factored", tmp_path / "raw"]
+        for gate, out in zip((czz, raw), outs):
+            assert run("calibrate", array, gate, out, "--dd") == 0
+        for name in ("schedule.json", "schedule_dd.json", "calibrate.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_short_tau_max_has_no_candidates(self, stellar_files, capsys):
+        # no lattice point of either branch lies below tau-max
+        array, gate, out = stellar_files
+        assert run("solve", array, gate, out, "--tau-max", "100") == 2
+        captured = capsys.readouterr()
+        assert "no candidate times" in captured.out and "Traceback" not in captured.err
+        assert run("simulate", array, gate, out, "--tau-max", "100") == 2
+
+    @pytest.mark.parametrize("command", ["check", "solve", "simulate", "calibrate"])
+    def test_gate_dot_outside_the_array_exits_one(self, tmp_path, command, capsys):
+        array, gate, out = three_dot_files(tmp_path, STAR, [(0, [(5, 1.0)])])
+        assert run(command, array, gate, out, *(["--tau", "100"] if command == "simulate" else [])) == 1
+        err = capsys.readouterr().err
+        assert "outside 0..2" in err and "Traceback" not in err
+
+    def test_tau_max_over_budget_exits_one(self, stellar_files, capsys):
+        array, gate, out = stellar_files
+        assert run("solve", array, gate, out, "--tau-max", "1e12") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and "--tau-max" in err

@@ -6,6 +6,7 @@ from dotgates import (
     DotArray,
     FreePhase,
     GateSpec,
+    LatticeBudgetExceeded,
     MqcpFactor,
     NoBondVelocity,
     PhaseVector,
@@ -15,6 +16,7 @@ from dotgates import (
     ideal_evolution,
     mqcp_phase_solution,
     parity_matrix,
+    read_bonds,
     solve_dynamics,
     solve_parity,
 )
@@ -182,7 +184,7 @@ class TestSolveDynamics:
         arr = DotArray([Dot(0, 1.0), Dot(1, 1.3)], [bond])
         spec = GateSpec(factors=(MqcpFactor(0, [(1, theta)]),))
         free = mqcp_phase_solution(spec.factors[0], 2)
-        cands = solve_dynamics(arr, free, tau_max=100.0)
+        cands = solve_dynamics(arr, [free.local[1]], tau_max=100.0)
         best = cands.best("mod_pi")
         delta = bond.velocity
         # smallest positive (-theta/2 + n pi) / delta
@@ -196,7 +198,7 @@ class TestSolveDynamics:
             [make_bond(0, 1, 1.0, 0.8), make_bond(0, 2, 1.0, 0.8)],
         )
         free = mqcp_phase_solution(czz_spec([np.pi, np.pi]).factors[0], 3)
-        best = solve_dynamics(arr, free, tau_max=50.0).best("mod_pi")
+        best = solve_dynamics(arr, free.local[1:], tau_max=50.0).best("mod_pi")
         assert best.max_residual == pytest.approx(0.0, abs=1e-12)
         assert best.tau == pytest.approx((np.pi / 2) / arr.bonds[0].velocity)
 
@@ -208,39 +210,117 @@ class TestSolveDynamics:
             [Dot(0, 1.0), Dot(1, 1.4), Dot(2, 0.6)],
             [make_bond(0, 1, 1.0, 0.8), make_bond(1, 2, 1.0, 0.8)],
         )
-        free = FreePhase(0.0, [np.pi / 2, 0.0, np.pi / 2])
-        cands = solve_dynamics(arr, free, tau_max=40.0, control=1)
+        cands = solve_dynamics(arr, [np.pi / 2, np.pi / 2], tau_max=40.0)
         delta = arr.bonds[0].velocity
         taus = [c.tau for c in cands.mod_2pi if c.max_residual < 1e-9]
         expected = [(2 * k + 1) * np.pi / delta for k in range(2)]
         for e in expected:
             assert any(abs(t - e) < 1e-9 for t in taus)
 
-    def test_non_stellar_needs_explicit_control(self):
+    def test_chain_gets_candidates(self):
+        # no bond of a 4-dot chain shares a dot with every other bond; the
+        # per-bond targets still give exact lattice times
         arr = DotArray(
             [Dot(j, 1.0 + 0.2 * j) for j in range(4)],
             [make_bond(0, 1, 1.0, 0.8), make_bond(1, 2, 1.0, 0.8), make_bond(2, 3, 1.0, 0.8)],
         )
-        with pytest.raises(ValueError):
-            solve_dynamics(arr, FreePhase(0.0, [0.0] * 4), tau_max=10.0)
+        gate = GateSpec(factors=tuple(MqcpFactor(j, [(j + 1, np.pi)]) for j in range(3)))
+        reading = read_bonds(arr, gate.expand(4))
+        assert reading.feasible
+        best = solve_dynamics(arr, reading.bond_phases, tau_max=10.0).best("mod_pi")
+        assert best.max_residual <= 1e-12
+        assert best.tau == pytest.approx((np.pi / 2) / arr.bonds[0].velocity)
 
     def test_zero_velocity_bond_raises(self):
         arr = DotArray(
             [Dot(0, 1.0), Dot(1, 1.3)],
             [make_bond(0, 1, 1.0, 0.5)],  # balanced channels
         )
-        free = FreePhase(0.0, [np.pi / 2, np.pi / 2])
         with pytest.raises(NoBondVelocity):
-            solve_dynamics(arr, free, tau_max=10.0)
+            solve_dynamics(arr, [np.pi / 2], tau_max=10.0)
 
     def test_zero_velocity_bond_with_null_phase_is_skipped(self):
         arr = DotArray(
             [Dot(0, 1.0), Dot(1, 1.3), Dot(2, 0.7)],
             [make_bond(0, 1, 1.0, 0.8), make_bond(0, 2, 1.0, 0.5)],
         )
-        free = FreePhase(0.0, [0.0, np.pi / 2, 0.0])
-        cands = solve_dynamics(arr, free, tau_max=50.0)
+        cands = solve_dynamics(arr, [np.pi / 2, 0.0], tau_max=50.0)
         assert cands.best("mod_pi").max_residual <= 1e-12
+
+
+class TestReadBonds:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_agrees_with_parity_rule_on_controlled_targets(self, rng, n):
+        star = stellar_array(n - 1, rng=rng)
+        for trial in range(60):
+            if trial % 2:
+                theta_g = rng.uniform(0, 2 * np.pi, size=1 << (n - 1))
+            else:
+                theta_g = reduced_from_free(FreePhase(0.0, rng.uniform(0, 2 * np.pi, size=n)))
+            target = PhaseVector(np.concatenate([np.zeros(1 << (n - 1)), theta_g]))
+            reading = read_bonds(star, target)
+            parity = solve_parity(theta_g, n)
+            assert reading.feasible == parity.feasible
+            if reading.feasible:
+                lhs = parity_matrix(n) @ np.array(reading.local_phases)
+                assert np.max(circular_distance(lhs, theta_g)) <= 1e-9
+
+    @pytest.mark.parametrize("n_targets", [1, 2, 5, 9])
+    def test_single_factor_matches_closed_form_exactly(self, rng, n_targets):
+        star = stellar_array(n_targets, rng=rng)
+        factor = MqcpFactor(0, [(j, rng.uniform(0, 2 * np.pi)) for j in range(1, n_targets + 1)])
+        reading = read_bonds(star, GateSpec(factors=(factor,)).expand(n_targets + 1))
+        free = mqcp_phase_solution(factor, n_targets + 1)
+        assert reading.feasible and reading.residual == 0.0
+        assert reading.local_phases == free.local
+        assert reading.bond_phases == free.local[1:]
+
+    def test_pair_with_zero_angle_needs_no_bond(self):
+        # the angle of (0, 2) is 2pi, which does not couple the dots
+        chain = DotArray([Dot(j, 1.0 + 0.3 * j) for j in range(3)],
+                         [make_bond(0, 1, 1.0, 0.8), make_bond(1, 2, 1.0, 0.8)])
+        gate = GateSpec(factors=(MqcpFactor(0, [(1, 1.1), (2, np.pi)]), MqcpFactor(2, [(0, np.pi)])))
+        reading = read_bonds(chain, gate.expand(3))
+        assert reading.feasible and reading.unbonded_pairs == ()
+        assert reading.bond_phases[1] == 0.0
+
+    def test_doubly_controlled_phase_is_infeasible(self):
+        star = stellar_array(2)
+        reading = read_bonds(star, PhaseVector([0.0] * 7 + [np.pi]))
+        assert not reading.feasible
+        assert reading.unbonded_pairs == ()
+        assert reading.residual == pytest.approx(np.pi)
+
+    def test_target_size_must_match(self):
+        with pytest.raises(ValueError, match="dot count"):
+            read_bonds(stellar_array(2), PhaseVector.zeros(2))
+
+
+class TestLatticeBudget:
+    def test_huge_tau_max_raises_before_allocating(self):
+        import tracemalloc
+
+        chain = DotArray([Dot(j, 1.0 + 0.3 * j) for j in range(3)],
+                         [make_bond(0, 1, 1e-3, 0.8), make_bond(1, 2, 1e-3, 0.8)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(LatticeBudgetExceeded, match="--tau-max"):
+                solve_dynamics(chain, [np.pi / 2, np.pi / 2], tau_max=1e12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_budget_is_an_input_error(self):
+        assert issubclass(LatticeBudgetExceeded, ValueError)
+
+    def test_non_finite_tau_max_is_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            solve_dynamics(stellar_array(2), [0.5, 0.5], tau_max=float("inf"))
+
+    def test_phase_count_must_match_bonds(self):
+        with pytest.raises(ValueError, match="one phase per bond"):
+            solve_dynamics(stellar_array(2), [0.5], tau_max=1e5)
 
 
 class TestDecomposeIntrinsic:
@@ -351,7 +431,7 @@ class TestEquivalenceOracle:
         )
         spec = czz_spec([np.pi, np.pi])
         free = mqcp_phase_solution(spec.factors[0], 3)
-        best = solve_dynamics(arr, free, tau_max=1e5).best("mod_pi")
+        best = solve_dynamics(arr, free.local[1:], tau_max=1e5).best("mod_pi")
         assert best.max_residual <= 1e-12
         u = qubit_frame_evolution(arr, best.tau)
         diag = PhaseVector(np.angle(np.diag(u)))
@@ -383,3 +463,85 @@ class TestGateSpecJson:
     def test_rejects_non_finite_phases(self, doc):
         with pytest.raises(ValueError, match="finite"):
             GateSpec.from_json(doc)
+
+
+def expand_by_bit_table(spec, n):
+    """Parent implementation of ``GateSpec.expand`` for factored gates."""
+    bits = bit_table(n)
+    total = np.zeros(1 << n)
+    for f in spec.factors:
+        for dot, theta in f.targets:
+            total += theta * bits[:, f.control] * bits[:, dot]
+    return PhaseVector(total)
+
+
+def single_control_by_masks(theta_g, tol=1e-7):
+    """Parent implementation of ``assert_single_control``."""
+    theta_g = wrap_2pi(np.asarray(theta_g, dtype=float))
+    n_targets = theta_g.shape[0].bit_length() - 1
+    bits = bit_table(n_targets)
+    for j in range(n_targets):
+        if np.max(circular_distance(theta_g[bits[:, j] == 0], 0.0)) <= tol:
+            on = theta_g[bits[:, j] == 1]
+            return j, bool(np.max(circular_distance(on, on[0])) <= tol)
+    return None, False
+
+
+def scan_lattice_by_bond(velocities, phases, modulus, tau_max, tol):
+    """Parent implementation of ``_scan_lattice``: (times, residuals) in rank order."""
+    pieces = []
+    for delta, phi in zip(velocities, phases):
+        if abs(delta) < 1e-15:
+            continue
+        x_lo, x_hi = sorted((0.0, tau_max * delta))
+        m_lo = int(np.ceil((x_lo - phi) / modulus - 1e-12))
+        m_hi = int(np.floor((x_hi - phi) / modulus + 1e-12))
+        pts = (phi + modulus * np.arange(m_lo, m_hi + 1)) / delta
+        pieces.append(pts[(pts > 1e-15) & (pts <= tau_max * (1.0 + 1e-12))])
+    times = np.sort(np.concatenate(pieces))
+    times = times[np.concatenate([[True], np.diff(times) > 1e-12])]
+    residuals = circular_distance(np.outer(times, velocities), phases, modulus)
+    order = np.lexsort((times, np.round(residuals.max(axis=1), 12)))[:10_000]
+    return times[order], residuals[order]
+
+
+class TestLoopReferences:
+    """The vectorised gate calculus gives the parent loops' results bit for bit."""
+
+    def test_expand(self, rng):
+        from conftest import random_connected_array
+
+        for n in range(2, 9):
+            arr = random_connected_array(rng, n)
+            spec = GateSpec(factors=tuple(
+                MqcpFactor(b.j, [(b.k, rng.uniform(0, 2 * np.pi))]) for b in arr.bonds
+            ) + (MqcpFactor(0, [(d, rng.uniform(0, 2 * np.pi)) for d in range(1, n)]),))
+            assert np.array_equal(spec.expand(n).values, expand_by_bit_table(spec, n).values)
+
+    def test_assert_single_control(self, rng):
+        for n_targets in range(1, 7):
+            for _ in range(20):
+                theta_g = rng.uniform(0, 2 * np.pi, size=1 << n_targets)
+                j = int(rng.integers(n_targets))
+                bits = bit_table(n_targets)
+                theta_g[bits[:, j] == 0] = 0.0
+                if rng.random() < 0.5:
+                    theta_g[bits[:, j] == 1] = theta_g[-1]
+                ref = single_control_by_masks(theta_g)
+                got = assert_single_control(theta_g)
+                assert (got.control_qubit, got.degenerate_two_qubit) == ref
+                assert got.second_control == (ref[0] is not None)
+
+    def test_scan_lattice(self, rng):
+        from dotgates.gates import _scan_lattice
+
+        for _ in range(40):
+            b = int(rng.integers(1, 6))
+            velocities = rng.choice([-1, 1], size=b) * rng.uniform(1e-4, 1e-3, size=b)
+            modulus = float(rng.choice([np.pi, 2 * np.pi]))
+            phases = rng.uniform(0, modulus, size=b)
+            tau_max = float(rng.uniform(1e3, 1e5))
+            times, residuals = scan_lattice_by_bond(velocities, phases, modulus, tau_max, 1e-9)
+            got = _scan_lattice(velocities, phases, modulus, tau_max, 1e-9)
+            assert [c.tau for c in got] == times.tolist()
+            assert [c.per_bond_residual for c in got] == [tuple(r) for r in residuals.tolist()]

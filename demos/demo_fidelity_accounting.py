@@ -3,7 +3,7 @@
 Sweeps the coupling-to-splitting ratio to expose the two coherent error
 channels (accumulated residue phases, first order in J/eps; population
 leak, second order), checks the analytic fidelity floor, and shows the
-pseudoinverse phase compensation with its interference-driven floor and
+least-squares phase compensation with its interference-driven floor and
 sweet spots.
 """
 
@@ -69,7 +69,7 @@ report = simulate_gate(arr, tau2)
 floor = (tau2 * j1 * j2 / (8 * eps_center)
          * np.sin(2 * theta1) * np.sin(2 * theta2) * np.cos(eta1 - eta2))
 print(f"raw residue spread:            {report.max_residue:.3e} rad")
-print(f"after pseudoinverse phases:    {report.max_post_residue:.3e} rad")
+print(f"after least-squares phases:    {report.max_post_residue:.3e} rad")
 print(f"predicted interference floor:  {abs(floor):.3e} rad")
 print("the survivor alternates sign with the bit parity of the state: it is")
 print("the cross-bond interference term that no per-qubit phase can absorb")

@@ -404,12 +404,10 @@ def choose_assignments(array: DotArray) -> list[frozenset[int]]:
     b = array.n_bonds
     chosen: list[frozenset[int]] = [frozenset()]
     rows = [np.ones(b)]
-    subsets = sorted(
-        (frozenset(j for j in range(n) if (mask >> j) & 1) for mask in range(1, 1 << n)),
-        key=lambda s: (len(s), sorted(s)),
-    )
+    # by size, then lexicographically, generated only as far as needed
+    subsets = (frozenset(c) for size in range(1, n + 1) for c in combinations(range(n), size))
     for subset in subsets:
-        if len(chosen) == b:
+        if len(chosen) >= b:
             break
         vec = subset_signs(array, subset).astype(float)
         trial = np.array(rows + [vec])

@@ -2,10 +2,11 @@
 
 Inputs are the JSON array/gate documents; outputs are JSON reports and CSV
 sweep tables under ``--out``.  Exit codes: 0 success (feasible), 2 target
-infeasible, 1 malformed input or bad selector.  Every flag has an
-environment-variable override prefixed ``DOTGATES_`` (for example
-``DOTGATES_SEED``); identical inputs and seed produce byte-identical
-outputs.
+infeasible or, for ``calibrate``, a schedule whose exact verify misses the
+target by more than ``VERIFY_TOL``, 1 malformed input or bad selector.
+Every flag has an environment-variable override prefixed ``DOTGATES_``
+(for example ``DOTGATES_SEED``); identical inputs and seed produce
+byte-identical outputs.
 
 Run as ``python -m dotgates.cli <subcommand> ...``.
 """
@@ -48,6 +49,9 @@ from .simulate import (
     simulate_gate,
     sweep_rows,
 )
+
+
+VERIFY_TOL = 1e-2  # equivalence residual a calibrated schedule must reach
 
 
 def _env_default(name: str, fallback):
@@ -204,7 +208,7 @@ def cmd_calibrate(args) -> int:
         pp = extra_local_phases(sched, array)
         stripped = spectrum.pulsed_diagonal(sched, pp.net)
         diag = PhaseVector(np.angle(stripped) - pp.free.expand().values)
-        _, _, residual = equiv_up_to_free_phase(diag, gate, tol=1e-2)
+        _, _, residual = equiv_up_to_free_phase(diag, gate, tol=VERIFY_TOL)
         return residual
 
     record = {
@@ -218,6 +222,10 @@ def cmd_calibrate(args) -> int:
         record["dd_equiv_residual"] = verify(woven)
         record["dd_total_time"] = woven.total_time
     _write(args.out, "calibrate.json", json.dumps(record, indent=2))
+    answered = "dd_equiv_residual" if args.dd else "equiv_residual"
+    if record[answered] > VERIFY_TOL:
+        print(f"infeasible: exact {answered} {record[answered]:.3e} exceeds {VERIFY_TOL:g}")
+        return 2
     print(f"schedule with {len(schedule.stages)} stages, total time {schedule.total_time!r}")
     return 0
 

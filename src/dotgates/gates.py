@@ -2,8 +2,10 @@
 
 A diagonal multi-qubit gate is a phase vector over the computational
 basis, defined modulo a *free phase*: one global phase plus a virtual-Z
-angle per qubit.  To first order an array applies one controlled phase per
-bond, so ``read_bonds`` reads a target as an angle ``theta_w`` per bond
+angle per qubit.  Both are values of one ``phase_polynomial`` of degree at
+most 2 in the qubit bits: a free phase is its constant and linear part,
+and to first order an array adds one controlled phase, a ``b_j b_k`` term,
+per bond.  ``read_bonds`` reads a target as an angle ``theta_w`` per bond
 times a free phase; a coupling of an unbonded pair, or of three or more
 dots, is out of reach.  The reading gives
 
@@ -57,6 +59,19 @@ def _pair_block(n_qubits: int, j: int, k: int) -> tuple:
     return tuple(block)
 
 
+def phase_polynomial(n_qubits: int, constant: float, slopes=(), pairs=(), angles=()) -> np.ndarray:
+    """``constant + sum_j slopes[j] b_j + sum_w angles[w] b_j b_k`` with
+    ``pairs[w] = (j, k)``, on every basis index: the phase polynomial that
+    every reading fits.  Added on the ``(2,) * N`` view in a fixed order:
+    the constant, the slopes by qubit, then the pairs in list order."""
+    total = np.full((2,) * n_qubits, float(constant))
+    for j, slope in enumerate(slopes):
+        total[(slice(None),) * j + (1,)] += slope
+    for (j, k), theta in zip(pairs, angles):
+        total[_pair_block(n_qubits, j, k)] += theta
+    return total.ravel()
+
+
 @dataclass(frozen=True)
 class PhaseVector:
     """Length-2^N vector of phases, canonicalized to [0, 2pi)."""
@@ -65,9 +80,9 @@ class PhaseVector:
 
     def __init__(self, values):
         arr = wrap_2pi(np.asarray(values, dtype=float)).copy()
-        n = arr.shape[0]
-        if arr.ndim != 1 or n & (n - 1) or n < 2:
-            raise ValueError("phase vector length must be a power of two, >= 2")
+        n = arr.shape[0] if arr.ndim == 1 else 0
+        if n & (n - 1) or n < 2:
+            raise ValueError("phase vector must be one-dimensional, of length a power of two >= 2")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
@@ -97,9 +112,6 @@ class PhaseVector:
     def equals(self, other: "PhaseVector", tol: float = DEFAULT_TOL) -> bool:
         return self.distance(other) <= tol
 
-    def shifted(self, free: "FreePhase") -> "PhaseVector":
-        return PhaseVector(self.values + free.expand().values)
-
 
 @dataclass(frozen=True)
 class FreePhase:
@@ -118,9 +130,7 @@ class FreePhase:
 
     def expand(self) -> PhaseVector:
         """Phase at index n is ``global + sum_j b_j(n) local_j``."""
-        bits = bit_table(self.n_qubits)
-        return PhaseVector(self.global_phase + bits @ np.asarray(self.local))
-
+        return PhaseVector(phase_polynomial(self.n_qubits, self.global_phase, self.local))
 
 
 @dataclass(frozen=True)
@@ -160,11 +170,9 @@ class GateSpec:
             n_qubits = 1 + max(dots)
         if min(dots) < 0 or max(dots) >= n_qubits:
             raise ValueError(f"gate names a dot outside 0..{n_qubits - 1}")
-        total = np.zeros((2,) * n_qubits)
-        for f in self.factors:
-            for dot, theta in f.targets:
-                total[_pair_block(n_qubits, f.control, dot)] += theta
-        return PhaseVector(total.ravel())
+        pairs = [(f.control, dot) for f in self.factors for dot, _ in f.targets]
+        angles = [theta for f in self.factors for _, theta in f.targets]
+        return PhaseVector(phase_polynomial(n_qubits, 0.0, (), pairs, angles))
 
     @classmethod
     def from_json(cls, source: str | dict) -> "GateSpec":
@@ -220,53 +228,33 @@ def parity_matrix(n_qubits: int) -> np.ndarray:
     return mat
 
 
-def _parity_residual(theta_g: np.ndarray, phi: np.ndarray, lmat: np.ndarray) -> float:
-    return float(np.max(circular_distance(theta_g, lmat @ phi)))
-
-
 def solve_parity(theta_g, n_qubits: int, tol: float = DEFAULT_TOL) -> ParitySolution:
     """Solve the parity rule ``L phi = theta_g mod 2pi`` or report infeasibility.
 
-    Candidate local phases come from the all-zero and single-bit rows:
-    ``phi_j = (theta(0) - theta(e_j)) / 2`` and the control phase is fixed
-    by row zero.  Row zero is then exact by construction and shifting any
-    target phase by pi changes no residual, so the only remaining branch is
-    a global pi offset on the control phase; both are checked against every
-    row.
+    The reduced vector is the second half of ``[0, theta_g]``, a gate that
+    dot 0 controls; reading it on the star of dot 0 (see ``read_bonds``)
+    gives local phases solving the parity rule exactly when the rule has a
+    solution.  The residual is that reading's worst row.
     """
     theta_g = wrap_2pi(np.asarray(theta_g, dtype=float))
-    if theta_g.shape != (1 << (n_qubits - 1),):
-        raise ValueError("reduced gate vector must have length 2^(N-1)")
-    lmat = parity_matrix(n_qubits)
-    n_targets = n_qubits - 1
-    phi = np.zeros(n_qubits)
-    phi[1:] = 0.5 * (theta_g[0] - theta_g[single_bit_index(np.arange(n_targets), n_targets)])
-    phi[0] = np.sum(phi[1:]) - theta_g[0]
-    best_phi, best_res = phi, _parity_residual(theta_g, phi, lmat)
-    alt = phi.copy()
-    alt[0] += np.pi
-    alt_res = _parity_residual(theta_g, alt, lmat)
-    if alt_res < best_res:
-        best_phi, best_res = alt, alt_res
-    if best_res > tol:
-        return ParitySolution(False, None, best_res)
-    free = FreePhase(0.0, wrap_2pi(best_phi))
-    return ParitySolution(True, free, best_res)
+    if n_qubits < 2 or theta_g.shape != (1 << (n_qubits - 1),):
+        raise ValueError("need N >= 2 qubits and a reduced gate vector of length 2^(N-1)")
+    star = [(0, j) for j in range(1, n_qubits)]
+    reading = _read(np.concatenate([np.zeros_like(theta_g), theta_g]), star, tol)
+    free = FreePhase(0.0, reading.local_phases) if reading.feasible else None
+    return ParitySolution(reading.feasible, free, reading.residual)
 
 
 def mqcp_phase_solution(factor: MqcpFactor, n_qubits: int) -> FreePhase:
     """Closed-form local phases for a one-control multi-target gate.
 
     ``phi_j = -theta_j / 2 (mod pi)`` on each target and
-    ``phi_c = sum_j phi_j (mod 2pi)`` on the control.
+    ``phi_c = sum_j phi_j (mod 2pi)`` on the control: the reading of the
+    factor on its own bonds.
     """
-    local = np.zeros(n_qubits)
-    for dot, theta in factor.targets:
-        local[dot] = np.mod(-0.5 * theta, np.pi)
-    local[factor.control] = wrap_2pi(
-        sum(local[dot] for dot, _ in factor.targets)
-    )
-    return FreePhase(0.0, local)
+    pairs = [(factor.control, dot) for dot, _ in factor.targets]
+    target = GateSpec(factors=(factor,)).expand(n_qubits)
+    return FreePhase(0.0, _read(target.values, pairs).local_phases)
 
 
 @dataclass(frozen=True)
@@ -318,14 +306,18 @@ def read_bonds(array: DotArray, target: PhaseVector, tol: float = DEFAULT_TOL) -
     ``sum_{w at j} bond_phases[w] - (f[e_j] - f[0])``: it solves the parity
     rule when dot 0 controls, and is ``mqcp_phase_solution``'s for one factor.
     """
-    n = array.n_dots
-    if target.n_qubits != n:
+    if target.n_qubits != array.n_dots:
         raise ValueError("target size does not match the array's dot count")
-    f = target.values
+    return _read(target.values, [(b.j, b.k) for b in array.bonds], tol)
+
+
+def _read(f: np.ndarray, pairs, tol: float = DEFAULT_TOL) -> BondReading:
+    """``read_bonds`` of the phase vector ``f`` on the bonds ``pairs``."""
+    n = f.shape[0].bit_length() - 1
     single = single_bit_index(np.arange(n), n)
     at_single = f[single]
     angles = wrap_2pi(f[single[:, None] | single] - at_single[:, None] - at_single + f[0])
-    ends = np.array([(b.j, b.k) for b in array.bonds], dtype=np.int64).reshape(-1, 2)
+    ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     bonded = np.eye(n, dtype=bool)
     bonded[ends[:, 0], ends[:, 1]] = True
     stray = ~bonded & (circular_distance(angles, 0.0) > tol)
@@ -333,12 +325,8 @@ def read_bonds(array: DotArray, target: PhaseVector, tol: float = DEFAULT_TOL) -
 
     theta = angles[ends[:, 0], ends[:, 1]]
     slopes = at_single - f[0]
-    model = np.full((2,) * n, f[0])
-    for j in range(n):
-        model[(slice(None),) * j + (1,)] += slopes[j]
-    for (j, k), th in zip(ends, theta):
-        model[_pair_block(n, j, k)] += th
-    residual = float(np.max(circular_distance(f, model.ravel())))
+    model = phase_polynomial(n, f[0], slopes, ends, theta)
+    residual = float(np.max(circular_distance(f, model)))
 
     bond_phases = np.mod(-theta / 2, np.pi)
     summed = np.bincount(ends.ravel(), weights=np.repeat(bond_phases, 2), minlength=n)

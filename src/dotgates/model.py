@@ -260,8 +260,10 @@ def _bond_from_record(rec: dict) -> Bond:
         raise ValueError("bond record with amplitudes needs both t and s")
 
     def amplitude(name: str) -> complex:
-        re, im = rec[name][0], rec[name][1]
         what = f"bond ({j}, {k}) {name}"
+        if not isinstance(rec[name], (list, tuple)) or len(rec[name]) != 2:
+            raise ValueError(f"{what} must be two numbers [re, im], got {rec[name]!r}")
+        re, im = rec[name]
         return complex(finite(re, what), finite(im, what))
 
     return Bond(j, k, exch, amplitude("t"), amplitude("s"))

@@ -16,8 +16,8 @@ propagator is built only on request (``qubit_frame_evolution``,
 
 The difference from the ideal gate is coherent error, quantified by the
 average gate fidelity, a perturbative lower bound, per-state residue
-phases, the leaked population, and an optimally compensated residue
-obtained from a pseudoinverse fit over the free-phase column space.
+phases, the leaked population, and the residue left after the
+least-squares free phase, which has a closed form.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from .basis import bit_table, wrap_pm_pi
 from .calibrate import PauliAssignment, PulseSchedule, SignedPermutation
-from .gates import FreePhase, PhaseVector
+from .gates import FreePhase, PhaseVector, phase_polynomial
 from .model import Bond, Dot, DotArray, bond_pair_index, grid_vector
 
 
@@ -353,12 +353,6 @@ def perturbation_second_order(
     return SecondOrder(phi=tau * ratio.sum(axis=1), leak=float(ratio2.sum()))
 
 
-def free_phase_design_matrix(n_qubits: int) -> np.ndarray:
-    """Columns: all-ones (global phase) then the bit indicator of each qubit."""
-    bits = bit_table(n_qubits)
-    return np.column_stack([np.ones(1 << n_qubits), bits.astype(float)])
-
-
 @dataclass(frozen=True)
 class PhaseCorrection:
     free: FreePhase
@@ -366,17 +360,20 @@ class PhaseCorrection:
 
 
 def optimal_phase_correction(residues, n_qubits: int) -> PhaseCorrection:
-    """Least-norm free-phase compensation of residue phases.
+    """Least-squares free-phase compensation of residue phases.
 
-    With K the free-phase design matrix, ``y = pinv(K) residues`` and the
-    compensated residues ``residues - K y`` have minimal Euclidean norm over
-    all free-phase shifts.
+    The free phase ``c + sum_j s_j b_j`` whose removal leaves the compensated
+    residues of least Euclidean norm.  The columns 1 and ``(-1)^{b_j}`` span
+    the same space and are orthogonal, so ``s_j`` is the mean residue with
+    ``b_j = 1`` minus the mean with ``b_j = 0``, and ``c = mean - sum_j s_j / 2``.
     """
     residues = np.asarray(residues, dtype=float)
-    k = free_phase_design_matrix(n_qubits)
-    y = np.linalg.pinv(k) @ residues
-    post = residues - k @ y
-    return PhaseCorrection(free=FreePhase(y[0], y[1:]), post=post)
+    # mean residue with qubit j off and on: axis 1 of this view is bit j
+    halves = [residues.reshape(1 << j, 2, -1).mean(axis=(0, 2)) for j in range(n_qubits)]
+    slopes = np.array([on - off for off, on in halves])
+    constant = residues.mean() - slopes.sum() / 2
+    post = residues - phase_polynomial(n_qubits, constant, slopes)
+    return PhaseCorrection(free=FreePhase(constant, slopes), post=post)
 
 
 def pulsed_evolution(array: DotArray, schedule: PulseSchedule) -> np.ndarray:

@@ -235,6 +235,30 @@ class TestCalibrate:
             assert len(cells) == 4 and not any("np." in cell for cell in cells)
             assert all(np.isfinite(float(cell)) for cell in cells)
 
+    @pytest.mark.parametrize("dd", [False, True], ids=["base", "dd"])
+    def test_failed_verify_exits_two(self, tmp_path, capsys, dd):
+        # strong coupling (J = 3e-2): the schedule meets its bond phases to
+        # first order, but the exact evolution misses the gate by 2-3e-2
+        array = {
+            "dots": [{"id": j, "zeeman": z} for j, z in enumerate((1.0, 1.4, 1.8))],
+            "bonds": [
+                {"j": 0, "k": k, "J": 3e-2, "t": [np.sqrt(0.8), 0.0], "s": [0.0, np.sqrt(0.2)]}
+                for k in (1, 2)
+            ],
+        }
+        gate = {"factors": [{"control": 0, "targets": [{"dot": 1, "theta": 1.1},
+                                                       {"dot": 2, "theta": 2.3}]}]}
+        (tmp_path / "array.json").write_text(json.dumps(array))
+        (tmp_path / "gate.json").write_text(json.dumps(gate))
+        out = tmp_path / "out"
+        extra = ["--dd"] if dd else []
+        assert run("calibrate", str(tmp_path / "array.json"), str(tmp_path / "gate.json"),
+                   out, *extra) == 2
+        assert capsys.readouterr().out.startswith("infeasible:")
+        record = json.loads((out / "calibrate.json").read_text())
+        assert record["dd_equiv_residual" if dd else "equiv_residual"] > 1e-2
+        assert (out / "schedule.json").exists()
+
     def test_unbonded_factor_pair_exits_one(self, tmp_path, capsys):
         array = {
             "dots": [{"id": j, "zeeman": 1.0 + 0.3 * j} for j in range(3)],
@@ -309,6 +333,28 @@ class TestInputErrors:
         assert code == 1
         assert "Traceback" not in err
         assert err.startswith("eigensolver failure") and len(err.strip().splitlines()) == 1
+
+
+    @pytest.mark.parametrize("command", ["check", "solve", "simulate", "calibrate"])
+    @pytest.mark.parametrize(
+        "fault",
+        [("gate", "raw", 2.0), ("array", "t", [0.9]), ("array", "t", [np.sqrt(0.8), 0.0, 5.0])],
+        ids=["scalar-raw-gate", "one-number-t", "three-number-t"],
+    )
+    def test_malformed_shape_exits_one(self, stellar_files, tmp_path, capsys, command, fault):
+        array, gate, out = stellar_files
+        which, key, value = fault
+        if which == "gate":
+            gate = str(tmp_path / "bad_gate.json")
+            Path(gate).write_text(json.dumps({key: value}))
+        else:
+            doc = json.loads(Path(array).read_text())
+            doc["bonds"][0][key] = value
+            array = str(tmp_path / "bad_array.json")
+            Path(array).write_text(json.dumps(doc))
+        assert run(command, array, gate, out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and "Traceback" not in err
 
 
 class TestEnvOverrides:

@@ -16,6 +16,7 @@ from dotgates import (
     ideal_evolution,
     mqcp_phase_solution,
     parity_matrix,
+    phase_polynomial,
     read_bonds,
     solve_dynamics,
     solve_parity,
@@ -27,6 +28,10 @@ from conftest import make_bond, stellar_array
 
 def czz_spec(thetas):
     return GateSpec(factors=(MqcpFactor(0, [(j + 1, th) for j, th in enumerate(thetas)]),))
+
+
+def shifted(pv: PhaseVector, free: FreePhase) -> PhaseVector:
+    return PhaseVector(pv.values + free.expand().values)
 
 
 def reduced_from_free(free: FreePhase) -> np.ndarray:
@@ -51,6 +56,32 @@ class TestPhaseVector:
         free = FreePhase(0.3, [1.0, 2.0])
         pv = free.expand()
         assert pv.values == pytest.approx(wrap_2pi([0.3, 2.3, 1.3, 3.3]))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_free_phase_expansion_matches_bit_table(self, rng, n):
+        free = FreePhase(rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi, size=n))
+        expected = wrap_2pi(free.global_phase + bit_table(n) @ np.array(free.local))
+        assert np.max(circular_distance(free.expand().values, expected)) <= 1e-12
+
+    @pytest.mark.parametrize("values", [2.0, [[0.0, 1.0], [2.0, 3.0]], [0.0, 1.0, 2.0], [1.0]],
+                             ids=["scalar", "matrix", "length-3", "length-1"])
+    def test_malformed_shapes_are_value_errors(self, values):
+        with pytest.raises(ValueError, match="power of two"):
+            PhaseVector(values)
+
+
+class TestPhasePolynomial:
+    def test_matches_bit_formula(self, rng):
+        for n in range(1, 8):
+            bits = bit_table(n)
+            slopes = rng.uniform(-np.pi, np.pi, size=n)
+            pairs = [(int(j), int(k)) for j, k in rng.integers(n, size=(4, 2)) if j != k]
+            angles = rng.uniform(-np.pi, np.pi, size=len(pairs))
+            expected = 0.7 + bits @ slopes
+            for (j, k), theta in zip(pairs, angles):
+                expected = expected + theta * bits[:, j] * bits[:, k]
+            got = phase_polynomial(n, 0.7, slopes, pairs, angles)
+            assert got == pytest.approx(expected, abs=1e-12)
 
 
 class TestParityMatrix:
@@ -397,7 +428,7 @@ class TestEquivalenceOracle:
             n = int(rng.integers(2, 6))
             pv = PhaseVector(rng.uniform(0, 2 * np.pi, size=1 << n))
             shift = FreePhase(rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi, size=n))
-            ok, rec, res = equiv_up_to_free_phase(pv.shifted(shift), pv)
+            ok, rec, res = equiv_up_to_free_phase(shifted(pv, shift), pv)
             assert ok and res <= 1e-9
             assert np.max(circular_distance(rec.global_phase, shift.global_phase)) < 1e-9
             assert np.max(circular_distance(np.array(rec.local), np.array(shift.local))) < 1e-9
@@ -409,7 +440,7 @@ class TestEquivalenceOracle:
         _, _, res0 = equiv_up_to_free_phase(u, target)
         for _ in range(20):
             shift = FreePhase(rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi, size=n))
-            _, _, res = equiv_up_to_free_phase(u.shifted(shift), target)
+            _, _, res = equiv_up_to_free_phase(shifted(u, shift), target)
             assert res == pytest.approx(res0, abs=1e-9)
 
     def test_detects_inequivalence(self):
@@ -487,6 +518,23 @@ def single_control_by_masks(theta_g, tol=1e-7):
     return None, False
 
 
+def parity_by_pi_branches(theta_g, n_qubits, tol=1e-9):
+    """Parent implementation of ``solve_parity``'s verdict.
+
+    Local phases from the all-zero and single-bit rows, the control phase
+    from row zero, then the better of that and a pi offset on the control.
+    """
+    theta_g = wrap_2pi(np.asarray(theta_g, dtype=float))
+    lmat = parity_matrix(n_qubits)
+    n_targets = n_qubits - 1
+    phi = np.zeros(n_qubits)
+    phi[1:] = 0.5 * (theta_g[0] - theta_g[[1 << (n_targets - 1 - j) for j in range(n_targets)]])
+    phi[0] = np.sum(phi[1:]) - theta_g[0]
+    alt = phi.copy()
+    alt[0] += np.pi
+    return min(float(np.max(circular_distance(theta_g, lmat @ p))) for p in (phi, alt)) <= tol
+
+
 def scan_lattice_by_bond(velocities, phases, modulus, tau_max, tol):
     """Parent implementation of ``_scan_lattice``: (times, residuals) in rank order."""
     pieces = []
@@ -531,6 +579,15 @@ class TestLoopReferences:
                 got = assert_single_control(theta_g)
                 assert (got.control_qubit, got.degenerate_two_qubit) == ref
                 assert got.second_control == (ref[0] is not None)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_solve_parity_verdict(self, rng, n):
+        for trial in range(100):
+            if trial % 2:
+                theta_g = rng.uniform(0, 2 * np.pi, size=1 << (n - 1))
+            else:
+                theta_g = reduced_from_free(FreePhase(0.0, rng.uniform(0, 2 * np.pi, size=n)))
+            assert solve_parity(theta_g, n).feasible == parity_by_pi_branches(theta_g, n)
 
     def test_scan_lattice(self, rng):
         from dotgates.gates import _scan_lattice

@@ -21,12 +21,11 @@ from dotgates import (
     qubit_frame_evolution,
     simulate_gate,
 )
-from dotgates.basis import circular_distance
+from dotgates.basis import bit_table, circular_distance
 from dotgates.calibrate import conjugated_grid_vector
 from dotgates.model import grid_vector
 from dotgates.simulate import (
     diagonal_residues,
-    free_phase_design_matrix,
     match_eigenstates,
     scaled_zeeman_array,
     unitarity_defect,
@@ -37,6 +36,11 @@ from conftest import make_bond, random_connected_array, stellar_array
 
 def fit_slope(x, y):
     return np.polyfit(np.log(x), np.log(y), 1)[0]
+
+
+def free_phase_design_matrix(n_qubits):
+    """Columns: all-ones (global phase) then the bit indicator of each qubit."""
+    return np.column_stack([np.ones(1 << n_qubits), bit_table(n_qubits)]).astype(float)
 
 
 class TestBuildHamiltonian:
@@ -292,6 +296,16 @@ class TestPhaseCorrection:
         for _ in range(50):
             perturbed = y0 + rng.normal(scale=0.1, size=n + 1)
             assert np.linalg.norm(residues - k @ perturbed) >= best - 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_least_squares(self, rng, n):
+        residues = rng.uniform(-np.pi, np.pi, size=1 << n)
+        k = free_phase_design_matrix(n)
+        y = np.linalg.lstsq(k, residues, rcond=None)[0]
+        corr = optimal_phase_correction(residues, n)
+        assert corr.free.global_phase == pytest.approx(y[0], abs=1e-12)
+        assert np.array(corr.free.local) == pytest.approx(y[1:], abs=1e-12)
+        assert corr.post == pytest.approx(residues - k @ y, abs=1e-12)
 
 
 class TestPulsedEvolution:

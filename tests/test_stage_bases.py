@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from dotgates import calibrate
+from dotgates import Dot, DotArray, calibrate
 from dotgates.basis import circular_distance
 from dotgates.calibrate import (
     CalibrationTarget,
@@ -199,3 +199,33 @@ def test_square_case_makes_one_closed_form_call(monkeypatch):
     array, target = instance("tree", 4, "random", rng)
     solve_intervals(array, target, choose_assignments(array), 2)
     assert calls == [(4, 4)]
+
+
+def choose_assignments_by_sort(array):
+    """Parent implementation of ``choose_assignments``: all 2^N subsets, sorted."""
+    n, b = array.n_dots, array.n_bonds
+    chosen, rows = [frozenset()], [np.ones(b)]
+    subsets = sorted(
+        (frozenset(j for j in range(n) if (mask >> j) & 1) for mask in range(1, 1 << n)),
+        key=lambda s: (len(s), sorted(s)),
+    )
+    for subset in subsets:
+        if len(chosen) == b:
+            break
+        vec = subset_signs(array, subset).astype(float)
+        if np.linalg.matrix_rank(np.array(rows + [vec])) > len(rows):
+            chosen.append(subset)
+            rows.append(vec)
+    return chosen
+
+
+def test_lazy_assignments_match_the_sorted_oracle():
+    # random bond sets on up to 8 dots, from none to the complete graph
+    rng = np.random.default_rng(5)
+    for _ in range(150):
+        n = int(rng.integers(2, 9))
+        pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+        picked = rng.choice(len(pairs), size=int(rng.integers(0, len(pairs) + 1)), replace=False)
+        bonds = [make_bond(*pairs[i], 1e-3, 0.8) for i in sorted(picked)]
+        array = DotArray([Dot(j, 1.0 + 0.1 * j) for j in range(n)], bonds)
+        assert choose_assignments(array) == choose_assignments_by_sort(array)

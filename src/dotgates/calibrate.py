@@ -432,6 +432,23 @@ def _pulses_from_subsets(subsets: Sequence[frozenset[int]], n_dots: int) -> list
     return pulses
 
 
+# Growth of the total-time cap between rounds of the offset search.  A round
+# over b bonds costs about the cap to the power b - 1.  Measured: 1.25 was
+# slower than 1.5 everywhere (more rounds); 2 was 17 % faster on 5-bond
+# trees but nearly 3x slower on 7- and 8-bond chains and stars (larger last
+# boxes), and it overshoots the budget on planted 12-bond trees that 1.5
+# solves.
+_CAP_GROWTH = 1.5
+# Most offset tuples one round of the offset search may hold, and most
+# offset prefixes it may store (a prefix row costs about 4b floats).  At any
+# bound >= 1 a whole box within the tuple budget has at most a third of it
+# as prefixes, so the prefix cap refuses no box inside such a whole box; it
+# keeps a round that reaches the tuple budget through a narrow last offset
+# from storing millions of rows.
+_OFFSET_BUDGET = 4_000_000
+_PREFIX_BUDGET = _OFFSET_BUDGET // 3
+
+
 def _narrow(lo: np.ndarray, hi: np.ndarray, value: np.ndarray, slope: float, floor: float):
     """Shrink the per-row ranges [lo, hi] to the m with value + slope * m >= floor."""
     if slope == 0:
@@ -440,6 +457,13 @@ def _narrow(lo: np.ndarray, hi: np.ndarray, value: np.ndarray, slope: float, flo
         np.maximum(lo, np.ceil((floor - value) / slope), out=lo)
     else:
         np.minimum(hi, np.floor((floor - value) / slope), out=hi)
+
+
+def _least_total(phi: np.ndarray, vel: np.ndarray, modulus: float) -> float:
+    """Lower bound on the total time of any offset tuple: bond w needs at
+    least its distance to the lattice ``phi_w + modulus Z`` over ``|vel_w|``."""
+    gap = np.abs(np.remainder(phi + 0.5 * modulus, modulus) - 0.5 * modulus)
+    return float(np.max(gap / np.abs(vel)))
 
 
 def _square_durations(
@@ -454,6 +478,24 @@ def _square_durations(
     Ranges and totals are widened by a rounding bound, so the tuples kept are
     a superset of those the exact rule below can accept; only they are
     evaluated exactly.
+
+    The offsets are searched in rounds under a cap T on the total time.  A is
+    a +-1 matrix, so a tuple with durations >= -tol and total <= T has
+    ``|phi_w + modulus m_w| <= |vel_w| (T + 2 b tol)`` up to rounding: each
+    round searches only that box of offsets, and accepts its winner when the
+    winner's whole tie window lies under T, as then no tuple outside the box
+    can win or tie.  Otherwise T grows.  The round whose box is the whole
+    ``[-bound, bound]^b`` drops the cap and is the exhaustive search, so an
+    infeasible instance is reported from it.
+
+    Raises
+    ------
+    ValueError
+        If a round's box holds more than ``_OFFSET_BUDGET`` offset tuples or
+        ``_PREFIX_BUDGET`` prefixes.
+    InfeasibleSchedule
+        If no tuple in the whole box admits durations >= -tol; the residual
+        is the least worst-case duration violation over all of them.
     """
     n = amat.shape[0]
     ainv = np.linalg.inv(amat)
@@ -461,54 +503,93 @@ def _square_durations(
     def taus_of(mcombo):  # (rows, bonds) offsets -> (rows, stages) durations
         return ((phi[None, :] + modulus * mcombo) / vel[None, :]) @ ainv.T
 
-    side = 2 * bound + 1
-    prefixes = np.indices((side,) * (n - 1)).reshape(n - 1, side ** (n - 1)).T - bound
-    base = taus_of(np.column_stack([prefixes, np.zeros(len(prefixes))]))  # at m_b = 0
     beta = ainv[:, -1] * (modulus / vel[-1])
-    totals, total_slope = base.sum(axis=1), beta.sum()
+    total_slope = beta.sum()
     # twice a forward-error bound of either way of computing tau (a dot
     # product of length n over right-hand sides of at most reach)
     reach = np.abs(ainv) @ ((np.abs(phi) + modulus * bound) / np.abs(vel))
     slack = 8 * (n + 4) * np.finfo(float).eps * reach
     total_slack = 2.0 * slack.sum()
+    # a tuple the rule keeps under cap T has sum|tau| <= T + spread, and
+    # pad covers the rounding of the box ends for offsets up to the bound
+    spread = 2 * n * tol + 2.0 * total_slack
+    pad = 4 * np.finfo(float).eps * (np.abs(phi) + modulus * (bound + 1))
 
-    def last_offsets(floor, ceiling):
-        lo, hi = np.full(len(base), -float(bound)), np.full(len(base), float(bound))
-        for s in range(n):
-            _narrow(lo, hi, base[:, s], beta[s], floor[s])
-        _narrow(lo, hi, -totals, -total_slope, -ceiling)
-        return lo, hi
+    def search(box_lo, box_hi, cap):
+        """Durations of the winner among the tuples in the box, or None when
+        no feasible tuple there has its whole tie window under cap; then also
+        a cap under which the next round is sure to accept (inf if unknown)."""
+        sizes = box_hi - box_lo + 1
+        count = int(np.prod(sizes[:-1]))
+        prefixes = np.indices(tuple(sizes[:-1])).reshape(n - 1, count).T + box_lo[:-1]
+        base = taus_of(np.column_stack([prefixes, np.zeros(count)]))  # at m_b = 0
+        totals = base.sum(axis=1)
 
-    # tuples that are feasible even after rounding bound the best total
-    lo, hi = last_offsets(-tol + slack, np.inf)
-    ok = lo <= hi
-    window = np.inf
-    if np.any(ok):
-        best = np.minimum(totals[ok] + total_slope * lo[ok], totals[ok] + total_slope * hi[ok])
-        window = (best.min() + total_slack) * (1.0 + 1e-12) + 1e-15 + total_slack
-    lo, hi = last_offsets(-tol - slack, window)
-    keep = np.flatnonzero(lo <= hi)
-    counts = (hi[keep] - lo[keep]).astype(np.int64) + 1
-    starts = np.repeat(np.cumsum(counts) - counts, counts)
-    last = np.repeat(lo[keep].astype(np.int64), counts) + np.arange(counts.sum()) - starts
-    mcombo = np.column_stack([prefixes[np.repeat(keep, counts)], last])
+        def last_offsets(floor, ceiling):
+            lo, hi = np.full(count, float(box_lo[-1])), np.full(count, float(box_hi[-1]))
+            for s in range(n):
+                _narrow(lo, hi, base[:, s], beta[s], floor[s])
+            _narrow(lo, hi, -totals, -total_slope, -ceiling)
+            return lo, hi
 
-    taus = taus_of(mcombo)
-    feasible = np.all(taus >= -tol, axis=1)
-    if not np.any(feasible):
-        least = np.inf
-        for m in range(-bound, bound + 1):
-            taus = taus_of(np.column_stack([prefixes, np.full(len(prefixes), m)]))
-            least = min(least, float(np.min(np.max(np.maximum(-taus, 0.0), axis=1))))
-        raise InfeasibleSchedule("no nonnegative durations in offset bound", least)
-    totals = np.where(feasible, taus.sum(axis=1), np.inf)
-    best_total = totals.min()
-    near = np.flatnonzero(totals <= best_total * (1.0 + 1e-12) + 1e-15)
-    # deterministic tie-break among minimal-time solutions: smallest
-    # offset magnitudes first, then the lexicographically smallest tuple
-    keys = np.vstack([mcombo[near].T[::-1], np.abs(mcombo[near]).sum(axis=1)])
-    winner = near[np.lexsort(keys)][0]
-    return np.clip(taus[winner], 0.0, None)
+        # tuples that are feasible even after rounding bound the best total
+        lo, hi = last_offsets(-tol + slack, np.inf)
+        ok = lo <= hi
+        window = np.inf
+        if np.any(ok):
+            best = np.minimum(totals[ok] + total_slope * lo[ok], totals[ok] + total_slope * hi[ok])
+            window = (best.min() + total_slack) * (1.0 + 1e-12) + 1e-15 + total_slack
+        lo, hi = last_offsets(-tol - slack, min(window, cap + total_slack))
+        keep = np.flatnonzero(lo <= hi)
+        counts = (hi[keep] - lo[keep]).astype(np.int64) + 1
+        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        last = np.repeat(lo[keep].astype(np.int64), counts) + np.arange(counts.sum()) - starts
+        mcombo = np.column_stack([prefixes[np.repeat(keep, counts)], last])
+
+        taus = taus_of(mcombo)
+        feasible = np.all(taus >= -tol, axis=1)
+        if not np.any(feasible):
+            if cap < np.inf:
+                return None, window
+            least = np.inf
+            for m in range(-bound, bound + 1):
+                taus = taus_of(np.column_stack([prefixes, np.full(count, m)]))
+                least = min(least, float(np.min(np.max(np.maximum(-taus, 0.0), axis=1))))
+            raise InfeasibleSchedule("no nonnegative durations in offset bound", least)
+        totals = np.where(feasible, taus.sum(axis=1), np.inf)
+        tie = totals.min() * (1.0 + 1e-12) + 1e-15
+        if tie > cap:
+            return None, tie + 2.0 * total_slack
+        near = np.flatnonzero(totals <= tie)
+        # deterministic tie-break among minimal-time solutions: smallest
+        # offset magnitudes first, then the lexicographically smallest tuple
+        keys = np.vstack([mcombo[near].T[::-1], np.abs(mcombo[near]).sum(axis=1)])
+        winner = near[np.lexsort(keys)][0]
+        return np.clip(taus[winner], 0.0, None), None
+
+    # the tie window's additive term makes the first cap positive, so it grows
+    cap = _least_total(phi, vel, modulus) * (1.0 + 1e-12) + 1e-15
+    while True:
+        radius = np.abs(vel) * (cap + spread) + pad
+        box_lo = np.maximum(np.ceil((-radius - phi) / modulus), -bound).astype(np.int64)
+        box_hi = np.minimum(np.floor((radius - phi) / modulus), bound).astype(np.int64)
+        if np.all(box_lo == -bound) and np.all(box_hi == bound):
+            cap = np.inf
+        sure = np.inf
+        if np.all(box_lo <= box_hi):
+            widths = (box_hi - box_lo + 1).astype(object)
+            n_tuples, n_prefixes = int(np.prod(widths)), int(np.prod(widths[:-1]))
+            if n_tuples > _OFFSET_BUDGET or n_prefixes > _PREFIX_BUDGET:
+                raise ValueError(
+                    f"offset search over {n_tuples} combinations ({n_prefixes} prefixes) "
+                    "is too large; lower offset_bound or split the array"
+                )
+            taus, sure = search(box_lo, box_hi, cap)
+            if taus is not None:
+                return taus
+        # a cap sure to accept short of the full growth keeps the last box small
+        grown = cap * _CAP_GROWTH
+        cap = sure if cap < sure < grown else grown
 
 
 def solve_intervals(
@@ -531,8 +612,11 @@ def solve_intervals(
     linear program, so it is attained at a basic solution: b of the stages
     (b active bonds) whose b x b sign matrix is invertible, the others held
     at zero.  Every such basis is searched in closed form: the first b - 1
-    offsets are enumerated and the last one solved for, so the whole search
-    costs C(stages, b) * (2M+1)^(b-1) * b for M = ``offset_bound``, and the
+    offsets are enumerated and the last one solved for, over a box of offsets
+    that a cap on the total time bounds, the cap growing until the box's
+    winner provably beats every tuple outside it.  The search costs
+    C(stages, b) times the offset prefixes of the boxes searched, at most
+    (2M+1)^(b-1) for M = ``offset_bound`` in the last, whole box, and the
     result within a basis is the one an exhaustive search over all (2M+1)^b
     tuples picks by the rule above.  Across bases the least total wins; a
     later basis replaces an earlier one only when its total is lower by
@@ -542,6 +626,9 @@ def solve_intervals(
 
     Raises
     ------
+    ValueError
+        If the stage assignments are malformed, or one round of the search
+        would hold more than 4 * 10^6 offset tuples.
     InfeasibleSchedule
         If no basis and offset combination inside the bound admits tau >= 0;
         the reported residual is the least worst-case duration violation
@@ -564,11 +651,6 @@ def solve_intervals(
         return PulseSchedule(array.n_dots, [Stage(0.0, None)])
     if n_stages < n_bonds or np.linalg.matrix_rank(amat) < n_bonds:
         raise ValueError("stage assignments do not span the active bonds")
-    if (2 * offset_bound + 1) ** n_bonds > 4_000_000:
-        raise ValueError(
-            f"offset search over {(2 * offset_bound + 1)}^{n_bonds} combinations "
-            "is too large; lower offset_bound or split the array"
-        )
 
     durations, best_total, least = None, np.inf, np.inf
     for basis in combinations(range(n_stages), n_bonds):
@@ -783,11 +865,9 @@ class KSpacePath:
 
     def to_csv(self) -> str:
         lines = ["time,bond_id,phase_over_pi,folded_phase_over_pi"]
-        for i, t in enumerate(self.times):
-            for w in range(self.raw.shape[1]):
-                lines.append(
-                    f"{float(t)!r},{w},{float(self.raw[i, w])!r},{float(self.folded[i, w])!r}"
-                )
+        for t, raw, folded in zip(self.times.tolist(), self.raw.tolist(), self.folded.tolist()):
+            for w, (r, f) in enumerate(zip(raw, folded)):
+                lines.append(f"{t!r},{w},{r!r},{f!r}")
         return "\n".join(lines) + "\n"
 
 

@@ -250,7 +250,7 @@ def cmd_apps(args) -> int:
     elif args.which == "reversal":
         matrix = circuits.order_reversal(args.n)
         rounded = np.round(matrix.real, 9)
-        lines = [",".join(repr(float(v)) for v in row) for row in rounded]
+        lines = [",".join(map(repr, row)) for row in rounded.tolist()]
         _write(args.out, f"reversal_{args.n}.csv", "\n".join(lines) + "\n")
     else:
         print(f"unknown selector {args.which!r}")

@@ -441,6 +441,18 @@ class TestKSpacePath:
         assert header == "time,bond_id,phase_over_pi,folded_phase_over_pi"
         assert len(csv.splitlines()) == 1 + (len(sched.stages) + 1) * arr.n_bonds
 
+    def test_csv_matches_cell_by_cell_formatter(self, rng):
+        arr = stellar_array(3, rng=rng)
+        target = CalibrationTarget.for_array(arr, [0.7, 1.1, 2.9])
+        path = kspace_path(arr, solve_intervals(arr, target), target, samples_per_stage=8)
+        lines = ["time,bond_id,phase_over_pi,folded_phase_over_pi"]
+        for i, t in enumerate(path.times):
+            for w in range(path.raw.shape[1]):
+                lines.append(
+                    f"{float(t)!r},{w},{float(path.raw[i, w])!r},{float(path.folded[i, w])!r}"
+                )
+        assert path.to_csv() == "\n".join(lines) + "\n"
+
 
 class TestTimeUpperBound:
     def test_two_targets_epsilon_independent(self):

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dotgates
+from dotgates.circuits import order_reversal
 from dotgates.cli import main
 from dotgates.gates import GateSpec, parity_matrix
 from dotgates.model import array_to_json
@@ -357,6 +362,25 @@ class TestInputErrors:
         assert err.startswith("input error") and "Traceback" not in err
 
 
+def test_calibrate_and_simulate_leave_scipy_unimported(stellar_files):
+    # importing scipy costs every CLI process tens of MB and tenths of a
+    # second, so the calibrate and simulate flows must not need it
+    array, gate, out = stellar_files
+    files = ["--array", array, "--gate", gate, "--out", str(out)]
+    script = (
+        "import sys\n"
+        "from dotgates.cli import main\n"
+        f"assert main(['calibrate', '--dd', *{files!r}]) == 0\n"
+        f"assert main(['simulate', *{files!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(dotgates.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 class TestEnvOverrides:
     def test_out_dir_from_environment(self, stellar_files, tmp_path, monkeypatch):
         array, gate, _ = stellar_files
@@ -401,6 +425,12 @@ class TestApps:
         assert not any("np." in cell for cell in cells)
         values = [float(cell) for cell in cells]
         assert sorted(set(abs(v) for v in values)) == [0.0, 1.0]
+
+    def test_reversal_csv_matches_cell_by_cell_formatter(self, tmp_path):
+        assert main(["apps", "reversal", "--n", "6", "--out", str(tmp_path)]) == 0
+        rounded = np.round(order_reversal(6).real, 9)
+        lines = [",".join(repr(float(v)) for v in row) for row in rounded]
+        assert (tmp_path / "reversal_6.csv").read_text() == "\n".join(lines) + "\n"
 
 
 STAR = [(0, 1), (0, 2)]

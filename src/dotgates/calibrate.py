@@ -492,7 +492,7 @@ def _square_durations(
     ------
     ValueError
         If a round's box holds more than ``_OFFSET_BUDGET`` offset tuples or
-        ``_PREFIX_BUDGET`` prefixes.
+        ``_PREFIX_BUDGET`` prefixes, or the whole box is empty (``bound < 0``).
     InfeasibleSchedule
         If no tuple in the whole box admits durations >= -tol; the residual
         is the least worst-case duration violation over all of them.
@@ -587,6 +587,8 @@ def _square_durations(
             taus, sure = search(box_lo, box_hi, cap)
             if taus is not None:
                 return taus
+        elif cap == np.inf:  # only a negative bound empties the whole box
+            raise ValueError(f"offset bound {bound} leaves no offsets to search")
         # a cap sure to accept short of the full growth keeps the last box small
         grown = cap * _CAP_GROWTH
         cap = sure if cap < sure < grown else grown
@@ -627,13 +629,16 @@ def solve_intervals(
     Raises
     ------
     ValueError
-        If the stage assignments are malformed, or one round of the search
-        would hold more than 4 * 10^6 offset tuples.
+        If ``offset_bound`` is negative, the stage assignments are malformed,
+        or one round of the search would hold more than 4 * 10^6 offset
+        tuples.
     InfeasibleSchedule
         If no basis and offset combination inside the bound admits tau >= 0;
         the reported residual is the least worst-case duration violation
         over all of them.
     """
+    if offset_bound < 0:
+        raise ValueError(f"offset_bound must be nonnegative, got {offset_bound}")
     if assignments is None:
         assignments = choose_assignments(array)
     assignments = [frozenset(s) for s in assignments]

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .basis import bit_of
-from .calibrate import PauliAssignment
+from .calibrate import PauliAssignment, SignedPermutation
 from .gates import GateSpec, MqcpFactor, PhaseVector
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -164,9 +164,10 @@ def parity_check_circuit(n_targets: int, basis: str = "z") -> Circuit:
     return Circuit(n, tuple(ops))
 
 
-def parity_operator(n_targets: int, basis: str) -> np.ndarray:
+def parity_operator(n_targets: int, basis: str) -> SignedPermutation:
+    """Joint Z (or X) parity of the targets, identity on the ancilla."""
     label = "Z" if basis == "z" else "X"
-    return pauli_string(n_targets + 1, {j: label for j in range(1, n_targets + 1)})
+    return PauliAssignment(("I",) + (label,) * n_targets).signed_permutation()
 
 
 def check_parity_run(
@@ -174,19 +175,27 @@ def check_parity_run(
     basis: str,
     target_state: np.ndarray,
     rng: np.random.Generator,
+    *,
+    circuit: Circuit | None = None,
+    parity: SignedPermutation | None = None,
 ) -> tuple[int, float]:
     """Run one parity check; returns the outcome and the eigenvalue defect.
 
     The defect is ``|| P |psi> - outcome |psi> ||`` for the joint parity
     operator P on the post-measurement state, zero when the projection
-    worked exactly.
+    worked exactly.  A caller running many checks passes ``circuit`` and
+    ``parity``, built once by ``parity_check_circuit`` and
+    ``parity_operator`` for the same targets and basis.
     """
-    circuit = parity_check_circuit(n_targets, basis)
+    if circuit is None:
+        circuit = parity_check_circuit(n_targets, basis)
+    if parity is None:
+        parity = parity_operator(n_targets, basis)
     # ancilla |0> (qubit 0, most significant) tensor target state
     full = np.kron(np.array([1.0, 0.0], dtype=complex), target_state)
     final, outcomes = run_circuit(circuit, state=full, rng=rng)
-    op = parity_operator(n_targets, basis)
-    defect = float(np.linalg.norm(op @ final - outcomes[0] * final))
+    moved = parity.apply_rows(final[:, None])[:, 0]
+    defect = float(np.linalg.norm(moved - outcomes[0] * final))
     return outcomes[0], defect
 
 
@@ -260,7 +269,7 @@ def order_reversal(n_qubits: int) -> np.ndarray:
     g = np.exp(1j * chain_gate(n_qubits).values)
     r = h_all.astype(complex)
     for _ in range(n_qubits):
-        r = r @ np.diag(g) @ h_all
+        r = (r * g) @ h_all  # r @ diag(g) @ h_all, scaling columns
     return r
 
 

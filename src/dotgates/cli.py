@@ -4,9 +4,12 @@ Inputs are the JSON array/gate documents; outputs are JSON reports and CSV
 sweep tables under ``--out``.  Exit codes: 0 success (feasible), 2 target
 infeasible or, for ``calibrate``, a schedule whose exact verify misses the
 target by more than ``VERIFY_TOL``, 1 malformed input or bad selector.
-Every flag has an environment-variable override prefixed ``DOTGATES_``
-(for example ``DOTGATES_SEED``); identical inputs and seed produce
-byte-identical outputs.
+The flags ``--out``, ``--tol``, ``--seed``, ``--jobs``, ``--tau-max`` and
+``--offset-bound`` have environment-variable overrides ``DOTGATES_OUT``,
+``DOTGATES_TOL``, ``DOTGATES_SEED``, ``DOTGATES_JOBS``, ``DOTGATES_TAU_MAX``
+and ``DOTGATES_OFFSET_BOUND``, read on every ``main`` call; a malformed
+value, on the command line or in the environment, exits 1.  Identical
+inputs and seed produce byte-identical outputs.
 
 Run as ``python -m dotgates.cli <subcommand> ...``.
 """
@@ -14,6 +17,7 @@ Run as ``python -m dotgates.cli <subcommand> ...``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -41,7 +45,7 @@ from .gates import (
     read_bonds,
     solve_dynamics,
 )
-from .model import DotArray, array_from_json
+from .model import DotArray, array_from_json, finite
 from .simulate import (
     DegenerateSpectrum,
     EigensolverFailure,
@@ -54,22 +58,60 @@ from .simulate import (
 VERIFY_TOL = 1e-2  # equivalence residual a calibrated schedule must reach
 
 
-def _env_default(name: str, fallback):
-    value = os.environ.get(f"DOTGATES_{name}")
-    return fallback if value is None else value
+def _nonnegative(text: str) -> float:
+    """Type of ``--tau``, ``--tol`` and ``--tau-max``: a finite number >= 0."""
+    try:
+        value = finite(text, "the value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"the value must be nonnegative, got {value!r}")
+    return value
+
+
+def _sweep_grid(text: str) -> np.ndarray:
+    """Type of ``--sweep lo:hi:steps``: the geometric grid of J/eps values."""
+    try:
+        lo, hi, steps = text.split(":")
+        return np.geomspace(finite(lo, "lo"), finite(hi, "hi"), int(steps))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+# flag destination -> (environment suffix, type, value when neither the flag
+# nor DOTGATES_<suffix> is given); the parser leaves these flags None
+_OVERRIDES = {
+    "out": ("OUT", str, "."),
+    "tol": ("TOL", _nonnegative, 1e-9),
+    "seed": ("SEED", int, 0),
+    "jobs": ("JOBS", int, 1),
+    "tau_max": ("TAU_MAX", _nonnegative, 1e6),
+    "offset_bound": ("OFFSET_BOUND", int, 8),
+}
+
+
+def _apply_overrides(args: argparse.Namespace) -> None:
+    """Fill each overridable flag left unset from the environment or its
+    fallback; a flag given on the command line, or that the subcommand
+    lacks, is left alone."""
+    for dest, (name, kind, fallback) in _OVERRIDES.items():
+        if getattr(args, dest, fallback) is not None:
+            continue
+        value = os.environ.get(f"DOTGATES_{name}")
+        try:
+            setattr(args, dest, fallback if value is None else kind(value))
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ValueError(f"DOTGATES_{name}={value!r}: {exc}") from None
 
 
 def _add_common(parser: argparse.ArgumentParser, need_gate: bool = True):
     parser.add_argument("--array", required=True, help="array JSON file")
     if need_gate:
         parser.add_argument("--gate", required=True, help="gate-spec JSON file")
-    parser.add_argument("--out", default=_env_default("OUT", "."), help="output directory")
-    parser.add_argument("--tol", type=float, default=float(_env_default("TOL", 1e-9)))
-    parser.add_argument("--seed", type=int, default=int(_env_default("SEED", 0)))
-    parser.add_argument(
-        "--jobs", type=int, default=int(_env_default("JOBS", 1)),
-        help="accepted for compatibility; sweeps run serially",
-    )
+    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--tol", type=_nonnegative)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--jobs", type=int, help="accepted for compatibility; sweeps run serially")
 
 
 def _load_array(path: str) -> DotArray:
@@ -169,16 +211,14 @@ def cmd_simulate(args) -> int:
     doc["equiv_residual_vs_target"] = equiv_residual
     _write(args.out, "simulate.json", json.dumps(doc, indent=2))
     if args.sweep is not None:
-        lo, hi, steps = args.sweep.split(":")
-        grid = np.geomspace(float(lo), float(hi), int(steps))
-        rows, skipped = sweep_rows(array, tau, grid)
+        rows, skipped = sweep_rows(array, tau, args.sweep)
         lines = ["j_over_eps,infidelity,bound,max_residue"]
         lines += [f"{a!r},{b!r},{c!r},{d!r}" for a, b, c, d in rows]
         _write(args.out, "sweep.csv", "\n".join(lines) + "\n")
         if skipped:
             doc = [{"j_over_eps": x, "error": msg} for x, msg in skipped]
             _write(args.out, "sweep_skipped.json", json.dumps(doc, indent=2))
-            print(f"skipped {len(skipped)} of {len(grid)} sweep points with a degenerate "
+            print(f"skipped {len(skipped)} of {len(args.sweep)} sweep points with a degenerate "
                   "spectrum (sweep_skipped.json)")
     print(f"fidelity {report.fidelity!r}, bound {report.bound!r}")
     return 0
@@ -238,52 +278,61 @@ def cmd_apps(args) -> int:
         _write(args.out, "logicalz.json", json.dumps(doc, indent=2))
     elif args.which == "paritycheck":
         circuit = circuits.parity_check_circuit(args.targets, args.basis)
+        parity = circuits.parity_operator(args.targets, args.basis)
+        dim = 1 << args.targets
         outcomes = []
         for _ in range(args.trials):
-            dim = 1 << args.targets
             psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             psi /= np.linalg.norm(psi)
-            outcome, defect = circuits.check_parity_run(args.targets, args.basis, psi, rng)
+            outcome, defect = circuits.check_parity_run(
+                args.targets, args.basis, psi, rng, circuit=circuit, parity=parity
+            )
             outcomes.append({"outcome": outcome, "defect": defect})
         transcript = {"circuit": circuit.describe(), "runs": outcomes}
         _write(args.out, "paritycheck.json", json.dumps(transcript, indent=2))
-    elif args.which == "reversal":
+    else:  # the parser admits only the three selectors
         matrix = circuits.order_reversal(args.n)
         rounded = np.round(matrix.real, 9)
         lines = [",".join(map(repr, row)) for row in rounded.tolist()]
         _write(args.out, f"reversal_{args.n}.csv", "\n".join(lines) + "\n")
-    else:
-        print(f"unknown selector {args.which!r}")
-        return 1
     print(f"wrote {args.which} artifacts to {args.out}")
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a malformed command line as ``ValueError``, which ``main``
+    reports as an input error (exit 1); argparse itself would exit 2, the
+    code this CLI keeps for an infeasible target."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="dotgates", description=__doc__)
+    """The command-line parser, built once per process.  It holds no
+    environment value and no command function: ``main`` resolves both on
+    every call, so overrides and patched ``cmd_*`` functions take effect."""
+    parser = _Parser(prog="dotgates", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="parity-rule feasibility of a target gate")
     _add_common(p)
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("solve", help="feasibility plus candidate gate times")
     _add_common(p)
-    p.add_argument("--tau-max", type=float, default=float(_env_default("TAU_MAX", 1e6)))
-    p.set_defaults(func=cmd_solve)
+    p.add_argument("--tau-max", type=_nonnegative)
 
     p = sub.add_parser("simulate", help="exact simulation with fidelity accounting")
     _add_common(p)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--tau-max", type=float, default=float(_env_default("TAU_MAX", 1e6)))
-    p.add_argument("--sweep", default=None, help="coupling sweep lo:hi:steps")
-    p.set_defaults(func=cmd_simulate)
+    p.add_argument("--tau", type=_nonnegative, default=None)
+    p.add_argument("--tau-max", type=_nonnegative)
+    p.add_argument("--sweep", type=_sweep_grid, help="coupling sweep lo:hi:steps")
 
     p = sub.add_parser("calibrate", help="pulse schedule defeating bond inhomogeneity")
     _add_common(p)
-    p.add_argument("--offset-bound", type=int, default=int(_env_default("OFFSET_BOUND", 8)))
+    p.add_argument("--offset-bound", type=int)
     p.add_argument("--dd", action="store_true", help="also emit the decoupling-woven schedule")
-    p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("apps", help="application circuits and transcripts")
     p.add_argument("which", choices=["logicalz", "paritycheck", "reversal"])
@@ -291,17 +340,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", choices=["z", "x"], default="z")
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--trials", type=int, default=32)
-    p.add_argument("--seed", type=int, default=int(_env_default("SEED", 0)))
-    p.add_argument("--out", default=_env_default("OUT", "."))
-    p.set_defaults(func=cmd_apps)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--out")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        _apply_overrides(args)
+        # looked up per call, so a replaced module attribute is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1

@@ -23,8 +23,9 @@ times realize a given target.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -347,12 +348,32 @@ class TimeCandidate:
     max_residual: float
 
 
+class LatticeRanking(Sequence):
+    """Ranked lattice times held as arrays; indexing builds the
+    ``TimeCandidate`` of each entry read, so a caller that reports the
+    first few pays for those alone."""
+
+    def __init__(self, times: np.ndarray, residuals: np.ndarray, worst: np.ndarray):
+        self.times, self.residuals, self.worst = times, residuals, worst
+
+    def __len__(self) -> int:
+        return self.times.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        i = range(len(self))[index]
+        return TimeCandidate(
+            float(self.times[i]), tuple(self.residuals[i].tolist()), float(self.worst[i])
+        )
+
+
 @dataclass(frozen=True)
 class DynamicsCandidates:
     """Candidate gate times on the two superposed phase lattices."""
 
-    mod_pi: tuple[TimeCandidate, ...]
-    mod_2pi: tuple[TimeCandidate, ...]
+    mod_pi: Sequence[TimeCandidate]
+    mod_2pi: Sequence[TimeCandidate]
 
     def best(self, branch: str = "mod_pi") -> TimeCandidate:
         cands = getattr(self, branch)
@@ -368,7 +389,7 @@ def _scan_lattice(
     tau_max: float,
     tol: float,
     max_candidates: int = 10_000,
-) -> tuple[TimeCandidate, ...]:
+) -> Sequence[TimeCandidate]:
     still = np.abs(velocities) < 1e-15
     if np.any(circular_distance(phases[still], 0.0, modulus) > tol):
         raise NoBondVelocity("a zero-velocity bond cannot accumulate the requested phase")
@@ -393,10 +414,7 @@ def _scan_lattice(
     residuals = circular_distance(np.outer(times, velocities), phases, modulus)
     worst = residuals.max(axis=1)
     order = np.lexsort((times, np.round(worst, 12)))[:max_candidates]
-    return tuple(
-        TimeCandidate(float(times[i]), tuple(residuals[i].tolist()), float(worst[i]))
-        for i in order
-    )
+    return LatticeRanking(times[order], residuals[order], worst[order])
 
 
 def solve_dynamics(

@@ -7,6 +7,11 @@ bit-identical durations and the same infeasibility residual on every
 instance, wherever its first cap lies.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -265,3 +270,28 @@ def test_growth_past_the_budget_raises():
     array, target = instance("tree", 12, "random", np.random.default_rng(0))
     with pytest.raises(ValueError, match="too large"):
         solve_intervals(array, target, square_assignments(array, target), offset_bound=8)
+
+
+def test_negative_bound_raises_instead_of_looping():
+    # the whole box [-M, M]^b is empty for M < 0; its round used to repeat
+    # forever with an infinite cap, so run it where a hang becomes a failure
+    script = (
+        "import numpy as np\n"
+        "from dotgates.calibrate import _square_durations\n"
+        "try:\n"
+        "    _square_durations(np.eye(2), np.array([0.3, 1.2]), np.array([1e-3, -2e-3]),"
+        " np.pi, -1, 1e-9)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(calibrate.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "no offsets" in done.stdout
+
+
+def test_solve_intervals_rejects_a_negative_bound():
+    array, target = instance("star", 2, "random", np.random.default_rng(0))
+    with pytest.raises(ValueError, match="nonnegative"):
+        solve_intervals(array, target, offset_bound=-1)

@@ -5,6 +5,7 @@ from dotgates import consecutive_ones_parity, logical_z_triangle, order_reversal
 from dotgates.circuits import (
     check_parity_run,
     parity_check_circuit,
+    parity_operator,
     pauli_string,
     reversal_signs_brute_force,
     run_circuit,
@@ -57,6 +58,29 @@ class TestParityCheck:
             outcome, defect = check_parity_run(n_targets, basis, psi, rng)
             assert outcome in (1, -1)
             assert defect <= 1e-10
+
+    @pytest.mark.parametrize("n_targets", [2, 3, 4])
+    @pytest.mark.parametrize("basis", ["z", "x"])
+    def test_signed_permutation_defect_equals_dense_defect(self, rng, n_targets, basis):
+        label = "Z" if basis == "z" else "X"
+        dense = pauli_string(n_targets + 1, {j: label for j in range(1, n_targets + 1)})
+        parity = parity_operator(n_targets, basis)
+        circuit = parity_check_circuit(n_targets, basis)
+        for _ in range(20):
+            # a generic state is no parity eigenstate, so both defects are large
+            psi = random_state(rng, n_targets + 1)
+            moved = parity.apply_rows(psi[:, None])[:, 0]
+            for sign in (1, -1):
+                assert np.linalg.norm(moved - sign * psi) == np.linalg.norm(dense @ psi - sign * psi)
+            target = random_state(rng, n_targets)
+            seed = int(rng.integers(2**32))
+            outcome, defect = check_parity_run(
+                n_targets, basis, target, np.random.default_rng(seed), circuit=circuit, parity=parity
+            )
+            full = np.kron(np.array([1.0, 0.0]), target)
+            final, outcomes = run_circuit(circuit, state=full, rng=np.random.default_rng(seed))
+            assert outcomes == [outcome]
+            assert defect == float(np.linalg.norm(dense @ final - outcome * final))
 
     def test_four_targets_single_gate(self):
         circuit = parity_check_circuit(4, "z")

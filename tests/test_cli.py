@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 import dotgates
+from dotgates import cli
 from dotgates.circuits import order_reversal
 from dotgates.cli import main
-from dotgates.gates import GateSpec, parity_matrix
-from dotgates.model import array_to_json
+from dotgates.gates import GateSpec, parity_matrix, read_bonds, solve_dynamics
+from dotgates.model import array_from_json, array_to_json
 
 from conftest import stellar_array
 
@@ -147,6 +148,19 @@ class TestSolve:
         report = json.loads((out / "solve.json").read_text())
         assert report["mod_pi"][0]["max_residual"] <= 1e-9
         assert report["mod_2pi"]
+
+    def test_reported_candidates_head_the_full_ranking(self, stellar_files):
+        array, gate, out = stellar_files
+        assert run("solve", array, gate, out) == 0
+        report = json.loads((out / "solve.json").read_text())
+        arr = array_from_json(Path(array).read_text())
+        reading = read_bonds(arr, GateSpec.from_json(Path(gate).read_text()).expand(3))
+        candidates = solve_dynamics(arr, reading.bond_phases, 1e6, 1e-9)
+        for branch in ("mod_pi", "mod_2pi"):
+            ranking = list(getattr(candidates, branch))  # every candidate, in rank order
+            assert len(ranking) > 10
+            head = [{"tau": c.tau, "max_residual": c.max_residual} for c in ranking[:10]]
+            assert report[branch] == head
 
 
 class TestSimulate:
@@ -361,6 +375,44 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("input error") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("simulate", "--tau", "nan"),
+            ("simulate", "--tau", "inf"),
+            ("simulate", "--tau", "-1"),
+            ("check", "--tol", "nan"),
+            ("solve", "--tol", "-1"),
+            ("solve", "--tau-max", "inf"),
+            ("simulate", "--tau-max", "-5"),
+            ("simulate", "--sweep", "1e-4:nan:3"),
+            ("simulate", "--sweep", "1e-4:1e-2"),
+        ],
+    )
+    def test_non_finite_or_negative_number_exits_one(self, stellar_files, capsys, command, flag, value):
+        array, gate, out = stellar_files
+        assert run(command, array, gate, out, flag, value) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and flag in err and "Traceback" not in err
+        assert not (out / f"{command}.json").exists()
+
+    def test_usage_error_exits_one(self, capsys):
+        assert main(["apps", "nosuch"]) == 1
+        assert main(["check", "--gate", "g.json"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(line.startswith("input error") for line in err)
+
+
+def test_negative_offset_bound_exits_one_promptly(stellar_files):
+    # the offset search used to loop forever on an empty box of offsets
+    array, gate, out = stellar_files
+    argv = ["calibrate", "--array", array, "--gate", gate, "--out", str(out), "--offset-bound", "-1"]
+    env = dict(os.environ, PYTHONPATH=str(Path(dotgates.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "dotgates.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert done.stderr.startswith("input error") and "offset_bound" in done.stderr
+
 
 def test_calibrate_and_simulate_leave_scipy_unimported(stellar_files):
     # importing scipy costs every CLI process tens of MB and tenths of a
@@ -389,6 +441,43 @@ class TestEnvOverrides:
         code = main(["check", "--array", array, "--gate", gate])
         assert code == 0
         assert (env_out / "check.json").exists()
+
+    def test_each_call_reads_the_environment(self, stellar_files, tmp_path, monkeypatch):
+        array, gate, _ = stellar_files
+        for name in ("first", "second"):
+            monkeypatch.setenv("DOTGATES_OUT", str(tmp_path / name))
+            assert main(["check", "--array", array, "--gate", gate]) == 0
+        assert (tmp_path / "first" / "check.json").exists()
+        assert (tmp_path / "second" / "check.json").exists()
+        # a flag on the command line wins over the environment
+        assert main(["check", "--array", array, "--gate", gate, "--out", str(tmp_path / "flag")]) == 0
+        assert (tmp_path / "flag" / "check.json").exists()
+
+    @pytest.mark.parametrize(
+        "name, value, command",
+        [
+            ("TOL", "abc", "check"),
+            ("TOL", "nan", "check"),
+            ("TAU_MAX", "-1", "solve"),
+            ("SEED", "1.5", "check"),
+            ("OFFSET_BOUND", "x", "calibrate"),
+        ],
+    )
+    def test_malformed_value_exits_one(self, stellar_files, monkeypatch, capsys, name, value, command):
+        array, gate, out = stellar_files
+        monkeypatch.setenv(f"DOTGATES_{name}", value)
+        assert run(command, array, gate, out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: DOTGATES_{name}=") and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_patched_command_function_is_the_one_run(self, stellar_files, monkeypatch):
+        array, gate, out = stellar_files
+        assert run("check", array, gate, out) == 0  # the parser exists from here on
+        seen = []
+        monkeypatch.setattr(cli, "cmd_check", lambda args: seen.append(args.array) or 7)
+        assert run("check", array, gate, out) == 7
+        assert seen == [array]
 
 
 class TestApps:

@@ -602,3 +602,8 @@ class TestLoopReferences:
             got = _scan_lattice(velocities, phases, modulus, tau_max, 1e-9)
             assert [c.tau for c in got] == times.tolist()
             assert [c.per_bond_residual for c in got] == [tuple(r) for r in residuals.tolist()]
+            # candidates built on demand read the same ranking
+            assert len(got) == len(times)
+            assert [c.tau for c in got[:10]] == times[:10].tolist()
+            assert got[-1].per_bond_residual == tuple(residuals[-1].tolist())
+            assert got[-1].max_residual == float(residuals[-1].max())

@@ -7,10 +7,16 @@ accumulated phase along a piecewise-linear path in "k-space" (phase in
 units of pi per bond), and the per-stage durations can be solved so every
 bond lands on its target lattice point regardless of velocity mismatch.
 
-The stage bookkeeping uses cumulative pulse products: stage n evolves
-under the grid vector conjugated by the product of all pulses applied so
-far, whose action on bond (j, k) is the sign ``sig_j * sig_k`` with
-``sig = -1`` for X or Y and ``+1`` for I or Z.
+Every stage runs in a toggling frame: the X-mask of the dots flipped an odd
+number of times so far, with dot 0 the most significant bit, as in the
+basis indices.  ``PulseSchedule.frames`` accumulates the pulses' X-masks
+by XOR, one frame per stage plus the net frame after the last, and
+``bond_signs`` reads every bond's velocity sign in a frame as ``1 - 2
+(b_j xor b_k)``.  The stage sign matrix, the per-dot signs, the pulse
+counts, the stage pulses of ``solve_intervals``, the pulse-induced local
+phases and the echo weave are all read from those frames; only the
+phase-carrying products of the pulses (``PauliAssignment.compose``) need
+the Z bits.
 """
 
 from __future__ import annotations
@@ -23,9 +29,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .basis import TWO_PI, circular_distance, wrap_2pi
+from .basis import TWO_PI, bit_of, bit_table, circular_distance, wrap_2pi
 from .gates import FreePhase
-from .model import Bond, DotArray, grid_vector
+from .model import DotArray, grid_vector
 
 # (x, z) bits of each single-qubit Pauli, with Y = i X Z
 _PAULI_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -121,6 +127,8 @@ class PauliAssignment:
     def x_on(cls, dots: Iterable[int], n_dots: int) -> "PauliAssignment":
         labels = ["I"] * n_dots
         for d in dots:
+            if not 0 <= d < n_dots:
+                raise ValueError(f"dot {d} is not in 0..{n_dots - 1}")
             labels[d] = "X"
         return cls(labels)
 
@@ -132,13 +140,6 @@ class PauliAssignment:
     @property
     def n_dots(self) -> int:
         return len(self.labels)
-
-    def sig(self, dot: int) -> int:
-        """-1 where the label flips the bit (X or Y), +1 for I and Z."""
-        return 1 - 2 * _PAULI_BITS[self.labels[dot]][0]
-
-    def flipped_dots(self) -> frozenset[int]:
-        return frozenset(j for j, lab in enumerate(self.labels) if lab in ("X", "Y"))
 
     def is_identity(self) -> bool:
         return self.x_mask == 0 and self.z_mask == 0
@@ -204,15 +205,11 @@ class PulseSchedule:
     def total_time(self) -> float:
         return float(sum(st.duration for st in self.stages))
 
-    def cumulative_pulses(self) -> list[PauliAssignment]:
-        """Q_n, the product of all pulses before stage n, for every stage."""
-        out = [PauliAssignment.identity(self.n_dots)]
-        for st in self.stages[:-1]:
-            current = out[-1]
-            if st.pulse is not None:
-                current, _ = st.pulse.compose(current)
-            out.append(current)
-        return out
+    def frames(self) -> np.ndarray:
+        """X-mask in force during each stage, then the net mask after the
+        last stage: the XOR of the X-masks of every pulse fired so far."""
+        pulses = [0] + [0 if st.pulse is None else st.pulse.x_mask for st in self.stages]
+        return np.bitwise_xor.accumulate(np.array(pulses, dtype=np.int64))
 
     def net_pulse(self) -> PauliAssignment:
         net = PauliAssignment.identity(self.n_dots)
@@ -222,16 +219,13 @@ class PulseSchedule:
         return net
 
     def dot_sign_matrix(self) -> np.ndarray:
-        """(stages, dots) array of per-stage dot signs sig(Q_n at j)."""
-        qs = self.cumulative_pulses()
-        return np.array([[q.sig(j) for j in range(self.n_dots)] for q in qs])
+        """(stages, dots) array of per-stage dot signs, -1 on flipped dots."""
+        return _dot_signs(self.frames()[:-1], self.n_dots)
 
     def pulse_count(self, dot: int) -> int:
-        return sum(
-            1
-            for st in self.stages
-            if st.pulse is not None and st.pulse.labels[dot] in ("X", "Y")
-        )
+        """Number of X or Y pulses on ``dot``: the toggles of its frame bit."""
+        frames = self.frames()
+        return int(np.sum(bit_of(frames[1:] ^ frames[:-1], dot, self.n_dots)))
 
     def to_json(self) -> str:
         doc = {
@@ -294,33 +288,40 @@ class CalibrationTarget:
         return cls(tuple(float(p) for p in phases), tuple(b.velocity for b in array.bonds), modulus)
 
 
-# -- conjugated grid vectors and sign structure --------------------------------
+# -- toggling-frame signs ---------------------------------------------------------
 
-def conjugated_bond(bond: Bond, q: PauliAssignment) -> Bond:
-    flips = (q.labels[bond.j] in ("X", "Y")) + (q.labels[bond.k] in ("X", "Y"))
-    return bond.conjugated() if flips % 2 else bond
+def _dot_signs(masks, n_dots: int) -> np.ndarray:
+    """(..., dots) signs of X-masks: -1 on every dot whose bit is set."""
+    masks = np.asarray(masks, dtype=np.int64)[..., None]
+    return 1 - 2 * bit_of(masks, np.arange(n_dots), n_dots)
+
+
+def bond_signs(array: DotArray, masks) -> np.ndarray:
+    """(..., bonds) velocity signs in the toggling frames ``masks``:
+    ``1 - 2 (b_j xor b_k)`` per bond, dot 0 the most significant bit."""
+    signs = _dot_signs(masks, array.n_dots)
+    j = [b.j for b in array.bonds]
+    k = [b.k for b in array.bonds]
+    return signs[..., j] * signs[..., k]
 
 
 def conjugated_grid_vector(array: DotArray, q: PauliAssignment) -> np.ndarray:
     """Grid vector with S and T swapped on every bond that has an odd number
     of X/Y labels on its endpoints; Z and I leave bonds unchanged."""
-    return grid_vector(array.with_bonds(conjugated_bond(b, q) for b in array.bonds))
+    signs = bond_signs(array, q.x_mask)
+    return grid_vector(
+        array.with_bonds(b.conjugated() if s < 0 else b for b, s in zip(array.bonds, signs))
+    )
 
 
 def subset_signs(array: DotArray, flipped: frozenset[int]) -> np.ndarray:
     """Per-bond velocity sign when the dots in ``flipped`` carry X or Y."""
-    return np.array(
-        [
-            (-1 if b.j in flipped else 1) * (-1 if b.k in flipped else 1)
-            for b in array.bonds
-        ]
-    )
+    return bond_signs(array, PauliAssignment.x_on(flipped, array.n_dots).x_mask)
 
 
 def stage_sign_matrix(array: DotArray, schedule: PulseSchedule) -> np.ndarray:
     """(bonds, stages) matrix of per-stage bond signs."""
-    qs = schedule.cumulative_pulses()
-    return np.array([subset_signs(array, q.flipped_dots()) for q in qs]).T
+    return bond_signs(array, schedule.frames()[:-1]).T
 
 
 def accumulated_bond_phases(array: DotArray, schedule: PulseSchedule) -> np.ndarray:
@@ -366,24 +367,33 @@ def _positively_spans(mat: np.ndarray) -> bool:
     return True
 
 
-def assignment_vectors(array: DotArray, max_dots: int = 20) -> AssignmentEnumeration:
+# Most dots whose 2^N X-subsets ``assignment_vectors`` enumerates.  Its sign
+# table holds 2^N x bonds entries: 16 fully connected dots (120 bonds) took
+# 1.4 s and 310 MB of peak memory before the span checks.
+ENUMERATION_MAX_DOTS = 16
+
+
+def assignment_vectors(array: DotArray) -> AssignmentEnumeration:
     """Enumerate all X-subset assignments and their distinct sign vectors.
 
     Reports the distinct count, whether the vectors span the per-bond space
     linearly, and whether they span it positively (so nonnegative durations
-    exist for any right-hand side).
+    exist for any right-hand side).  Each vector's representative is its
+    first subset in the order of ``sum(2^j for j in subset)``.
+
+    Raises
+    ------
+    ValueError
+        If the array has more than ``ENUMERATION_MAX_DOTS`` dots.
     """
     n = array.n_dots
-    if n > max_dots:
+    if n > ENUMERATION_MAX_DOTS:
         raise ValueError(f"enumeration over 2^{n} subsets exceeds the limit")
-    seen: dict[tuple[int, ...], frozenset[int]] = {}
-    for mask in range(1 << n):
-        subset = frozenset(j for j in range(n) if (mask >> j) & 1)
-        vec = tuple(int(v) for v in subset_signs(array, subset))
-        if vec not in seen:
-            seen[vec] = subset
-    vectors = tuple(sorted(seen, reverse=True))
-    reps = tuple(seen[v] for v in vectors)
+    # reversing the bits of subset index i gives its X-mask (dot j at bit i_j)
+    masks = bit_table(n) @ (1 << np.arange(n))
+    table, first = np.unique(bond_signs(array, masks), axis=0, return_index=True)
+    vectors = tuple(tuple(int(v) for v in row) for row in table[::-1])
+    reps = tuple(frozenset(j for j in range(n) if (i >> j) & 1) for i in first[::-1].tolist())
     mat = np.array(vectors, dtype=float).T
     linear = np.linalg.matrix_rank(mat) >= array.n_bonds if array.n_bonds else True
     positive = _positively_spans(mat) if array.n_bonds else True
@@ -418,19 +428,6 @@ def choose_assignments(array: DotArray) -> list[frozenset[int]]:
 
 
 # -- interval solving -----------------------------------------------------------
-
-def _pulses_from_subsets(subsets: Sequence[frozenset[int]], n_dots: int) -> list[PauliAssignment | None]:
-    """Boundary pulses between consecutive stage assignments (X on every dot
-    whose sign flips); the final stage has no boundary pulse."""
-    pulses: list[PauliAssignment | None] = []
-    for prev, cur in zip(subsets, list(subsets[1:]) + [None]):
-        if cur is None:
-            pulses.append(None)
-            continue
-        diff = prev ^ cur
-        pulses.append(PauliAssignment.x_on(diff, n_dots) if diff else None)
-    return pulses
-
 
 # Growth of the total-time cap between rounds of the offset search.  A round
 # over b bonds costs about the cap to the power b - 1.  Measured: 1.25 was
@@ -641,19 +638,19 @@ def solve_intervals(
         raise ValueError(f"offset_bound must be nonnegative, got {offset_bound}")
     if assignments is None:
         assignments = choose_assignments(array)
-    assignments = [frozenset(s) for s in assignments]
-    if assignments[0]:
+    n_dots = array.n_dots
+    masks = [PauliAssignment.x_on(s, n_dots).x_mask for s in assignments]
+    if masks[0]:
         raise ValueError("the first stage assignment must be the trivial one")
     velocities = np.array(target.velocities)
     phases = np.asarray(target.phases, dtype=float)
     active = np.abs(velocities) > 1e-15
-    amat = np.array([subset_signs(array, s) for s in assignments], dtype=float).T
-    amat = amat[active]
+    amat = bond_signs(array, masks).T.astype(float)[active]
     vel = velocities[active]
     phi = phases[active]
     n_bonds, n_stages = amat.shape
     if n_bonds == 0:
-        return PulseSchedule(array.n_dots, [Stage(0.0, None)])
+        return PulseSchedule(n_dots, [Stage(0.0, None)])
     if n_stages < n_bonds or np.linalg.matrix_rank(amat) < n_bonds:
         raise ValueError("stage assignments do not span the active bonds")
 
@@ -675,19 +672,14 @@ def solve_intervals(
     if durations is None:
         raise InfeasibleSchedule("no nonnegative durations in offset bound", least)
 
-    # Drop zero-length stages, composing their boundary pulses.
-    assignments_kept = [assignments[0]]
-    durations_kept = [float(durations[0])]
-    for idx in range(1, n_stages):
-        if durations[idx] <= 1e-12:
-            continue
-        assignments_kept.append(assignments[idx])
-        durations_kept.append(float(durations[idx]))
-    pulses = _pulses_from_subsets(assignments_kept, array.n_dots)
-    schedule = PulseSchedule(
-        array.n_dots,
-        [Stage(d, p) for d, p in zip(durations_kept, pulses)],
-    )
+    # Drop zero-length stages; the pulse between two kept stages is X on
+    # every dot whose frame bit differs.
+    kept = [0] + [idx for idx in range(1, n_stages) if durations[idx] > 1e-12]
+    toggles = [masks[a] ^ masks[b] for a, b in zip(kept, kept[1:])] + [0]
+    schedule = PulseSchedule(n_dots, [
+        Stage(float(durations[idx]), PauliAssignment._from_masks(x, 0, n_dots) if x else None)
+        for idx, x in zip(kept, toggles)
+    ])
     achieved = accumulated_bond_phases(array, schedule)
     err = circular_distance(achieved[active], phi, target.modulus)
     if np.max(err) > max(tol, 1e-7):
@@ -716,38 +708,22 @@ class PulsePhases:
 def extra_local_phases(schedule: PulseSchedule, array: DotArray) -> PulsePhases:
     """Accumulate the pulse-induced single-qubit phases stage by stage.
 
-    Each stage contributes ``(sig(Q_n at j) - sig(Q_N at j)) / 2 * eps_j *
-    tau_n`` to qubit j, where Q_n is the cumulative pulse product during the
-    stage and Q_N the net product.
+    Each stage contributes ``(s_nj - s_Nj) / 2 * eps_j * tau_n`` to qubit j,
+    where s_nj is the sign of dot j in the frame of stage n and s_Nj its
+    sign in the net frame after the last stage.
     """
     eps = array.zeemans
     if len(eps) != schedule.n_dots:
         raise ValueError("schedule and array disagree on the dot count")
-    qs = schedule.cumulative_pulses()
-    net = schedule.net_pulse()
-    phi = np.zeros(schedule.n_dots)
-    for q, st in zip(qs, schedule.stages):
-        for j in range(schedule.n_dots):
-            phi[j] += 0.5 * (q.sig(j) - net.sig(j)) * eps[j] * st.duration
+    signs = _dot_signs(schedule.frames(), schedule.n_dots)
+    durations = np.array([st.duration for st in schedule.stages], dtype=float)
+    terms = 0.5 * (signs[:-1] - signs[-1]) * eps * durations[:, None]  # (stages, dots)
+    phi = sum(terms, np.zeros(schedule.n_dots))  # stage by stage, in time order
     free = FreePhase(wrap_2pi(-np.sum(phi)), wrap_2pi(2.0 * phi))
-    return PulsePhases(tuple(float(x) for x in phi), free, net)
+    return PulsePhases(tuple(float(x) for x in phi), free, schedule.net_pulse())
 
 
 # -- dynamical-decoupling weave ---------------------------------------------------
-
-def _toggle_times(schedule: PulseSchedule) -> tuple[list[list[float]], list[float]]:
-    """Per-dot pulse times plus the stage boundary times."""
-    times: list[list[float]] = [[] for _ in range(schedule.n_dots)]
-    t = 0.0
-    boundaries = []
-    for st in schedule.stages:
-        t += st.duration
-        boundaries.append(t)
-        if st.pulse is not None:
-            for j in st.pulse.flipped_dots():
-                times[j].append(t)
-    return times, boundaries
-
 
 def weave_dd(schedule: PulseSchedule, budget: int = 16) -> PulseSchedule:
     """Rewrite a schedule so every qubit sees an alternating X-Y echo train.
@@ -772,14 +748,17 @@ def weave_dd(schedule: PulseSchedule, budget: int = 16) -> PulseSchedule:
     total = schedule.total_time
     if total <= 0:
         raise ValueError("cannot weave a schedule with zero total time")
-    per_dot, _ = _toggle_times(schedule)
+    # A dot's existing pulses are the stage ends where its frame bit toggles.
+    frames = schedule.frames()
+    toggles = bit_of((frames[1:] ^ frames[:-1])[:, None], np.arange(n), n)
+    ends = np.cumsum([0.0] + [st.duration for st in schedule.stages])[1:].tolist()
 
     # Event list: (time, dot) for existing pulses; end-of-schedule insertions
     # carry the timestamp `total`.
     events: list[tuple[float, int]] = [
-        (t, j) for j, ts in enumerate(per_dot) for t in ts
+        (ends[s], j) for j in range(n) for s in np.flatnonzero(toggles[:, j]).tolist()
     ]
-    counts = np.array([len(ts) for ts in per_dot])
+    counts = toggles.sum(axis=0)
 
     # Make every count even with a final-boundary pulse (also cancels the
     # net bit-flip of the base schedule).
@@ -801,8 +780,7 @@ def weave_dd(schedule: PulseSchedule, budget: int = 16) -> PulseSchedule:
     # Global insertions: every dot flips, no bond sign changes.  Choose the
     # smallest even count that fixes the residual deficit and guarantees at
     # least four pulses per dot.
-    d = int(deficits[0]) if len(set(deficits.tolist())) == 1 else 0
-    n_globals = d
+    n_globals = int(deficits[0])
     while np.min(counts) + n_globals < 4:
         n_globals += 4
     global_times = [total * (i + 1) / n_globals for i in range(n_globals)] if n_globals else []

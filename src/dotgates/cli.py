@@ -69,6 +69,17 @@ def _nonnegative(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """Type of ``--trials``: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"the value must be positive, got {value}")
+    return value
+
+
 def _sweep_grid(text: str) -> np.ndarray:
     """Type of ``--sweep lo:hi:steps``: the geometric grid of J/eps values."""
     try:
@@ -339,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets", type=int, default=2)
     p.add_argument("--basis", choices=["z", "x"], default="z")
     p.add_argument("--n", type=int, default=4)
-    p.add_argument("--trials", type=int, default=32)
+    p.add_argument("--trials", type=_positive_int, default=32)
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
     return parser

@@ -191,8 +191,8 @@ class TestSolveIntervals:
         target = CalibrationTarget.for_array(arr, [np.pi / 2] * 4)
         sched = solve_intervals(arr, target, RECT_STAGE_SUBSETS)
         assert np.array_equal(stage_sign_matrix(arr, sched), EQ_SIGN_MATRIX)
-        pulses = [sorted(st.pulse.flipped_dots()) for st in sched.stages if st.pulse]
-        assert pulses == [[2], [3], [2]]
+        pulses = [st.pulse.labels for st in sched.stages if st.pulse]
+        assert pulses == [tuple("IIXI"), tuple("IIIX"), tuple("IIXI")]
         acc = accumulated_bond_phases(arr, sched)
         assert np.max(circular_distance(acc, np.pi / 2, np.pi)) <= 1e-9
 
@@ -301,7 +301,8 @@ class TestExtraLocalPhases:
         u = pulsed_evolution(arr, sched)
         stripped = pp.net.matrix().conj().T @ u
         entangle = np.zeros(8)
-        for q, st in zip(sched.cumulative_pulses(), sched.stages):
+        for mask, st in zip(sched.frames().tolist(), sched.stages):
+            q = PauliAssignment.x_on([j for j in range(3) if mask >> (2 - j) & 1], 3)
             entangle += st.duration * conjugated_grid_vector(arr, q)
         predicted = PhaseVector(entangle + pp.free.expand().values)
         actual = PhaseVector(np.angle(np.diag(stripped)))
@@ -350,7 +351,7 @@ class TestWeave:
                 if st.pulse is not None and st.pulse.labels[j] != "I"
             ]
             assert trace == ["X", "Y"] * (len(trace) // 2)
-        # per-stage dot signs are consistent with the cumulative products
+        # per-stage dot signs are read from the toggling frames
         signs = woven.dot_sign_matrix()
         assert signs.shape == (len(woven.stages), woven.n_dots)
         assert np.all(signs[0] == 1)

@@ -504,6 +504,18 @@ class TestApps:
             main(["apps", "paritycheck", "--trials", "8", "--seed", "3", "--out", str(out)])
         assert (out1 / "paritycheck.json").read_bytes() == (out2 / "paritycheck.json").read_bytes()
 
+    @pytest.mark.parametrize("trials", ["-3", "0"])
+    def test_paritycheck_without_trials_exits_one(self, tmp_path, trials):
+        # through the package entry point, as a user runs it
+        argv = ["apps", "paritycheck", "--trials", trials, "--out", str(tmp_path)]
+        env = dict(os.environ, PYTHONPATH=str(Path(dotgates.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-m", "dotgates", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        err = done.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("input error") and "--trials" in err[0]
+        assert not (tmp_path / "paritycheck.json").exists()
+
     def test_reversal_matrix(self, tmp_path):
         code = main(["apps", "reversal", "--n", "4", "--out", str(tmp_path)])
         assert code == 0

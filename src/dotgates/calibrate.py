@@ -31,7 +31,7 @@ import numpy as np
 
 from .basis import TWO_PI, bit_of, bit_table, circular_distance, wrap_2pi
 from .gates import FreePhase
-from .model import DotArray, grid_vector
+from .model import DotArray, grid_vector, integer
 
 # (x, z) bits of each single-qubit Pauli, with Y = i X Z
 _PAULI_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -252,7 +252,10 @@ class PulseSchedule:
         for rec in doc["stages"]:
             labels = ["I"] * n_dots
             for p in rec.get("pulse", []):
-                labels[int(p["dot"])] = str(p["pauli"])
+                dot = integer(p["dot"], "pulse dot")
+                if not 0 <= dot < n_dots:
+                    raise ValueError(f"dot {dot} is not in 0..{n_dots - 1}")
+                labels[dot] = str(p["pauli"])
             pulse = PauliAssignment(labels)
             stages.append(Stage(float(rec["tau"]), None if pulse.is_identity() else pulse))
         return cls(n_dots, stages)
@@ -342,44 +345,32 @@ class AssignmentEnumeration:
     representatives: tuple[frozenset[int], ...]
     n_distinct: int
     n_bonds: int
-    linear_span: bool
-    positive_span: bool
-
-
-def _positively_spans(mat: np.ndarray) -> bool:
-    """Whether the columns of mat positively span R^rows."""
-    from scipy.optimize import linprog
-
-    rows = mat.shape[0]
-    for i in range(rows):
-        for sign in (1.0, -1.0):
-            target = np.zeros(rows)
-            target[i] = sign
-            res = linprog(
-                np.zeros(mat.shape[1]),
-                A_eq=mat,
-                b_eq=target,
-                bounds=[(0, None)] * mat.shape[1],
-                method="highs",
-            )
-            if not res.success:
-                return False
-    return True
 
 
 # Most dots whose 2^N X-subsets ``assignment_vectors`` enumerates.  Its sign
 # table holds 2^N x bonds entries: 16 fully connected dots (120 bonds) took
-# 1.4 s and 310 MB of peak memory before the span checks.
+# 1.4 s and 310 MB of peak memory.
 ENUMERATION_MAX_DOTS = 16
 
 
 def assignment_vectors(array: DotArray) -> AssignmentEnumeration:
     """Enumerate all X-subset assignments and their distinct sign vectors.
 
-    Reports the distinct count, whether the vectors span the per-bond space
-    linearly, and whether they span it positively (so nonnegative durations
-    exist for any right-hand side).  Each vector's representative is its
-    first subset in the order of ``sum(2^j for j in subset)``.
+    Each vector's representative is its first subset in the order of
+    ``sum(2^j for j in subset)``.
+
+    The vectors always span the bond space positively, so nonnegative
+    stage durations exist for any right-hand side.  Bond (j, k) has sign
+    ``(-1)^(b_j + b_k)`` in the frame with X-mask b: the Walsh function of
+    the mask with bits j and k set.  ``DotArray`` forces j < k and forbids
+    duplicate bonds, so distinct bonds have distinct Walsh functions.
+    Distinct Walsh functions are orthogonal over the 2^N masks, so the
+    sign table, and with it the set of distinct vectors, has rank equal to
+    the bond count.  None of these Walsh functions is the constant one
+    (j != k), so each sums to 0 over all masks, and the distinct vectors
+    weighted by their multiplicities (all > 0) sum to 0.  That puts every
+    -v in the cone of the vectors, so their positive span equals their
+    linear span.
 
     Raises
     ------
@@ -394,16 +385,11 @@ def assignment_vectors(array: DotArray) -> AssignmentEnumeration:
     table, first = np.unique(bond_signs(array, masks), axis=0, return_index=True)
     vectors = tuple(tuple(int(v) for v in row) for row in table[::-1])
     reps = tuple(frozenset(j for j in range(n) if (i >> j) & 1) for i in first[::-1].tolist())
-    mat = np.array(vectors, dtype=float).T
-    linear = np.linalg.matrix_rank(mat) >= array.n_bonds if array.n_bonds else True
-    positive = _positively_spans(mat) if array.n_bonds else True
     return AssignmentEnumeration(
         vectors=vectors,
         representatives=reps,
         n_distinct=len(vectors),
         n_bonds=array.n_bonds,
-        linear_span=bool(linear),
-        positive_span=bool(positive),
     )
 
 
@@ -746,8 +732,6 @@ def weave_dd(schedule: PulseSchedule, budget: int = 16) -> PulseSchedule:
     """
     n = schedule.n_dots
     total = schedule.total_time
-    if total <= 0:
-        raise ValueError("cannot weave a schedule with zero total time")
     # A dot's existing pulses are the stage ends where its frame bit toggles.
     frames = schedule.frames()
     toggles = bit_of((frames[1:] ^ frames[:-1])[:, None], np.arange(n), n)

@@ -18,6 +18,7 @@ import numpy as np
 from .basis import bit_of
 from .calibrate import PauliAssignment, SignedPermutation
 from .gates import GateSpec, MqcpFactor, PhaseVector
+from .model import integer
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
@@ -290,19 +291,20 @@ def circuit_from_description(doc: list[dict]) -> Circuit:
     """Rebuild a circuit from its :meth:`Circuit.describe` record."""
     ops = []
     n_qubits = None
+    qubits = []
     for rec in doc:
-        if rec["op"] == "h":
-            ops.append(hadamard(int(rec["qubit"])))
-        elif rec["op"] == "diag":
+        if rec["op"] == "diag":
             phases = PhaseVector(np.asarray(rec["phases"], dtype=float))
             n_qubits = phases.n_qubits
             ops.append(diagonal(phases))
+            continue
+        qubits.append(integer(rec["qubit"], "qubit"))
+        if rec["op"] == "h":
+            ops.append(hadamard(qubits[-1]))
         else:
-            ops.append(measure(int(rec["qubit"]), str(rec["basis"])))
+            ops.append(measure(qubits[-1], str(rec["basis"])))
     if n_qubits is None:
-        n_qubits = 1 + max(
-            (rec["qubit"] for rec in doc if rec.get("qubit") is not None), default=0
-        )
+        n_qubits = 1 + max(qubits, default=0)
     return Circuit(n_qubits, tuple(ops))
 
 

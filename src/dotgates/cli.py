@@ -81,12 +81,16 @@ def _positive_int(text: str) -> int:
 
 
 def _sweep_grid(text: str) -> np.ndarray:
-    """Type of ``--sweep lo:hi:steps``: the geometric grid of J/eps values."""
+    """Type of ``--sweep lo:hi:steps``: the geometric grid of J/eps values,
+    with lo, hi > 0 and steps >= 1."""
     try:
         lo, hi, steps = text.split(":")
-        return np.geomspace(finite(lo, "lo"), finite(hi, "hi"), int(steps))
+        lo, hi, steps = finite(lo, "lo"), finite(hi, "hi"), int(steps)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    if lo <= 0 or hi <= 0 or steps < 1:
+        raise argparse.ArgumentTypeError(f"need lo > 0, hi > 0 and steps >= 1, got {text!r}")
+    return np.geomspace(lo, hi, steps)
 
 
 # flag destination -> (environment suffix, type, value when neither the flag

@@ -36,7 +36,7 @@ from .basis import (
     single_bit_index,
     wrap_2pi,
 )
-from .model import DotArray, finite
+from .model import DotArray, finite, integer
 
 DEFAULT_TOL = 1e-9
 
@@ -142,11 +142,12 @@ class MqcpFactor:
     targets: tuple[tuple[int, float], ...]
 
     def __init__(self, control: int, targets: Iterable[tuple[int, float]]):
-        tgts = tuple((int(d), float(wrap_2pi(th))) for d, th in targets)
+        control = integer(control, "control")
+        tgts = tuple((integer(d, "target dot"), float(wrap_2pi(th))) for d, th in targets)
         ids = [d for d, _ in tgts]
-        if len(set(ids)) != len(ids) or int(control) in ids:
+        if len(set(ids)) != len(ids) or control in ids:
             raise ValueError("target ids must be distinct and differ from the control")
-        object.__setattr__(self, "control", int(control))
+        object.__setattr__(self, "control", control)
         object.__setattr__(self, "targets", tgts)
 
 

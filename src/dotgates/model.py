@@ -242,13 +242,24 @@ def finite(value, what: str) -> float:
     return x
 
 
+def integer(value, what: str) -> int:
+    """``int(value)``, rejecting a value it does not equal (1.9, "1", NaN,
+    infinities) or a boolean as an input error instead of truncating it."""
+    try:
+        if int(value) == value and not isinstance(value, bool):
+            return int(value)
+    except (OverflowError, TypeError, ValueError):
+        pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def _bond_from_record(rec: dict) -> Bond:
     keys = set(rec)
     has_ts = "t" in keys or "s" in keys
     has_soi = "gamma_so" in keys or "theta_b" in keys
     if has_ts and has_soi:
         raise ValueError("bond record must give either (t, s) or (gamma_so, theta_b), not both")
-    j, k = int(rec["j"]), int(rec["k"])
+    j, k = integer(rec["j"], "bond j"), integer(rec["k"], "bond k")
     exch = finite(rec["J"], f"bond ({j}, {k}) J")
     if has_soi:
         return Bond.from_soi(
@@ -281,7 +292,7 @@ def array_from_json(source: str | dict) -> DotArray:
     for d in doc["dots"]:
         mu = d.get("chem_potential")
         dots.append(Dot(
-            int(d["id"]),
+            integer(d["id"], "dot id"),
             finite(d["zeeman"], f"dot {d['id']} zeeman"),
             None if mu is None else finite(mu, f"dot {d['id']} chem_potential"),
         ))

@@ -34,6 +34,7 @@ from dotgates.model import grid_vector
 from dotgates.simulate import pulsed_evolution
 
 from conftest import make_bond, stellar_array
+from test_assignment_span import linearly_spans, positively_spans
 
 
 def fully_connected(n, j_scale=1.0):
@@ -148,8 +149,8 @@ class TestAssignmentVectors:
         assert enum.n_distinct == 4
         assert enum.n_bonds == 3
         assert enum.n_distinct > enum.n_bonds
-        assert enum.linear_span
-        assert enum.positive_span
+        assert linearly_spans(enum)
+        assert positively_spans(enum)
 
     def test_complement_gives_same_vector(self, rng):
         arr = fully_connected(4)
@@ -168,7 +169,7 @@ class TestAssignmentVectors:
         n_b = n * (n - 1) // 2
         assert enum_n.n_bonds == n_b
         assert enum_n.n_distinct >= n_b
-        assert enum_n.positive_span
+        assert positively_spans(enum_n)
         if enum_next is not None:
             assert enum_next.n_distinct >= 2 * enum_n.n_distinct
 
@@ -255,6 +256,18 @@ class TestScheduleJson:
         doc = sched.to_json()
         assert '"dot": 1' in doc and '"dot": 0' not in doc
 
+    @pytest.mark.parametrize("dot", [-1, 3])
+    def test_dot_outside_the_array_raises(self, dot):
+        # -1 would otherwise flip the last dot, and 3 would raise IndexError
+        doc = {"stages": [{"tau": 1.0, "pulse": [{"dot": dot, "pauli": "X"}]}]}
+        with pytest.raises(ValueError, match=r"dot .* is not in 0\.\.2"):
+            PulseSchedule.from_json(doc, 3)
+
+    def test_non_integer_dot_raises(self):
+        doc = {"stages": [{"tau": 1.0, "pulse": [{"dot": 1.5, "pauli": "X"}]}]}
+        with pytest.raises(ValueError, match="must be an integer"):
+            PulseSchedule.from_json(doc, 3)
+
 
 class TestExtraLocalPhases:
     def test_no_pulses(self, rng):
@@ -323,6 +336,16 @@ class TestWeave:
         # classic spacing: pulses at T/4, T/2, 3T/4, T
         boundaries = np.cumsum([st.duration for st in woven.stages])
         assert boundaries[:4] == pytest.approx([2.0, 4.0, 6.0, 8.0])
+        assert woven.net_pulse().is_identity()
+
+    def test_zero_time_schedule_gets_an_instant_echo(self):
+        # a target that needs no time still gets its XYXY train, at t = 0
+        woven = weave_dd(PulseSchedule(2, [Stage(0.0, None)]))
+        assert woven.total_time == 0.0
+        for j in range(2):
+            assert woven.pulse_count(j) == 4
+        labels = [st.pulse.labels[0] for st in woven.stages if st.pulse is not None]
+        assert labels == ["X", "Y", "X", "Y"]
         assert woven.net_pulse().is_identity()
 
     def test_neutrality_and_identity_net(self, rng):

@@ -197,6 +197,16 @@ class TestTranscriptReplay:
         assert outcomes2 == outcomes
         assert np.linalg.norm(state2) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("op", [{"op": "h"}, {"op": "measure", "basis": "z"}])
+    def test_non_integer_qubit_is_rejected(self, op):
+        from dotgates.circuits import circuit_from_description
+
+        with pytest.raises(ValueError, match="must be an integer"):
+            circuit_from_description([op | {"qubit": 0.5}])
+        # an integral float is read as the int it equals, qubit count included
+        n_qubits = circuit_from_description([op | {"qubit": 1.0}]).n_qubits
+        assert n_qubits == 2 and type(n_qubits) is int
+
 
 class TestRunner:
     def test_measurement_normalizes_state(self, rng):

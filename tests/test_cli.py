@@ -317,6 +317,17 @@ class TestCalibrate:
         assert record["equiv_residual"] <= 1e-2
 
 
+    def test_zero_time_target_weaves(self, tmp_path, capsys):
+        # theta = 0 on every bond needs no time; the echo train sits at t = 0
+        array, gate, out = three_dot_files(tmp_path, [(0, 1), (0, 2)], [(0, [(1, 0.0), (2, 0.0)])])
+        assert run("calibrate", array, gate, out, "--dd") == 0
+        assert capsys.readouterr().err == ""
+        record = json.loads((out / "calibrate.json").read_text())
+        assert record["total_time"] == record["dd_total_time"] == 0.0
+        assert record["dd_equiv_residual"] == 0.0
+        assert (out / "schedule_dd.json").exists()
+
+
 class TestInputErrors:
     def test_nan_zeeman_exits_one_without_traceback(self, stellar_files, tmp_path, capsys):
         array, gate, out = stellar_files
@@ -357,8 +368,16 @@ class TestInputErrors:
     @pytest.mark.parametrize("command", ["check", "solve", "simulate", "calibrate"])
     @pytest.mark.parametrize(
         "fault",
-        [("gate", "raw", 2.0), ("array", "t", [0.9]), ("array", "t", [np.sqrt(0.8), 0.0, 5.0])],
-        ids=["scalar-raw-gate", "one-number-t", "three-number-t"],
+        [
+            ("gate", "raw", 2.0),
+            ("array", "t", [0.9]),
+            ("array", "t", [np.sqrt(0.8), 0.0, 5.0]),
+            # int() would read k = 1.9 as 1, and control 0.7, dot 1.2 as 0, 1
+            ("array", "k", 1.9),
+            ("gate", "factors", [{"control": 0.7, "targets": [{"dot": 1.2, "theta": np.pi}]}]),
+        ],
+        ids=["scalar-raw-gate", "one-number-t", "three-number-t", "non-integer-k",
+             "non-integer-gate-dots"],
     )
     def test_malformed_shape_exits_one(self, stellar_files, tmp_path, capsys, command, fault):
         array, gate, out = stellar_files
@@ -374,6 +393,7 @@ class TestInputErrors:
         assert run(command, array, gate, out) == 1
         err = capsys.readouterr().err
         assert err.startswith("input error") and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize(
         "command, flag, value",
@@ -387,11 +407,17 @@ class TestInputErrors:
             ("simulate", "--tau-max", "-5"),
             ("simulate", "--sweep", "1e-4:nan:3"),
             ("simulate", "--sweep", "1e-4:1e-2"),
+            ("simulate", "--sweep", "-1e-2:-1e-4:3"),
+            ("simulate", "--sweep", "-1e-4:1e-2:3"),
+            ("simulate", "--sweep", "1e-4:-1e-2:3"),
+            ("simulate", "--sweep", "0:1e-2:3"),
+            ("simulate", "--sweep", "1e-4:1e-2:0"),
         ],
     )
     def test_non_finite_or_negative_number_exits_one(self, stellar_files, capsys, command, flag, value):
         array, gate, out = stellar_files
-        assert run(command, array, gate, out, flag, value) == 1
+        # "--flag=value", so that a value starting with "-" reaches the flag's type
+        assert run(command, array, gate, out, f"{flag}={value}") == 1
         err = capsys.readouterr().err
         assert err.startswith("input error") and flag in err and "Traceback" not in err
         assert not (out / f"{command}.json").exists()
@@ -431,6 +457,26 @@ def test_calibrate_and_simulate_leave_scipy_unimported(stellar_files):
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+    # scipy is a test and bench dependency only: the package runs with it
+    # blocked from import (every module but __main__, which runs the CLI)
+    script = (
+        "import importlib, pkgutil, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import dotgates\n"
+        "for mod in pkgutil.iter_modules(dotgates.__path__):\n"
+        "    if mod.name != '__main__':\n"
+        "        importlib.import_module(f'dotgates.{mod.name}')\n"
+        "from conftest import chain_array\n"
+        "from dotgates.calibrate import assignment_vectors\n"
+        "from dotgates.cli import main\n"
+        "assert assignment_vectors(chain_array(16)).n_bonds == 15\n"
+        f"assert main(['calibrate', '--dd', *{files!r}]) == 0\n"
+        f"assert main(['simulate', *{files!r}]) == 0\n"
+    )
+    env["PYTHONPATH"] += os.pathsep + str(Path(__file__).parent)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 class TestEnvOverrides:

@@ -495,6 +495,13 @@ class TestGateSpecJson:
         with pytest.raises(ValueError, match="finite"):
             GateSpec.from_json(doc)
 
+    @pytest.mark.parametrize("control, dot", [(0.7, 1), (0, 1.2), ("0", 1), (0, True)])
+    def test_rejects_non_integer_dots(self, control, dot):
+        # int() would read 0.7 as 0 and 1.2 as 1
+        doc = {"factors": [{"control": control, "targets": [{"dot": dot, "theta": np.pi}]}]}
+        with pytest.raises(ValueError, match="must be an integer"):
+            GateSpec.from_json(doc)
+
 
 def expand_by_bit_table(spec, n):
     """Parent implementation of ``GateSpec.expand`` for factored gates."""

@@ -233,3 +233,25 @@ class TestJsonInterface:
         edit(doc, bad)
         with pytest.raises(ValueError, match="finite"):
             array_from_json(doc)
+
+    @pytest.mark.parametrize("bad", [1.9, 0.5, "1", True, float("nan"), float("inf"), None])
+    @pytest.mark.parametrize("key", ["id", "j", "k"])
+    def test_rejects_non_integer_ids(self, key, bad):
+        # int() would truncate 1.9 to 1 and read "1" and true as 1
+        doc = {
+            "dots": [{"id": j, "zeeman": 1.0 + 0.1 * j} for j in range(3)],
+            "bonds": [{"j": 0, "k": 1, "J": 0.5, "t": [0.8, 0.0], "s": [0.0, 0.6]}],
+        }
+        array_from_json(doc)
+        (doc["dots"][1] if key == "id" else doc["bonds"][0])[key] = bad
+        with pytest.raises(ValueError, match="must be an integer"):
+            array_from_json(doc)
+
+    def test_accepts_integral_floats(self):
+        doc = {
+            "dots": [{"id": 0.0, "zeeman": 1.0}, {"id": 1, "zeeman": 1.1}],
+            "bonds": [{"j": 0, "k": 1.0, "J": 0.5, "t": [0.8, 0.0], "s": [0.0, 0.6]}],
+        }
+        arr = array_from_json(doc)
+        assert (arr.bonds[0].j, arr.bonds[0].k) == (0, 1)
+        assert type(arr.bonds[0].k) is int

@@ -2,13 +2,11 @@
 
 from .model import (
     Bond,
-    DegenerateChargeState,
     Dot,
     DotArray,
     array_from_json,
     array_to_json,
     bond_vector,
-    exchange_energy,
     grid_vector,
     tunneling_from_soi,
 )
@@ -35,10 +33,10 @@ from .gates import (
 )
 from .simulate import (
     DegenerateSpectrum,
+    DenseLimitExceeded,
     EigensolverFailure,
     SimReport,
     Spectrum,
-    average_gate_fidelity,
     build_hamiltonian,
     fidelity_lower_bound,
     ideal_evolution,
@@ -57,11 +55,9 @@ from .calibrate import (
     Stage,
     assignment_vectors,
     accumulated_bond_phases,
-    conjugated_grid_vector,
     extra_local_phases,
     kspace_path,
     solve_intervals,
-    time_upper_bound,
     weave_dd,
 )
 from .circuits import (

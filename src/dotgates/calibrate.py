@@ -12,11 +12,11 @@ number of times so far, with dot 0 the most significant bit, as in the
 basis indices.  ``PulseSchedule.frames`` accumulates the pulses' X-masks
 by XOR, one frame per stage plus the net frame after the last, and
 ``bond_signs`` reads every bond's velocity sign in a frame as ``1 - 2
-(b_j xor b_k)``.  The stage sign matrix, the per-dot signs, the pulse
-counts, the stage pulses of ``solve_intervals``, the pulse-induced local
-phases and the echo weave are all read from those frames; only the
-phase-carrying products of the pulses (``PauliAssignment.compose``) need
-the Z bits.
+(b_j xor b_k)``.  The stage sign matrix, the stage pulses of
+``solve_intervals``, the pulse-induced local phases (from the per-dot
+signs) and the echo weave (from the per-dot toggles) are all read from
+those frames; only the phase-carrying products of the pulses
+(``PauliAssignment.compose``) need the Z bits.
 """
 
 from __future__ import annotations
@@ -24,14 +24,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import gamma as gamma_function
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .basis import TWO_PI, bit_of, bit_table, circular_distance, wrap_2pi
-from .gates import FreePhase
-from .model import DotArray, grid_vector, integer
+from .basis import bit_of, bit_table, circular_distance, wrap_2pi
+from .gates import FreePhase, NoBondVelocity
+from .model import DotArray, integer
 
 # (x, z) bits of each single-qubit Pauli, with Y = i X Z
 _PAULI_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -218,15 +217,6 @@ class PulseSchedule:
                 net, _ = st.pulse.compose(net)
         return net
 
-    def dot_sign_matrix(self) -> np.ndarray:
-        """(stages, dots) array of per-stage dot signs, -1 on flipped dots."""
-        return _dot_signs(self.frames()[:-1], self.n_dots)
-
-    def pulse_count(self, dot: int) -> int:
-        """Number of X or Y pulses on ``dot``: the toggles of its frame bit."""
-        frames = self.frames()
-        return int(np.sum(bit_of(frames[1:] ^ frames[:-1], dot, self.n_dots)))
-
     def to_json(self) -> str:
         doc = {
             "stages": [
@@ -279,7 +269,7 @@ class CalibrationTarget:
             raise ValueError("phases and velocities must align with the bond list")
         for phi, delta in zip(self.phases, self.velocities):
             if abs(delta) < 1e-15 and circular_distance(phi, 0.0, self.modulus) > 1e-9:
-                raise ValueError(
+                raise NoBondVelocity(
                     "a zero-velocity bond can only target a phase that is "
                     "zero on the lattice"
                 )
@@ -306,15 +296,6 @@ def bond_signs(array: DotArray, masks) -> np.ndarray:
     j = [b.j for b in array.bonds]
     k = [b.k for b in array.bonds]
     return signs[..., j] * signs[..., k]
-
-
-def conjugated_grid_vector(array: DotArray, q: PauliAssignment) -> np.ndarray:
-    """Grid vector with S and T swapped on every bond that has an odd number
-    of X/Y labels on its endpoints; Z and I leave bonds unchanged."""
-    signs = bond_signs(array, q.x_mask)
-    return grid_vector(
-        array.with_bonds(b.conjugated() if s < 0 else b for b, s in zip(array.bonds, signs))
-    )
 
 
 def subset_signs(array: DotArray, flipped: frozenset[int]) -> np.ndarray:
@@ -824,12 +805,6 @@ class KSpacePath:
     folded: np.ndarray   # raw folded into the target unit cell
     modulus: float
 
-    def endpoint_distance(self, target_phases: Sequence[float]) -> float:
-        """Folded distance of the endpoint from the target lattice point."""
-        target = np.mod(np.asarray(target_phases, dtype=float), self.modulus) / np.pi
-        d = circular_distance(self.folded[-1] * np.pi, target * np.pi, self.modulus)
-        return float(np.max(d / np.pi))
-
     def to_csv(self) -> str:
         lines = ["time,bond_id,phase_over_pi,folded_phase_over_pi"]
         for t, raw, folded in zip(self.times.tolist(), self.raw.tolist(), self.folded.tolist()):
@@ -877,29 +852,3 @@ def straight_path_fold(
     v = np.asarray(velocities, dtype=float) / np.pi
     cell = target.modulus / np.pi
     return np.mod(np.outer(t_grid, v), cell)
-
-
-def time_upper_bound(n_targets: int, epsilon: float, v_min: float) -> float:
-    """Worst-case straight-path time to reach infidelity epsilon.
-
-    ``tau = Gamma(n/2) / (sqrt(n-1) v_min) * ((8/pi) / (eps (n-1)))^((n-2)/2)``.
-    ``v_min`` is the smallest per-bond k-space speed |Delta_w| / (2 pi),
-    the slowest coordinate of the straight path.
-    """
-    if n_targets < 2:
-        raise ValueError("need at least two targets")
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must be in (0, 1)")
-    if v_min <= 0:
-        raise ValueError("v_min must be positive")
-    n = n_targets
-    return (
-        gamma_function(n / 2.0)
-        / (np.sqrt(n - 1.0) * v_min)
-        * ((8.0 / np.pi) / (epsilon * (n - 1.0))) ** ((n - 2.0) / 2.0)
-    )
-
-
-def min_kspace_speed(array: DotArray) -> float:
-    """Smallest per-bond |Delta| / (2 pi) over the array."""
-    return float(min(abs(b.velocity) for b in array.bonds) / TWO_PI)

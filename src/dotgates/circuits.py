@@ -18,7 +18,6 @@ import numpy as np
 from .basis import bit_of
 from .calibrate import PauliAssignment, SignedPermutation
 from .gates import GateSpec, MqcpFactor, PhaseVector
-from .model import integer
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
@@ -285,27 +284,6 @@ def consecutive_ones_parity(bits: str) -> int:
         raise ValueError("bit string expected")
     pairs = sum(1 for a, b in zip(bits, bits[1:]) if a == "1" and b == "1")
     return -1 if pairs % 2 else 1
-
-
-def circuit_from_description(doc: list[dict]) -> Circuit:
-    """Rebuild a circuit from its :meth:`Circuit.describe` record."""
-    ops = []
-    n_qubits = None
-    qubits = []
-    for rec in doc:
-        if rec["op"] == "diag":
-            phases = PhaseVector(np.asarray(rec["phases"], dtype=float))
-            n_qubits = phases.n_qubits
-            ops.append(diagonal(phases))
-            continue
-        qubits.append(integer(rec["qubit"], "qubit"))
-        if rec["op"] == "h":
-            ops.append(hadamard(qubits[-1]))
-        else:
-            ops.append(measure(qubits[-1], str(rec["basis"])))
-    if n_qubits is None:
-        n_qubits = 1 + max(qubits, default=0)
-    return Circuit(n_qubits, tuple(ops))
 
 
 def reversal_signs_brute_force(n_qubits: int, tol: float = 1e-9) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Command-line front end: check, solve, simulate, calibrate, apps.
 
 Inputs are the JSON array/gate documents; outputs are JSON reports and CSV
-sweep tables under ``--out``.  Exit codes: 0 success (feasible), 2 target
-infeasible or, for ``calibrate``, a schedule whose exact verify misses the
-target by more than ``VERIFY_TOL``, 1 malformed input or bad selector.
+sweep tables under ``--out``.  Exit codes: 0 success (feasible; the gate
+with no factors is the identity), 2 target infeasible (a zero-velocity bond
+included) or, for ``calibrate``, a schedule whose exact verify misses the
+target by more than ``VERIFY_TOL``, 1 malformed input, bad selector, memory
+exhaustion, or ``simulate``/``calibrate`` past the dense limit of 12 dots.
 The flags ``--out``, ``--tol``, ``--seed``, ``--jobs``, ``--tau-max`` and
 ``--offset-bound`` have environment-variable overrides ``DOTGATES_OUT``,
 ``DOTGATES_TOL``, ``DOTGATES_SEED``, ``DOTGATES_JOBS``, ``DOTGATES_TAU_MAX``
@@ -39,6 +41,7 @@ from .calibrate import (
 from .gates import (
     BondReading,
     GateSpec,
+    NoBondVelocity,
     PhaseVector,
     assert_single_control,
     equiv_up_to_free_phase,
@@ -181,7 +184,11 @@ def _candidate_times(array: DotArray, target: PhaseVector, args):
     if not reading.feasible:
         print(f"infeasible: {_infeasible_message(reading)}")
         return None
-    return reading, solve_dynamics(array, reading.bond_phases, args.tau_max, args.tol)
+    try:
+        return reading, solve_dynamics(array, reading.bond_phases, args.tau_max, args.tol)
+    except NoBondVelocity as exc:
+        print(f"infeasible: {exc}")
+        return None
 
 
 def cmd_solve(args) -> int:
@@ -245,19 +252,20 @@ def cmd_calibrate(args) -> int:
     reading = read_bonds(array, gate, args.tol)
     if not reading.feasible:
         raise ValueError(_infeasible_message(reading))
-    target = CalibrationTarget.for_array(array, reading.bond_phases)
     try:
+        target = CalibrationTarget.for_array(array, reading.bond_phases)
         schedule = solve_intervals(
             array, target, choose_assignments(array), offset_bound=args.offset_bound
         )
-    except InfeasibleSchedule as exc:
+    except (NoBondVelocity, InfeasibleSchedule) as exc:
         print(f"infeasible: {exc}")
         return 2
+    # shared by the base and the woven verify; built before any artifact is
+    # written, so an array past the dense limit leaves none
+    spectrum = Spectrum.of(array)
     _write(args.out, "schedule.json", schedule.to_json())
     path = kspace_path(array, schedule, target, samples_per_stage=8)
     _write(args.out, "kspace.csv", path.to_csv())
-
-    spectrum = Spectrum.of(array)  # shared by the base and the woven verify
 
     def verify(sched):
         pp = extra_local_phases(sched, array)
@@ -377,6 +385,9 @@ def main(argv=None) -> int:
         return 1
     except EigensolverFailure as exc:
         print(f"eigensolver failure: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 1
 
 

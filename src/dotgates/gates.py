@@ -169,8 +169,10 @@ class GateSpec:
             return self.raw
         dots = [d for f in self.factors for d in (f.control, *(t for t, _ in f.targets))]
         if n_qubits is None:
+            if not dots:
+                raise ValueError("a gate with no factors needs the qubit count")
             n_qubits = 1 + max(dots)
-        if min(dots) < 0 or max(dots) >= n_qubits:
+        if not all(0 <= d < n_qubits for d in dots):
             raise ValueError(f"gate names a dot outside 0..{n_qubits - 1}")
         pairs = [(f.control, dot) for f in self.factors for dot, _ in f.targets]
         angles = [theta for f in self.factors for _, theta in f.targets]

@@ -30,10 +30,6 @@ from .basis import bit_of
 TS_NORM_TOL = 1e-12
 
 
-class DegenerateChargeState(ValueError):
-    """Charge configuration where the perturbative exchange formula breaks."""
-
-
 def tunneling_from_soi(gamma_so: float, theta_b: float) -> tuple[complex, complex]:
     """Normalized (t, s) amplitudes from SOI angle and field angle.
 
@@ -44,27 +40,6 @@ def tunneling_from_soi(gamma_so: float, theta_b: float) -> tuple[complex, comple
     t = math.cos(gamma_so) - 1j * math.sin(gamma_so) * math.cos(theta_b)
     s = -1j * math.sin(gamma_so) * math.sin(theta_b)
     return t, s
-
-
-def exchange_energy(t_amp: float, u: float, mu_j: float, mu_k: float) -> float:
-    """Exchange energy of a bond from tunneling amplitude and charge energies.
-
-    ``J = (T_jk / 2) [1/(U - mu_j + mu_k) + 1/(U - mu_k + mu_j)]``.
-
-    Raises
-    ------
-    DegenerateChargeState
-        If either denominator is within ``1e-9 * |U|`` of zero the virtual
-        doubly-occupied state is nearly resonant and the formula is invalid.
-    """
-    d1 = u - mu_j + mu_k
-    d2 = u - mu_k + mu_j
-    guard = 1e-9 * abs(u)
-    if abs(d1) <= guard or abs(d2) <= guard:
-        raise DegenerateChargeState(
-            f"detuning {mu_j - mu_k!r} nearly cancels charging energy {u!r}"
-        )
-    return 0.5 * t_amp * (1.0 / d1 + 1.0 / d2)
 
 
 @dataclass(frozen=True)
@@ -204,12 +179,6 @@ def grid_vector(array: DotArray) -> np.ndarray:
     for bond in array.bonds:
         total += embed_bond_values(bond_vector(bond), bond.j, bond.k, array.n_dots)
     return total
-
-
-def is_reflection_symmetric(values: np.ndarray, tol: float = 0.0) -> bool:
-    """Whether value at every index equals the value at its bit complement."""
-    values = np.asarray(values)
-    return bool(np.all(np.abs(values - values[::-1]) <= tol))
 
 
 def soi_strength_table(x_so: Sequence[float], gamma_so: Sequence[float]) -> Callable[[float], float]:

@@ -42,6 +42,19 @@ class DegenerateSpectrum(RuntimeError):
     """Coupled levels too close for the perturbative treatment."""
 
 
+# Most dots the dense path takes.  At 13 dots the complex 2^N x 2^N
+# Hamiltonian alone is 1 GiB, and eigh's copy and workspace add about four
+# times that; every further dot multiplies both by four.
+DENSE_MAX_DOTS = 12
+
+
+class DenseLimitExceeded(ValueError):
+    """An array with more dots than the dense path takes."""
+
+
+MIN_OVERLAP = 0.5  # least |<n|n'>|^2 of a matched pair in the perturbative regime
+
+
 def entangled_state(bond: Bond) -> np.ndarray:
     """Normalized bond state (s*, t*, -t, s)/sqrt(2) on (uu, ud, du, dd)."""
     t, s = bond.t, bond.s
@@ -73,8 +86,15 @@ def build_hamiltonian(array: DotArray) -> HamiltonianPair:
     ``h0`` holds the Zeeman diagonal ``sum_j (-1)^{b_j} eps_j / 2`` (bit 0 is
     spin up); ``h_ex`` accumulates ``-J_w`` times the embedded projector on
     each bond's entangled state, so its diagonal is minus the grid vector.
+    An array of more than ``DENSE_MAX_DOTS`` dots raises
+    :class:`DenseLimitExceeded` before anything is allocated.
     """
     n = array.n_dots
+    if n > DENSE_MAX_DOTS:
+        raise DenseLimitExceeded(
+            f"{n} dots exceed the dense limit of {DENSE_MAX_DOTS}: the 2^{n} x 2^{n} "
+            f"Hamiltonian alone would take {4**n >> 26} GiB"
+        )
     bits = bit_table(n)
     h0 = ((1 - 2 * bits) @ array.zeemans) / 2.0
     h_ex = np.zeros((1 << n, 1 << n), dtype=complex)
@@ -129,12 +149,12 @@ class Spectrum:
         mixed = self.weights @ np.column_stack([rot.real, rot.imag])
         return np.exp(1j * tau * self.h0) * (mixed[:, 0] + 1j * mixed[:, 1])
 
-    def match(self, min_overlap: float = 0.5) -> MatchedSpectrum:
+    def match(self) -> MatchedSpectrum:
         """Pair eigenvectors with basis states; see :func:`match_eigenstates`."""
         dim = self.evals.shape[0]
         basis_of = _match_columns(self.weights)
         overlaps = self.weights[np.arange(dim), basis_of]
-        if np.min(overlaps) < min_overlap:
+        if np.min(overlaps) < MIN_OVERLAP:
             worst = int(np.argmin(overlaps))
             raise DegenerateSpectrum(
                 f"state {worst} overlaps its eigenvector by only {overlaps[worst]:.3f}; "
@@ -210,19 +230,6 @@ def ideal_evolution(array: DotArray, tau: float) -> PhaseVector:
     return PhaseVector(tau * grid_vector(array))
 
 
-def unitarity_defect(u: np.ndarray) -> float:
-    dim = u.shape[0]
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
-
-
-def average_gate_fidelity(u: np.ndarray, v_diag: PhaseVector) -> float:
-    """``F = (d + |tr(U^dag V)|^2) / (d (d + 1))`` for diagonal V.
-
-    Only the diagonal of U enters the trace product.
-    """
-    return _diagonal_fidelity(np.diag(u), v_diag)
-
-
 def _diagonal_fidelity(u_diag: np.ndarray, v_diag: PhaseVector) -> float:
     d = u_diag.shape[0]
     if v_diag.values.shape[0] != d:
@@ -251,54 +258,36 @@ class MatchedSpectrum:
     def leak(self) -> float:
         return float(np.sum(1.0 - self.overlaps))
 
-    def energy_shift_residues(self, tau: float) -> np.ndarray:
-        """tau * (dE_n - dE_n^(1)), folded to (-pi, pi]."""
-        shift = self.energies - self.energies_0 - self.first_order
-        return wrap_pm_pi(tau * shift)
 
-
-def match_eigenstates(array: DotArray, min_overlap: float = 0.5) -> MatchedSpectrum:
+def match_eigenstates(array: DotArray) -> MatchedSpectrum:
     """Pair perturbed eigenstates with basis states by maximal overlap.
 
-    Pairs are assigned greedily by descending overlap with deterministic
-    index tie-breaking; an overlap below ``min_overlap`` signals a
-    non-perturbative spectrum and raises :class:`DegenerateSpectrum`.
+    Each eigenvector goes to the basis state it overlaps most (the lowest
+    index on ties).  Two eigenvectors that pick the same state, or a pair
+    whose overlap is below ``MIN_OVERLAP``, signal a non-perturbative
+    spectrum and raise :class:`DegenerateSpectrum`.
     """
-    return Spectrum.of(array).match(min_overlap)
-
-
-def _greedy_match(weights: np.ndarray) -> np.ndarray:
-    """Basis row -> eigenvector column, pairs taken by descending weight."""
-    dim = weights.shape[0]
-    order = np.argsort(-weights, axis=None, kind="stable")
-    basis_of = np.full(dim, -1)
-    eig_of = np.full(dim, -1)
-    assigned = 0
-    for flat in order:
-        n, m = divmod(int(flat), dim)
-        if basis_of[n] >= 0 or eig_of[m] >= 0:
-            continue
-        basis_of[n] = m
-        eig_of[m] = n
-        assigned += 1
-        if assigned == dim:
-            break
-    return basis_of
+    return Spectrum.of(array).match()
 
 
 def _match_columns(weights: np.ndarray) -> np.ndarray:
-    """The greedy pairing, in O(4^N) when every column's best row differs.
+    """Basis row -> eigenvector column, each column at the row of its
+    largest weight (the lowest row on ties).
 
-    Each column's largest weight (lowest row on ties) comes first in the
-    greedy order among that column's entries, so when those rows are all
-    distinct no pair can block another and greedy takes exactly them.
+    Raises :class:`DegenerateSpectrum` when two columns pick the same row n.
+    V is unitary, so row n's weights sum to 1 and one of the two columns
+    has a largest weight, and so every weight, of at most 1/2: no pairing
+    gives it an overlap above ``MIN_OVERLAP``.
     """
-    dim = weights.shape[0]
-    basis_of = np.full(dim, -1)
-    basis_of[np.argmax(weights, axis=0)] = np.arange(dim)
-    if np.any(basis_of < 0):  # two columns picked the same row
-        return _greedy_match(weights)
-    return basis_of
+    rows = np.argmax(weights, axis=0)
+    shared = np.flatnonzero(np.bincount(rows, minlength=rows.shape[0]) > 1)
+    if shared.size:
+        a, b = np.flatnonzero(rows == shared[0])[:2].tolist()
+        raise DegenerateSpectrum(
+            f"state {shared[0]} overlaps both eigenvectors {a} and {b} most; "
+            "the spectrum is outside the perturbative regime"
+        )
+    return np.argsort(rows)  # rows is a permutation; this is its inverse
 
 
 def diagonal_residues(u: np.ndarray, ideal: PhaseVector) -> np.ndarray:
@@ -442,7 +431,7 @@ def simulate_gate(array: DotArray, tau: float) -> SimReport:
     u_diag = spectrum.diagonal(tau)
     ideal = PhaseVector(-tau * spectrum.h_ex_diag)
     residues = _diagonal_residues(u_diag, ideal)
-    leak = spectrum.match(0.5).leak
+    leak = spectrum.match().leak
     corr = optimal_phase_correction(residues, array.n_dots)
     return SimReport(
         array=array,

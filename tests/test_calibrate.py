@@ -1,3 +1,5 @@
+from math import gamma
+
 import numpy as np
 import pytest
 
@@ -15,17 +17,14 @@ from dotgates import (
     Stage,
     accumulated_bond_phases,
     assignment_vectors,
-    conjugated_grid_vector,
     equiv_up_to_free_phase,
     extra_local_phases,
     kspace_path,
     solve_intervals,
-    time_upper_bound,
     weave_dd,
 )
 from dotgates.basis import circular_distance
 from dotgates.calibrate import (
-    min_kspace_speed,
     stage_sign_matrix,
     straight_path_fold,
     subset_signs,
@@ -35,6 +34,26 @@ from dotgates.simulate import pulsed_evolution
 
 from conftest import make_bond, stellar_array
 from test_assignment_span import linearly_spans, positively_spans
+from test_frames import oracle_conjugated_grid
+
+
+def time_upper_bound(n_targets, epsilon, v_min):
+    """The paper's worst-case straight-path time to reach infidelity epsilon:
+    ``tau = Gamma(n/2) / (sqrt(n-1) v_min) ((8/pi) / (eps (n-1)))^((n-2)/2)``,
+    with ``v_min`` the smallest per-bond k-space speed |Delta_w| / (2 pi), the
+    slowest coordinate of the straight path.  No flow reads it, so the
+    formula lives here, checked against a simulated first passage."""
+    n = n_targets
+    return (
+        gamma(n / 2.0)
+        / (np.sqrt(n - 1.0) * v_min)
+        * ((8.0 / np.pi) / (epsilon * (n - 1.0))) ** ((n - 2.0) / 2.0)
+    )
+
+
+def pulse_count(schedule, dot):
+    """Number of X or Y pulses on ``dot``, read from the labels."""
+    return sum(1 for st in schedule.stages if st.pulse is not None and st.pulse.labels[dot] in "XY")
 
 
 def fully_connected(n, j_scale=1.0):
@@ -111,10 +130,13 @@ class TestPauliBits:
 
 
 class TestConjugatedGridVector:
+    """The frame grid oracle that the exact pulsed-propagator tests compare
+    against: X and Y on one end of a bond swap its rates, Z and I do not."""
+
     def test_identity_assignment(self, rng):
         arr = stellar_array(2, rng=rng)
         q = PauliAssignment.identity(3)
-        assert conjugated_grid_vector(arr, q) == pytest.approx(grid_vector(arr))
+        assert oracle_conjugated_grid(arr, q) == pytest.approx(grid_vector(arr))
 
     def test_single_endpoint_flip_swaps_rates(self):
         bond = make_bond(0, 1, 1.0, 0.8)
@@ -122,19 +144,19 @@ class TestConjugatedGridVector:
         s, t = bond.spin_flip_rate, bond.spin_conserved_rate
         for label in ("X", "Y"):
             q = PauliAssignment(["I", label])
-            assert conjugated_grid_vector(arr, q) == pytest.approx([t, s, s, t])
+            assert oracle_conjugated_grid(arr, q) == pytest.approx([t, s, s, t])
 
     def test_double_flip_restores(self):
         bond = make_bond(0, 1, 1.0, 0.8)
         arr = DotArray([Dot(0, 1.0), Dot(1, 1.2)], [bond])
         for labels in (("X", "Y"), ("X", "X"), ("Y", "Y")):
             q = PauliAssignment(labels)
-            assert conjugated_grid_vector(arr, q) == pytest.approx(grid_vector(arr))
+            assert oracle_conjugated_grid(arr, q) == pytest.approx(grid_vector(arr))
 
     def test_z_labels_do_nothing(self, rng):
         arr = stellar_array(3, rng=rng)
         q = PauliAssignment(["Z", "I", "Z", "I"])
-        assert conjugated_grid_vector(arr, q) == pytest.approx(grid_vector(arr))
+        assert oracle_conjugated_grid(arr, q) == pytest.approx(grid_vector(arr))
 
 
 class TestAssignmentVectors:
@@ -316,7 +338,7 @@ class TestExtraLocalPhases:
         entangle = np.zeros(8)
         for mask, st in zip(sched.frames().tolist(), sched.stages):
             q = PauliAssignment.x_on([j for j in range(3) if mask >> (2 - j) & 1], 3)
-            entangle += st.duration * conjugated_grid_vector(arr, q)
+            entangle += st.duration * oracle_conjugated_grid(arr, q)
         predicted = PhaseVector(entangle + pp.free.expand().values)
         actual = PhaseVector(np.angle(np.diag(stripped)))
         assert actual.distance(predicted) <= 1e-4
@@ -328,7 +350,7 @@ class TestWeave:
         sched = PulseSchedule(2, [Stage(8.0, None)])
         woven = weave_dd(sched)
         for j in range(2):
-            assert woven.pulse_count(j) == 4
+            assert pulse_count(woven, j) == 4
         labels = [
             st.pulse.labels[0] for st in woven.stages if st.pulse is not None
         ]
@@ -343,7 +365,7 @@ class TestWeave:
         woven = weave_dd(PulseSchedule(2, [Stage(0.0, None)]))
         assert woven.total_time == 0.0
         for j in range(2):
-            assert woven.pulse_count(j) == 4
+            assert pulse_count(woven, j) == 4
         labels = [st.pulse.labels[0] for st in woven.stages if st.pulse is not None]
         assert labels == ["X", "Y", "X", "Y"]
         assert woven.net_pulse().is_identity()
@@ -360,8 +382,8 @@ class TestWeave:
             assert np.max(np.abs(after - base)) <= 1e-9
             assert woven.net_pulse().is_identity()
             for j in range(arr.n_dots):
-                assert woven.pulse_count(j) % 4 == 0
-                assert woven.pulse_count(j) >= 4
+                assert pulse_count(woven, j) % 4 == 0
+                assert pulse_count(woven, j) >= 4
 
     def test_alternating_traces(self, rng):
         arr = stellar_array(3, rng=rng)
@@ -374,11 +396,6 @@ class TestWeave:
                 if st.pulse is not None and st.pulse.labels[j] != "I"
             ]
             assert trace == ["X", "Y"] * (len(trace) // 2)
-        # per-stage dot signs are read from the toggling frames
-        signs = woven.dot_sign_matrix()
-        assert signs.shape == (len(woven.stages), woven.n_dots)
-        assert np.all(signs[0] == 1)
-        assert np.all(np.abs(signs) == 1)
 
     def test_same_gate_after_weaving(self, rng):
         arr = stellar_array(2, rng=rng, j_scale=1e-3)
@@ -438,7 +455,8 @@ class TestKSpacePath:
         target = CalibrationTarget.for_array(arr, [np.pi, np.pi], modulus=2 * np.pi)
         path = kspace_path(arr, PulseSchedule(3, [Stage(tau, None)]), target)
         assert path.raw[-1] / 2.0 == pytest.approx([2.5, 1.5])
-        assert path.endpoint_distance([np.pi, np.pi]) <= 1e-9
+        # the endpoint sits on the target lattice point
+        assert np.max(circular_distance(path.folded[-1] * np.pi, np.pi, 2 * np.pi)) <= 1e-9
 
     def test_irrational_ratio_never_lands(self):
         arr = DotArray(
@@ -485,8 +503,6 @@ class TestTimeUpperBound:
         assert time_upper_bound(2, 0.3, v) == pytest.approx(1.0 / v)
 
     def test_three_target_formula(self):
-        from math import gamma
-
         v, eps = 0.21, 0.01
         expected = (1.0 / (np.sqrt(2.0) * v)) * gamma(1.5) * ((8.0 / np.pi) / (eps * 2.0)) ** 0.5
         assert time_upper_bound(3, eps, v) == pytest.approx(expected)
@@ -504,7 +520,7 @@ class TestTimeUpperBound:
             [Dot(0, 1.0), Dot(1, 1.3), Dot(2, 0.7)],
             [make_bond(0, 1, 1e-3, 0.8), make_bond(0, 2, 1e-3 / np.sqrt(2), 0.8)],
         )
-        v_min = min_kspace_speed(arr)
+        v_min = min(abs(b.velocity) for b in arr.bonds) / (2 * np.pi)
         eps = 3e-3
         bound = time_upper_bound(3, eps, v_min)
         lam = grid_vector(arr)

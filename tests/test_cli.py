@@ -14,7 +14,7 @@ from dotgates.cli import main
 from dotgates.gates import GateSpec, parity_matrix, read_bonds, solve_dynamics
 from dotgates.model import array_from_json, array_to_json
 
-from conftest import stellar_array
+from conftest import chain_array, stellar_array
 
 
 @pytest.fixture
@@ -364,6 +364,18 @@ class TestInputErrors:
         assert "Traceback" not in err
         assert err.startswith("eigensolver failure") and len(err.strip().splitlines()) == 1
 
+    def test_memory_error_exits_one(self, stellar_files, monkeypatch, capsys):
+        array, gate, out = stellar_files
+
+        def fail(_):
+            raise MemoryError("Unable to allocate 64.0 GiB")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        code = main(["simulate", "--array", array, "--gate", gate, "--out", str(out),
+                     "--tau", "100.0"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "out of memory: Unable to allocate 64.0 GiB\n"
 
     @pytest.mark.parametrize("command", ["check", "solve", "simulate", "calibrate"])
     @pytest.mark.parametrize(
@@ -687,3 +699,102 @@ class TestOneReading:
         assert run("solve", array, gate, out, "--tau-max", "1e12") == 1
         err = capsys.readouterr().err
         assert err.startswith("input error") and "--tau-max" in err
+
+
+class TestUnreachableTargets:
+    """A bond with |t|^2 = |s|^2 = 1/2 has velocity 0: the balanced-channel
+    case, where it accumulates no phase.  A target asking it for one is
+    well formed but unreachable."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        amplitudes = [(0.9, np.sqrt(1 - 0.81)), (np.sqrt(0.5), np.sqrt(0.5))]
+        array = {
+            "dots": [{"id": j, "zeeman": 1.0 + 0.3 * j} for j in range(3)],
+            "bonds": [
+                {"j": j, "k": j + 1, "J": 1e-3, "t": [t, 0.0], "s": [0.0, s]}
+                for j, (t, s) in enumerate(amplitudes)
+            ],
+        }
+        gate = {"factors": [{"control": 0, "targets": [{"dot": 1, "theta": 1.0}]},
+                            {"control": 1, "targets": [{"dot": 2, "theta": 0.5}]}]}
+        (tmp_path / "array.json").write_text(json.dumps(array))
+        (tmp_path / "gate.json").write_text(json.dumps(gate))
+        return str(tmp_path / "array.json"), str(tmp_path / "gate.json"), tmp_path / "out"
+
+    def test_check_reads_the_gate(self, files):
+        # the reading is first order in phases, blind to velocities
+        assert run("check", *files) == 0
+
+    @pytest.mark.parametrize("command, extra", [("solve", ()), ("simulate", ()),
+                                                ("calibrate", ("--dd",))])
+    def test_zero_velocity_target_exits_two(self, files, capsys, command, extra):
+        array, gate, out = files
+        assert run(command, array, gate, out, *extra) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith("infeasible: a zero-velocity bond")
+        assert not out.exists()
+
+
+class TestIdentityGate:
+    """``{"factors": []}`` is the identity, a target every array reaches."""
+
+    @pytest.fixture
+    def files(self, stellar_files, tmp_path):
+        array, _, out = stellar_files
+        (tmp_path / "identity.json").write_text('{"factors": []}')
+        return array, str(tmp_path / "identity.json"), out
+
+    def test_check_has_no_local_phases(self, files):
+        assert run("check", *files) == 0
+        report = json.loads((files[2] / "check.json").read_text())
+        assert report["feasible"] and report["local_phases"] == [0.0, 0.0, 0.0]
+
+    def test_solve_and_simulate(self, files):
+        assert run("solve", *files) == 0
+        best = json.loads((files[2] / "solve.json").read_text())["mod_pi"][0]
+        assert best["max_residual"] <= 1e-9
+        assert run("simulate", *files) == 0
+        report = json.loads((files[2] / "simulate.json").read_text())
+        assert report["tau"] == best["tau"]
+        assert report["equiv_residual_vs_target"] <= 1e-2
+
+    def test_calibrate_takes_no_time(self, files):
+        assert run("calibrate", *files, "--dd") == 0
+        record = json.loads((files[2] / "calibrate.json").read_text())
+        assert record["total_time"] == record["dd_total_time"] == 0.0
+        assert record["dd_equiv_residual"] <= 1e-2
+
+
+ADDRESS_CAP = 2 << 30  # bytes
+
+
+def run_capped(argv):
+    """The CLI in a child process whose address space is capped at 2 GiB,
+    on one BLAS thread: a dense allocation past the cap fails there with
+    MemoryError instead of exhausting the machine."""
+    script = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({ADDRESS_CAP}, {ADDRESS_CAP}))\n"
+        "from dotgates.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(dotgates.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("command, n_dots", [("simulate", 16), ("calibrate", 13)])
+def test_dense_limit_refuses_before_writing(tmp_path, command, n_dots):
+    # 13 dots need a 1 GiB Hamiltonian before eigh's copy and workspace
+    (tmp_path / "array.json").write_text(array_to_json(chain_array(n_dots)))
+    (tmp_path / "identity.json").write_text('{"factors": []}')
+    out = tmp_path / "out"
+    done = run_capped([command, "--array", str(tmp_path / "array.json"),
+                       "--gate", str(tmp_path / "identity.json"), "--out", str(out)])
+    assert done.returncode == 1
+    assert done.stderr.startswith(f"input error: {n_dots} dots exceed the dense limit of 12")
+    assert len(done.stderr.splitlines()) == 1
+    assert not out.exists()

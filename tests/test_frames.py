@@ -27,7 +27,6 @@ from dotgates.calibrate import (
     assignment_vectors,
     bond_signs,
     choose_assignments,
-    conjugated_grid_vector,
     extra_local_phases,
     solve_intervals,
     stage_sign_matrix,
@@ -73,6 +72,9 @@ def oracle_dot_signs(schedule):
 
 
 def oracle_conjugated_grid(array, q):
+    """Grid vector with S and T swapped on every bond with an odd number of
+    X/Y labels on its ends: the first-order phase rates in the frame of q,
+    the reference of the exact pulsed-propagator tests."""
     bonds = []
     for b in array.bonds:
         flips = (q.labels[b.j] in ("X", "Y")) + (q.labels[b.k] in ("X", "Y"))
@@ -255,7 +257,8 @@ def test_stage_and_dot_signs_match_compose(seed):
         want = oracle_stage_signs(array, schedule)
         assert got.shape == (array.n_bonds, len(schedule.stages))
         assert np.array_equal(got, want.reshape(got.shape))
-        assert np.array_equal(schedule.dot_sign_matrix(), oracle_dot_signs(schedule))
+        dot_signs = calibrate._dot_signs(schedule.frames()[:-1], schedule.n_dots)
+        assert np.array_equal(dot_signs, oracle_dot_signs(schedule))
 
 
 def test_bond_signs_read_dot_zero_as_the_most_significant_bit():
@@ -268,22 +271,13 @@ def test_bond_signs_read_dot_zero_as_the_most_significant_bit():
     ]
 
 
-def test_subset_and_grid_readers_match_the_labels():
+def test_subset_reader_matches_the_labels():
     rng = np.random.default_rng(2)
     for _ in range(200):
         n = int(rng.integers(2, 7))
         array = random_array(rng, n)
         q = PauliAssignment(rng.choice(list("IXYZ"), size=n).tolist())
         assert np.array_equal(subset_signs(array, flipped(q)), oracle_subset_signs(array, flipped(q)))
-        assert np.array_equal(conjugated_grid_vector(array, q), oracle_conjugated_grid(array, q))
-
-
-@pytest.mark.parametrize("seed", [0, 1])
-def test_pulse_count_matches_the_labels(seed):
-    for _, schedule in instances(seed):
-        for j in range(schedule.n_dots):
-            want = sum(1 for st in schedule.stages if st.pulse is not None and j in flipped(st.pulse))
-            assert schedule.pulse_count(j) == want
 
 
 # -- readers built on the frames --------------------------------------------------

@@ -502,6 +502,13 @@ class TestGateSpecJson:
         with pytest.raises(ValueError, match="must be an integer"):
             GateSpec.from_json(doc)
 
+    def test_no_factors_is_the_identity(self):
+        spec = GateSpec.from_json('{"factors": []}')
+        assert np.array_equal(spec.expand(3).values, np.zeros(8))
+        # with no dot named, only the caller knows the qubit count
+        with pytest.raises(ValueError, match="needs the qubit count"):
+            spec.expand()
+
 
 def expand_by_bit_table(spec, n):
     """Parent implementation of ``GateSpec.expand`` for factored gates."""

@@ -6,6 +6,7 @@ from scipy.linalg import expm
 
 from dotgates import (
     CalibrationTarget,
+    DegenerateSpectrum,
     PauliAssignment,
     PulseSchedule,
     Spectrum,
@@ -18,7 +19,6 @@ from dotgates import (
 )
 from dotgates.basis import circular_distance, wrap_pm_pi
 from dotgates.simulate import (
-    _greedy_match,
     _match_columns,
     match_eigenstates,
     optimal_phase_correction,
@@ -56,6 +56,32 @@ def expm_reference(array, schedule):
 def dense_readout(array, schedule):
     net = schedule.net_pulse()
     return np.diag(net.matrix().conj().T @ pulsed_evolution(array, schedule))
+
+
+def greedy_match(weights):
+    """Basis row -> eigenvector column, pairs taken by descending weight
+    with index tie-breaking: the reference pairing of ``_match_columns``.
+
+    Each column's largest weight (lowest row on ties) comes first in this
+    order among that column's entries, so when those rows are all distinct
+    no pair blocks another and greedy takes exactly them.
+    """
+    dim = weights.shape[0]
+    order = np.argsort(-weights, axis=None, kind="stable")
+    basis_of = np.full(dim, -1)
+    eig_of = np.full(dim, -1)
+    for flat in order:
+        n, m = divmod(int(flat), dim)
+        if basis_of[n] < 0 and eig_of[m] < 0:
+            basis_of[n] = m
+            eig_of[m] = n
+    return basis_of
+
+
+def spectrum_with_vectors(evecs):
+    """A spectrum whose eigenvectors are the columns of ``evecs``."""
+    dim = evecs.shape[0]
+    return Spectrum(np.zeros(dim), np.zeros(dim), np.arange(dim, dtype=float), evecs)
 
 
 def random_schedule(rng, n, n_stages, labels="IXYZ", zero_frac=0.25):
@@ -149,7 +175,7 @@ class TestMatching:
         for n in range(2, 8):
             for arr in array_family(rng, max(n, 3)):
                 weights = Spectrum.of(arr).weights
-                assert np.array_equal(_match_columns(weights), _greedy_match(weights))
+                assert np.array_equal(_match_columns(weights), greedy_match(weights))
 
     def test_argmax_equals_greedy_on_random_weights(self):
         # strongly mixed unitaries make column collisions common
@@ -161,17 +187,35 @@ class TestMatching:
                 q, _ = np.linalg.qr(z)
                 weights = np.abs(q) ** 2
                 rows = np.argmax(weights, axis=0)
-                collisions += len(set(rows.tolist())) < dim
-                assert np.array_equal(_match_columns(weights), _greedy_match(weights))
+                if len(set(rows.tolist())) == dim:
+                    assert np.array_equal(_match_columns(weights), greedy_match(weights))
+                    continue
+                collisions += 1
+                with pytest.raises(DegenerateSpectrum):
+                    _match_columns(weights)
+                # the theorem: any pairing, greedy's included, leaves some
+                # state at overlap <= 1/2
+                assert np.min(weights[np.arange(dim), greedy_match(weights)]) <= 0.5
         assert collisions > 0
 
-    def test_collision_falls_back_to_greedy(self):
-        # both columns peak on row 0; greedy gives row 0 to the larger weight
-        weights = np.array([[0.6, 0.5], [0.4, 0.5]])
-        assert np.argmax(weights, axis=0).tolist() == [0, 0]
-        assert _match_columns(weights).tolist() == [0, 1]
-        weights = np.array([[0.5, 0.7, 0.1], [0.3, 0.2, 0.5], [0.2, 0.1, 0.4]])
-        assert _match_columns(weights).tolist() == _greedy_match(weights).tolist() == [1, 2, 0]
+    def test_collision_raises_degenerate_spectrum(self):
+        # a Householder reflection I - (2/3) J: columns 1 and 2 both peak
+        # on row 0 with weight 4/9, column 0 on row 1
+        evecs = np.eye(3) - 2.0 / 3.0
+        weights = evecs**2
+        assert np.argmax(weights, axis=0).tolist() == [1, 0, 0]
+        with pytest.raises(DegenerateSpectrum, match="state 0 overlaps both eigenvectors 1 and 2 most"):
+            _match_columns(weights)
+        with pytest.raises(DegenerateSpectrum, match="state 0 overlaps both"):
+            spectrum_with_vectors(evecs).match()
+
+    def test_exact_half_tie_raises(self):
+        # every weight of the Hadamard is 1/2, so both columns pick row 0;
+        # greedy would pair them at overlap exactly 1/2, on the floor
+        evecs = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        assert greedy_match(evecs**2).tolist() == [0, 1]
+        with pytest.raises(DegenerateSpectrum, match="state 0 overlaps both eigenvectors 0 and 1 most"):
+            spectrum_with_vectors(evecs).match()
 
     def test_match_eigenstates_uses_the_spectrum(self, rng):
         arr = random_connected_array(rng, 4)
@@ -200,7 +244,7 @@ class TestSimulateGateDiagonal:
             fidelity = (d + abs(tr) ** 2) / (d * (d + 1))
             residues = wrap_pm_pi(np.angle(np.diag(u)) - ideal)
             weights = np.abs(evecs) ** 2
-            leak = float(np.sum(1.0 - weights[np.arange(d), _greedy_match(weights)]))
+            leak = float(np.sum(1.0 - weights[np.arange(d), greedy_match(weights)]))
             bound = 1.0 - 2 * d / (d + 1) * np.max(np.abs(residues)) - 4 / (d + 1) * leak
             post = optimal_phase_correction(residues, n).post
 

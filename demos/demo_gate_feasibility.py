@@ -63,23 +63,23 @@ target = GateSpec(factors=(czz,)).expand(3)
 reading = read_bonds(star, target)
 print(f"per-bond target phases: {np.round(reading.bond_phases, 4)}")
 candidates = solve_dynamics(star, reading.bond_phases, tau_max=(6 * np.pi) / delta)
-best = candidates.best("mod_pi")
-print(f"first exact time on the fine (mod pi) lattice: tau = {best.tau:.1f}"
+best = candidates.mod_pi.times[0]
+print(f"first exact time on the fine (mod pi) lattice: tau = {best:.1f}"
       f"  (= pi/2 / Delta = {np.pi / 2 / delta:.1f})")
 
 # Exact simulation confirms the fine lattice realizes the target...
-u = qubit_frame_evolution(star, best.tau)
+u = qubit_frame_evolution(star, best)
 _, _, res = equiv_up_to_free_phase(PhaseVector(np.angle(np.diag(u))), target, tol=1e-2)
 print(f"exact simulation at that time matches the target up to free phases "
       f"(residual {res:.2e} rad)")
 
 # ...while the coarse (mod 2pi) lattice lands on a non-entangling gate.
-coarse = candidates.best("mod_2pi")
-u2 = qubit_frame_evolution(star, coarse.tau)
+coarse = candidates.mod_2pi.times[0]
+u2 = qubit_frame_evolution(star, coarse)
 _, _, res_id = equiv_up_to_free_phase(
     PhaseVector(np.angle(np.diag(u2))), PhaseVector.zeros(3), tol=1e-2
 )
-print(f"the coarse-lattice time tau = {coarse.tau:.1f} gives a local-Z gate "
+print(f"the coarse-lattice time tau = {coarse:.1f} gives a local-Z gate "
       f"instead (identity up to free phases, residual {res_id:.2e})")
 
 print()

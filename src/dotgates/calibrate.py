@@ -15,20 +15,21 @@ by XOR, one frame per stage plus the net frame after the last, and
 (b_j xor b_k)``.  The stage sign matrix, the stage pulses of
 ``solve_intervals``, the pulse-induced local phases (from the per-dot
 signs) and the echo weave (from the per-dot toggles) are all read from
-those frames; only the phase-carrying products of the pulses
-(``PauliAssignment.compose``) need the Z bits.
+those frames.  A pulse is its X and Z masks; the net pulse of a schedule
+is their XOR, and only ``PauliAssignment.compose`` tracks the global phase
+of a product.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .basis import bit_of, bit_table, circular_distance, wrap_2pi
+from .basis import bit_of, bit_table, circular_distance, single_bit_index, wrap_2pi
 from .gates import FreePhase, NoBondVelocity
 from .model import DotArray, integer
 
@@ -95,56 +96,62 @@ class SignedPermutation:
 
 @dataclass(frozen=True)
 class PauliAssignment:
-    """One Pauli label per dot, applied simultaneously.
+    """One Pauli per dot, applied simultaneously, held as two bit masks.
 
-    On bits the assignment is ``i^|x & z| X^x Z^z``: ``x_mask`` and
-    ``z_mask`` are indexed like basis states (dot 0 the most significant
-    bit), so it maps ``|b>`` to ``i^|x & z| (-1)^|b & z| |b ^ x>``.
+    The assignment is ``i^|x & z| X^x Z^z``: ``x_mask`` and ``z_mask`` are
+    indexed like basis states (dot 0 the most significant bit), so it maps
+    ``|b>`` to ``i^|x & z| (-1)^|b & z| |b ^ x>``.  It is built from one
+    I/X/Y/Z label per dot, and ``labels`` reads them back.
     """
 
-    labels: tuple[str, ...]
-    x_mask: int = field(init=False, repr=False, compare=False)
-    z_mask: int = field(init=False, repr=False, compare=False)
+    n_dots: int
+    x_mask: int
+    z_mask: int
 
     def __init__(self, labels: Iterable[str]):
-        labels = tuple(labels)
-        x = z = 0
+        n = x = z = 0
         for lab in labels:
             if lab not in _PAULI_BITS:
                 raise ValueError(f"unknown Pauli label {lab!r}")
             bx, bz = _PAULI_BITS[lab]
-            x, z = (x << 1) | bx, (z << 1) | bz
-        object.__setattr__(self, "labels", labels)
+            n, x, z = n + 1, (x << 1) | bx, (z << 1) | bz
+        self._fill(n, x, z)
+
+    def _fill(self, n_dots: int, x: int, z: int) -> None:
+        object.__setattr__(self, "n_dots", n_dots)
         object.__setattr__(self, "x_mask", x)
         object.__setattr__(self, "z_mask", z)
 
     @classmethod
+    def _from_masks(cls, x: int, z: int, n_dots: int) -> "PauliAssignment":
+        pulse = object.__new__(cls)
+        pulse._fill(n_dots, x, z)
+        return pulse
+
+    @classmethod
     def identity(cls, n_dots: int) -> "PauliAssignment":
-        return cls(("I",) * n_dots)
+        return cls._from_masks(0, 0, n_dots)
 
     @classmethod
     def x_on(cls, dots: Iterable[int], n_dots: int) -> "PauliAssignment":
-        labels = ["I"] * n_dots
+        x = 0
         for d in dots:
             if not 0 <= d < n_dots:
                 raise ValueError(f"dot {d} is not in 0..{n_dots - 1}")
-            labels[d] = "X"
-        return cls(labels)
-
-    @classmethod
-    def _from_masks(cls, x: int, z: int, n_dots: int) -> "PauliAssignment":
-        shifts = range(n_dots - 1, -1, -1)
-        return cls(_PAULI_LABEL[(x >> s) & 1, (z >> s) & 1] for s in shifts)
+            x |= single_bit_index(d, n_dots)
+        return cls._from_masks(x, 0, n_dots)
 
     @property
-    def n_dots(self) -> int:
-        return len(self.labels)
+    def labels(self) -> tuple[str, ...]:
+        """One I/X/Y/Z label per dot, dot 0 first."""
+        shifts = range(self.n_dots - 1, -1, -1)
+        return tuple(_PAULI_LABEL[(self.x_mask >> s) & 1, (self.z_mask >> s) & 1] for s in shifts)
 
     def is_identity(self) -> bool:
         return self.x_mask == 0 and self.z_mask == 0
 
     def compose(self, other: "PauliAssignment") -> tuple["PauliAssignment", complex]:
-        """``self`` applied after ``other``; returns labels and global phase.
+        """``self`` applied after ``other``; returns the product and its global phase.
 
         Moving ``Z^z1`` past ``X^x2`` costs ``(-1)^|z1 & x2|``, and the
         ``i^|x & z|`` prefactors of both factors and of the product balance
@@ -211,11 +218,12 @@ class PulseSchedule:
         return np.bitwise_xor.accumulate(np.array(pulses, dtype=np.int64))
 
     def net_pulse(self) -> PauliAssignment:
-        net = PauliAssignment.identity(self.n_dots)
+        """Product of the pulses up to a global phase: the XOR of their masks."""
+        x = z = 0
         for st in self.stages:
             if st.pulse is not None:
-                net, _ = st.pulse.compose(net)
-        return net
+                x, z = x ^ st.pulse.x_mask, z ^ st.pulse.z_mask
+        return PauliAssignment._from_masks(x, z, self.n_dots)
 
     def to_json(self) -> str:
         doc = {
@@ -759,39 +767,30 @@ def weave_dd(schedule: PulseSchedule, budget: int = 16) -> PulseSchedule:
             f"weave needs {int(np.max(counts))} pulses on one qubit, budget is {budget}"
         )
 
-    # Assign alternating labels per dot in time order (stable for stacked
-    # same-time events), then rebuild stages at the union of event times.
-    events_sorted = sorted(range(len(events)), key=lambda i: (events[i][0], i))
-    label_state = {j: 0 for j in range(n)}
-    labeled: list[tuple[float, int, str]] = []
-    for i in events_sorted:
+    # Alternate X and Y per dot in time order (stable for stacked same-time
+    # events): a dot with an odd count so far takes Y.  Each boundary slot is
+    # an (x, z) mask pair; a same-dot repeat at one timestamp opens a new slot,
+    # a zero-duration stage, so each boundary carries one pulse per dot.
+    odd = 0
+    slots: list[list] = []  # [time, x, z]
+    for i in sorted(range(len(events)), key=lambda i: (events[i][0], i)):
         t, j = events[i]
-        labeled.append((t, j, "X" if label_state[j] % 2 == 0 else "Y"))
-        label_state[j] += 1
-
-    # Group events into boundary slots; same-dot repeats at one timestamp
-    # become zero-duration stages so each boundary carries one label per dot.
-    slots: list[tuple[float, dict[int, str]]] = []
-    for t, j, lab in labeled:
-        if slots and abs(slots[-1][0] - t) < 1e-15 and j not in slots[-1][1]:
-            slots[-1][1][j] = lab
+        bit = single_bit_index(j, n)
+        y = odd & bit
+        odd ^= bit
+        if slots and abs(slots[-1][0] - t) < 1e-15 and not slots[-1][1] & bit:
+            slots[-1][1] |= bit
+            slots[-1][2] |= y
         else:
-            slots.append((t, {j: lab}))
+            slots.append([t, bit, y])
 
     stages: list[Stage] = []
     prev = 0.0
-    for t, group in slots:
-        labels = ["I"] * n
-        for j, lab in group.items():
-            labels[j] = lab
-        stages.append(Stage(max(t - prev, 0.0), PauliAssignment(labels)))
+    for t, x, z in slots:
+        stages.append(Stage(max(t - prev, 0.0), PauliAssignment._from_masks(x, z, n)))
         prev = t
-    if prev < total - 1e-15:
-        stages.append(Stage(total - prev, None))
-    else:
-        stages.append(Stage(0.0, None))
-    woven = PulseSchedule(n, stages)
-    return woven
+    stages.append(Stage(total - prev if prev < total - 1e-15 else 0.0, None))
+    return PulseSchedule(n, stages)
 
 
 # -- k-space path ---------------------------------------------------------------

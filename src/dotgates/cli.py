@@ -198,15 +198,18 @@ def cmd_solve(args) -> int:
         return 2
     reading, candidates = solved
     report = {"local_phases": list(reading.local_phases)} | {
-        branch: [{"tau": c.tau, "max_residual": c.max_residual} for c in cands[:10]]
-        for branch, cands in (("mod_pi", candidates.mod_pi), ("mod_2pi", candidates.mod_2pi))
+        branch: [
+            {"tau": tau, "max_residual": worst}
+            for tau, worst in zip(ranked.times[:10].tolist(), ranked.worst[:10].tolist())
+        ]
+        for branch, ranked in (("mod_pi", candidates.mod_pi), ("mod_2pi", candidates.mod_2pi))
     }
     _write(args.out, "solve.json", json.dumps(report, indent=2))
-    if not candidates.mod_pi:
+    if not candidates.mod_pi.times.size:
         print("no candidate times within tau-max")
         return 2
-    best = candidates.best("mod_pi")
-    print(f"best tau {best.tau!r} (max per-bond residual {best.max_residual:.3e})")
+    best = report["mod_pi"][0]
+    print(f"best tau {best['tau']!r} (max per-bond residual {best['max_residual']:.3e})")
     return 0
 
 
@@ -219,10 +222,10 @@ def cmd_simulate(args) -> int:
             print("pass --tau to simulate anyway")
             return 2
         _, candidates = solved
-        if not candidates.mod_pi:
+        if not candidates.mod_pi.times.size:
             print("no candidate times within tau-max")
             return 2
-        tau = candidates.best("mod_pi").tau
+        tau = float(candidates.mod_pi.times[0])
     else:
         tau = args.tau
     report = simulate_gate(array, tau)

@@ -344,45 +344,27 @@ def _read(f: np.ndarray, pairs, tol: float = DEFAULT_TOL) -> BondReading:
     )
 
 
+# Most lattice times a ranking keeps, best first.
+RANKED_MAX = 10_000
+
+
 @dataclass(frozen=True)
-class TimeCandidate:
-    tau: float
-    per_bond_residual: tuple[float, ...]
-    max_residual: float
+class LatticeRanking:
+    """Lattice times ranked by their worst per-bond residual, then by time:
+    ``times[i]``, its per-bond ``residuals[i]`` and ``worst[i]``, their
+    maximum.  At most ``RANKED_MAX`` entries."""
 
-
-class LatticeRanking(Sequence):
-    """Ranked lattice times held as arrays; indexing builds the
-    ``TimeCandidate`` of each entry read, so a caller that reports the
-    first few pays for those alone."""
-
-    def __init__(self, times: np.ndarray, residuals: np.ndarray, worst: np.ndarray):
-        self.times, self.residuals, self.worst = times, residuals, worst
-
-    def __len__(self) -> int:
-        return self.times.shape[0]
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[i] for i in range(*index.indices(len(self))))
-        i = range(len(self))[index]
-        return TimeCandidate(
-            float(self.times[i]), tuple(self.residuals[i].tolist()), float(self.worst[i])
-        )
+    times: np.ndarray
+    residuals: np.ndarray
+    worst: np.ndarray
 
 
 @dataclass(frozen=True)
 class DynamicsCandidates:
     """Candidate gate times on the two superposed phase lattices."""
 
-    mod_pi: Sequence[TimeCandidate]
-    mod_2pi: Sequence[TimeCandidate]
-
-    def best(self, branch: str = "mod_pi") -> TimeCandidate:
-        cands = getattr(self, branch)
-        if not cands:
-            raise ValueError(f"no candidate times on branch {branch!r}")
-        return cands[0]
+    mod_pi: LatticeRanking
+    mod_2pi: LatticeRanking
 
 
 def _scan_lattice(
@@ -391,12 +373,11 @@ def _scan_lattice(
     modulus: float,
     tau_max: float,
     tol: float,
-    max_candidates: int = 10_000,
-) -> Sequence[TimeCandidate]:
+) -> LatticeRanking:
     still = np.abs(velocities) < 1e-15
     if np.any(circular_distance(phases[still], 0.0, modulus) > tol):
         raise NoBondVelocity("a zero-velocity bond cannot accumulate the requested phase")
-    # lattice points t = (phi + m * modulus) / delta inside (0, tau_max]
+    # lattice points t = (phi + m * modulus) / delta inside [0, tau_max]
     delta, phi = velocities[~still], phases[~still]
     reach = tau_max * delta
     m_lo = np.ceil((np.minimum(reach, 0.0) - phi) / modulus - 1e-12)
@@ -407,16 +388,19 @@ def _scan_lattice(
             f"tau_max {tau_max!r} spans {count:.0f} lattice points, more than the "
             f"{LATTICE_BUDGET} searched; lower --tau-max"
         )
-    if not delta.size:
-        return ()
-    times = np.concatenate([
-        (p + modulus * np.arange(lo, hi + 1)) / d for d, p, lo, hi in zip(delta, phi, m_lo, m_hi)
-    ])
-    times = np.sort(times[(times > 1e-15) & (times <= tau_max * (1.0 + 1e-12))])
-    times = times[np.diff(times, prepend=-np.inf) > 1e-12]
+    if delta.size:
+        times = np.concatenate([
+            (p + modulus * np.arange(lo, hi + 1)) / d
+            for d, p, lo, hi in zip(delta, phi, m_lo, m_hi)
+        ])
+        # abs reads the -0.0 of a negative velocity as 0.0
+        times = np.sort(np.abs(times[(times >= 0.0) & (times <= tau_max * (1.0 + 1e-12))]))
+        times = times[np.diff(times, prepend=-np.inf) > 1e-12]
+    else:  # no bond moves, so every time is on the lattice
+        times = np.zeros(1)
     residuals = circular_distance(np.outer(times, velocities), phases, modulus)
-    worst = residuals.max(axis=1)
-    order = np.lexsort((times, np.round(worst, 12)))[:max_candidates]
+    worst = residuals.max(axis=1, initial=0.0)  # 0 on an array without bonds
+    order = np.lexsort((times, np.round(worst, 12)))[:RANKED_MAX]
     return LatticeRanking(times[order], residuals[order], worst[order])
 
 
@@ -429,8 +413,8 @@ def solve_dynamics(
     """Score candidate gate times against each bond's phase condition.
 
     ``bond_phases`` holds one target phase per bond, as ``read_bonds`` gives
-    it.  Candidates are the union of all per-bond lattice points up to
-    ``tau_max`` (at most ``LATTICE_BUDGET``, else ``LatticeBudgetExceeded``),
+    it.  Candidates are the union of all per-bond lattice points in
+    ``[0, tau_max]`` (at most ``LATTICE_BUDGET``, else ``LatticeBudgetExceeded``),
     scored by the worst per-bond deviation; exact hits exist when velocities
     are mutually rational.  The ``mod_pi`` branch solves ``tau Delta_w =
     phi_w (mod pi)``; the ``mod_2pi`` branch solves ``tau Delta_w = 2 phi_w

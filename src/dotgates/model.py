@@ -99,14 +99,6 @@ class Bond:
         """Effective bond velocity Delta = T - S; may be negative."""
         return self.spin_conserved_rate - self.spin_flip_rate
 
-    def conjugated(self) -> "Bond":
-        """Bond with the tunneling channels swapped (S and T exchanged).
-
-        This is the action of a single X or Y pulse on one endpoint; it
-        negates the effective velocity.
-        """
-        return Bond(self.j, self.k, self.exchange, t=self.s, s=self.t)
-
 
 def bond_vector(bond: Bond) -> np.ndarray:
     """Phase-rate quadruple (S, T, T, S) on the bond's (up-up, up-down,

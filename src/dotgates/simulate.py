@@ -12,7 +12,7 @@ is the diagonal gate ``exp(+i tau Lambda)`` with Lambda the grid vector.
 The flows read only the diagonal of the propagator, which costs O(4^N)
 given the spectrum; pulses act as signed permutations of rows.  The dense
 propagator is built only on request (``qubit_frame_evolution``,
-``pulsed_evolution``, ``SimReport.u_exact``).
+``pulsed_evolution``).
 
 The difference from the ideal gate is coherent error, quantified by the
 average gate fidelity, a perturbative lower bound, per-state residue
@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .basis import bit_table, wrap_pm_pi
-from .calibrate import PauliAssignment, PulseSchedule, SignedPermutation
+from .calibrate import PauliAssignment, PulseSchedule, SignedPermutation, Stage
 from .gates import FreePhase, PhaseVector, phase_polynomial
 from .model import Bond, Dot, DotArray, bond_pair_index, grid_vector
 
@@ -138,13 +138,9 @@ class Spectrum:
         """``weights[n, m] = |<n|m'>|^2``, basis state n and eigenvector m."""
         return np.abs(self.evecs) ** 2
 
-    def propagator(self, tau: float) -> np.ndarray:
-        """Dense ``exp(+i tau H0) exp(-i tau H)``."""
-        u = (self.evecs * np.exp(-1j * tau * self.evals)) @ self.evecs.conj().T
-        return np.exp(1j * tau * self.h0)[:, None] * u
-
     def diagonal(self, tau: float) -> np.ndarray:
-        """Diagonal of :meth:`propagator`, ``e^{i tau h0} (|V|^2 e^{-i tau E})``."""
+        """Diagonal of ``exp(+i tau H0) exp(-i tau H)``:
+        ``e^{i tau h0} (|V|^2 e^{-i tau E})``."""
         rot = np.exp(-1j * tau * self.evals)
         mixed = self.weights @ np.column_stack([rot.real, rot.imag])
         return np.exp(1j * tau * self.h0) * (mixed[:, 0] + 1j * mixed[:, 1])
@@ -220,7 +216,7 @@ def qubit_frame_evolution(array: DotArray, tau: float) -> np.ndarray:
     """Exact propagator ``exp(+i tau H0) exp(-i tau (H0 + Hex))``."""
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    return Spectrum.of(array).propagator(tau)
+    return Spectrum.of(array).pulsed(PulseSchedule(array.n_dots, [Stage(tau)]))
 
 
 def ideal_evolution(array: DotArray, tau: float) -> PhaseVector:
@@ -380,7 +376,6 @@ def pulsed_evolution(array: DotArray, schedule: PulseSchedule) -> np.ndarray:
 class SimReport:
     """Exact-versus-ideal comparison for one evolution."""
 
-    array: DotArray
     tau: float
     u_diag: np.ndarray  # diagonal of the exact propagator
     u_ideal: PhaseVector
@@ -390,11 +385,6 @@ class SimReport:
     leak: float
     correction: FreePhase
     post_residues: np.ndarray
-
-    @cached_property
-    def u_exact(self) -> np.ndarray:
-        """Dense exact propagator, rebuilt on first request."""
-        return qubit_frame_evolution(self.array, self.tau)
 
     @property
     def max_residue(self) -> float:
@@ -434,7 +424,6 @@ def simulate_gate(array: DotArray, tau: float) -> SimReport:
     leak = spectrum.match().leak
     corr = optimal_phase_correction(residues, array.n_dots)
     return SimReport(
-        array=array,
         tau=tau,
         u_diag=u_diag,
         u_ideal=ideal,

@@ -11,6 +11,13 @@ def make_bond(j, k, exchange, t_sq, phase_t=0.0, phase_s=0.0):
     return Bond(j, k, exchange, t=t, s=s)
 
 
+def conjugated(bond):
+    """Bond with the tunneling channels swapped (S and T exchanged): the
+    action of a single X or Y pulse on one endpoint, which negates the
+    effective velocity.  The reference the pulsed-frame oracles build on."""
+    return Bond(bond.j, bond.k, bond.exchange, t=bond.s, s=bond.t)
+
+
 def stellar_array(n_targets, j_scale=1e-3, t_sq=None, zeemans=None, rng=None):
     """Control dot 0 bonded to targets 1..n."""
     rng = rng or np.random.default_rng(0)

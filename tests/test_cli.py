@@ -157,9 +157,12 @@ class TestSolve:
         reading = read_bonds(arr, GateSpec.from_json(Path(gate).read_text()).expand(3))
         candidates = solve_dynamics(arr, reading.bond_phases, 1e6, 1e-9)
         for branch in ("mod_pi", "mod_2pi"):
-            ranking = list(getattr(candidates, branch))  # every candidate, in rank order
-            assert len(ranking) > 10
-            head = [{"tau": c.tau, "max_residual": c.max_residual} for c in ranking[:10]]
+            ranking = getattr(candidates, branch)  # every candidate, in rank order
+            assert ranking.times.size > 10
+            head = [
+                {"tau": float(tau), "max_residual": float(worst)}
+                for tau, worst in zip(ranking.times[:10], ranking.worst[:10])
+            ]
             assert report[branch] == head
 
 
@@ -754,11 +757,11 @@ class TestIdentityGate:
     def test_solve_and_simulate(self, files):
         assert run("solve", *files) == 0
         best = json.loads((files[2] / "solve.json").read_text())["mod_pi"][0]
-        assert best["max_residual"] <= 1e-9
+        assert best == {"tau": 0.0, "max_residual": 0.0}
         assert run("simulate", *files) == 0
         report = json.loads((files[2] / "simulate.json").read_text())
-        assert report["tau"] == best["tau"]
-        assert report["equiv_residual_vs_target"] <= 1e-2
+        assert report["tau"] == 0.0
+        assert report["equiv_residual_vs_target"] == 0.0
 
     def test_calibrate_takes_no_time(self, files):
         assert run("calibrate", *files, "--dd") == 0

@@ -36,7 +36,7 @@ from dotgates.calibrate import (
 from dotgates.gates import FreePhase
 from dotgates.model import grid_vector
 
-from conftest import make_bond, random_connected_array
+from conftest import conjugated, make_bond, random_connected_array
 
 
 # -- oracles: the label-by-label readers ------------------------------------------
@@ -78,7 +78,7 @@ def oracle_conjugated_grid(array, q):
     bonds = []
     for b in array.bonds:
         flips = (q.labels[b.j] in ("X", "Y")) + (q.labels[b.k] in ("X", "Y"))
-        bonds.append(b.conjugated() if flips % 2 else b)
+        bonds.append(conjugated(b) if flips % 2 else b)
     return grid_vector(array.with_bonds(bonds))
 
 

@@ -215,13 +215,12 @@ class TestSolveDynamics:
         arr = DotArray([Dot(0, 1.0), Dot(1, 1.3)], [bond])
         spec = GateSpec(factors=(MqcpFactor(0, [(1, theta)]),))
         free = mqcp_phase_solution(spec.factors[0], 2)
-        cands = solve_dynamics(arr, [free.local[1]], tau_max=100.0)
-        best = cands.best("mod_pi")
+        best = solve_dynamics(arr, [free.local[1]], tau_max=100.0).mod_pi
         delta = bond.velocity
         # smallest positive (-theta/2 + n pi) / delta
         expected = (np.mod(-theta / 2.0, np.pi)) / delta
-        assert best.tau == pytest.approx(expected)
-        assert best.max_residual <= 1e-12
+        assert best.times[0] == pytest.approx(expected)
+        assert best.worst[0] <= 1e-12
 
     def test_stellar_equal_velocities_exact_hit(self):
         arr = DotArray(
@@ -229,9 +228,9 @@ class TestSolveDynamics:
             [make_bond(0, 1, 1.0, 0.8), make_bond(0, 2, 1.0, 0.8)],
         )
         free = mqcp_phase_solution(czz_spec([np.pi, np.pi]).factors[0], 3)
-        best = solve_dynamics(arr, free.local[1:], tau_max=50.0).best("mod_pi")
-        assert best.max_residual == pytest.approx(0.0, abs=1e-12)
-        assert best.tau == pytest.approx((np.pi / 2) / arr.bonds[0].velocity)
+        best = solve_dynamics(arr, free.local[1:], tau_max=50.0).mod_pi
+        assert best.worst[0] == pytest.approx(0.0, abs=1e-12)
+        assert best.times[0] == pytest.approx((np.pi / 2) / arr.bonds[0].velocity)
 
     def test_chain_coarse_lattice_times(self):
         # homogeneous three-dot chain (center dot 1): the coarse lattice
@@ -243,7 +242,7 @@ class TestSolveDynamics:
         )
         cands = solve_dynamics(arr, [np.pi / 2, np.pi / 2], tau_max=40.0)
         delta = arr.bonds[0].velocity
-        taus = [c.tau for c in cands.mod_2pi if c.max_residual < 1e-9]
+        taus = cands.mod_2pi.times[cands.mod_2pi.worst < 1e-9]
         expected = [(2 * k + 1) * np.pi / delta for k in range(2)]
         for e in expected:
             assert any(abs(t - e) < 1e-9 for t in taus)
@@ -258,9 +257,9 @@ class TestSolveDynamics:
         gate = GateSpec(factors=tuple(MqcpFactor(j, [(j + 1, np.pi)]) for j in range(3)))
         reading = read_bonds(arr, gate.expand(4))
         assert reading.feasible
-        best = solve_dynamics(arr, reading.bond_phases, tau_max=10.0).best("mod_pi")
-        assert best.max_residual <= 1e-12
-        assert best.tau == pytest.approx((np.pi / 2) / arr.bonds[0].velocity)
+        best = solve_dynamics(arr, reading.bond_phases, tau_max=10.0).mod_pi
+        assert best.worst[0] <= 1e-12
+        assert best.times[0] == pytest.approx((np.pi / 2) / arr.bonds[0].velocity)
 
     def test_zero_velocity_bond_raises(self):
         arr = DotArray(
@@ -276,7 +275,21 @@ class TestSolveDynamics:
             [make_bond(0, 1, 1.0, 0.8), make_bond(0, 2, 1.0, 0.5)],
         )
         cands = solve_dynamics(arr, [np.pi / 2, 0.0], tau_max=50.0)
-        assert cands.best("mod_pi").max_residual <= 1e-12
+        assert cands.mod_pi.worst[0] <= 1e-12
+
+    def test_identity_answers_tau_zero(self):
+        # phases exactly 0 on the lattice are met at tau = 0 (not -0.0 on a
+        # negative velocity), also when no bond moves
+        moving = DotArray(
+            [Dot(0, 1.0), Dot(1, 1.3), Dot(2, 0.7)],
+            [make_bond(0, 1, 1.0, 0.3), make_bond(1, 2, 1.0, 0.5)],
+        )
+        bare = DotArray([Dot(0, 1.0), Dot(1, 1.3)], [])
+        for arr in (moving, bare):
+            cands = solve_dynamics(arr, [0.0] * arr.n_bonds, tau_max=50.0)
+            for ranked in (cands.mod_pi, cands.mod_2pi):
+                assert ranked.times[0] == 0.0 and not np.signbit(ranked.times[0])
+                assert ranked.worst[0] == 0.0
 
 
 class TestReadBonds:
@@ -462,9 +475,9 @@ class TestEquivalenceOracle:
         )
         spec = czz_spec([np.pi, np.pi])
         free = mqcp_phase_solution(spec.factors[0], 3)
-        best = solve_dynamics(arr, free.local[1:], tau_max=1e5).best("mod_pi")
-        assert best.max_residual <= 1e-12
-        u = qubit_frame_evolution(arr, best.tau)
+        best = solve_dynamics(arr, free.local[1:], tau_max=1e5).mod_pi
+        assert best.worst[0] <= 1e-12
+        u = qubit_frame_evolution(arr, best.times[0])
         diag = PhaseVector(np.angle(np.diag(u)))
         ok, _, res = equiv_up_to_free_phase(diag, spec.expand(3), tol=20 * j_over_eps)
         assert ok
@@ -550,7 +563,7 @@ def parity_by_pi_branches(theta_g, n_qubits, tol=1e-9):
 
 
 def scan_lattice_by_bond(velocities, phases, modulus, tau_max, tol):
-    """Parent implementation of ``_scan_lattice``: (times, residuals) in rank order."""
+    """Per-bond loop of ``_scan_lattice``: (times, residuals) in rank order."""
     pieces = []
     for delta, phi in zip(velocities, phases):
         if abs(delta) < 1e-15:
@@ -559,7 +572,7 @@ def scan_lattice_by_bond(velocities, phases, modulus, tau_max, tol):
         m_lo = int(np.ceil((x_lo - phi) / modulus - 1e-12))
         m_hi = int(np.floor((x_hi - phi) / modulus + 1e-12))
         pts = (phi + modulus * np.arange(m_lo, m_hi + 1)) / delta
-        pieces.append(pts[(pts > 1e-15) & (pts <= tau_max * (1.0 + 1e-12))])
+        pieces.append(pts[(pts >= 0.0) & (pts <= tau_max * (1.0 + 1e-12))])
     times = np.sort(np.concatenate(pieces))
     times = times[np.concatenate([[True], np.diff(times) > 1e-12])]
     residuals = circular_distance(np.outer(times, velocities), phases, modulus)
@@ -614,10 +627,6 @@ class TestLoopReferences:
             tau_max = float(rng.uniform(1e3, 1e5))
             times, residuals = scan_lattice_by_bond(velocities, phases, modulus, tau_max, 1e-9)
             got = _scan_lattice(velocities, phases, modulus, tau_max, 1e-9)
-            assert [c.tau for c in got] == times.tolist()
-            assert [c.per_bond_residual for c in got] == [tuple(r) for r in residuals.tolist()]
-            # candidates built on demand read the same ranking
-            assert len(got) == len(times)
-            assert [c.tau for c in got[:10]] == times[:10].tolist()
-            assert got[-1].per_bond_residual == tuple(residuals[-1].tolist())
-            assert got[-1].max_residual == float(residuals[-1].max())
+            assert got.times.tolist() == times.tolist()
+            assert got.residuals.tolist() == residuals.tolist()
+            assert got.worst.tolist() == residuals.max(axis=1).tolist()

@@ -13,7 +13,7 @@ from dotgates import (
 )
 from dotgates.model import embed_bond_values, soi_strength_table
 
-from conftest import make_bond, random_connected_array
+from conftest import conjugated, make_bond, random_connected_array
 
 
 class DegenerateChargeState(ValueError):
@@ -107,7 +107,7 @@ class TestBond:
         for _ in range(50):
             b = make_bond(0, 1, rng.random() + 0.1, 0.3 + 0.6 * rng.random(),
                           rng.uniform(0, 6), rng.uniform(0, 6))
-            c = b.conjugated()
+            c = conjugated(b)
             assert c.spin_flip_rate == pytest.approx(b.spin_conserved_rate)
             assert c.spin_conserved_rate == pytest.approx(b.spin_flip_rate)
             assert c.velocity == pytest.approx(-b.velocity)

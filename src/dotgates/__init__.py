@@ -21,6 +21,7 @@ from .gates import (
     NoBondVelocity,
     ParitySolution,
     PhaseVector,
+    Unreachable,
     assert_single_control,
     decompose_intrinsic,
     equiv_up_to_free_phase,

@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .basis import bit_of, bit_table, circular_distance, single_bit_index, wrap_2pi
-from .gates import FreePhase, NoBondVelocity
+from .gates import FreePhase, NoBondVelocity, Unreachable
 from .model import DotArray, integer
 
 # (x, z) bits of each single-qubit Pauli, with Y = i X Z
@@ -39,7 +39,7 @@ _PAULI_LABEL = {bits: lab for lab, bits in _PAULI_BITS.items()}
 _I_POWERS = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
 
 
-class InfeasibleSchedule(RuntimeError):
+class InfeasibleSchedule(Unreachable, RuntimeError):
     """No nonnegative stage durations found within the offset search bound."""
 
     def __init__(self, message: str, best_residual: float):
@@ -47,7 +47,7 @@ class InfeasibleSchedule(RuntimeError):
         self.best_residual = best_residual
 
 
-class BudgetExceeded(RuntimeError):
+class BudgetExceeded(Unreachable, RuntimeError):
     """Weaving would need more pulses per qubit than the configured budget."""
 
 

@@ -284,25 +284,3 @@ def consecutive_ones_parity(bits: str) -> int:
         raise ValueError("bit string expected")
     pairs = sum(1 for a, b in zip(bits, bits[1:]) if a == "1" and b == "1")
     return -1 if pairs % 2 else 1
-
-
-def reversal_signs_brute_force(n_qubits: int, tol: float = 1e-9) -> np.ndarray:
-    """Signs p(a) extracted from the dense reversal matrix.
-
-    Verifies that |R| is exactly the bit-reversal permutation with entries
-    in {0, +-1} before reading off the signs.
-    """
-    r = order_reversal(n_qubits)
-    dim = r.shape[0]
-    signs = np.zeros(dim)
-    for a in range(dim):
-        col = r[:, a]
-        rev = int(format(a, f"0{n_qubits}b")[::-1], 2)
-        value = col[rev]
-        rest = np.delete(np.abs(col), rev)
-        if np.max(rest) > tol or abs(abs(value) - 1.0) > tol:
-            raise AssertionError("reversal matrix is not a signed permutation")
-        if abs(value.imag) > tol:
-            raise AssertionError("reversal signs are not real")
-        signs[a] = np.sign(value.real)
-    return signs

@@ -1,11 +1,13 @@
 """Command-line front end: check, solve, simulate, calibrate, apps.
 
 Inputs are the JSON array/gate documents; outputs are JSON reports and CSV
-sweep tables under ``--out``.  Exit codes: 0 success (feasible; the gate
-with no factors is the identity), 2 target infeasible (a zero-velocity bond
-included) or, for ``calibrate``, a schedule whose exact verify misses the
-target by more than ``VERIFY_TOL``, 1 malformed input, bad selector, memory
-exhaustion, or ``simulate``/``calibrate`` past the dense limit of 12 dots.
+sweep tables under ``--out``.  A flow that succeeds returns 0 (the gate
+with no factors is the identity and succeeds).  Any other outcome is an
+exception the flow raises after writing what it writes, and ``main`` alone
+maps it to an exit code and one line through the table ``OUTCOMES``: 2 and
+``infeasible:`` on stdout when the input is well formed but no time or
+schedule reaches the target (``gates.Unreachable``), 1 and one line on
+stderr for malformed input and every other failure it knows.
 The flags ``--out``, ``--tol``, ``--seed``, ``--jobs``, ``--tau-max`` and
 ``--offset-bound`` have environment-variable overrides ``DOTGATES_OUT``,
 ``DOTGATES_TOL``, ``DOTGATES_SEED``, ``DOTGATES_JOBS``, ``DOTGATES_TAU_MAX``
@@ -30,7 +32,6 @@ import numpy as np
 from . import circuits
 from .calibrate import (
     CalibrationTarget,
-    InfeasibleSchedule,
     accumulated_bond_phases,
     choose_assignments,
     extra_local_phases,
@@ -41,8 +42,8 @@ from .calibrate import (
 from .gates import (
     BondReading,
     GateSpec,
-    NoBondVelocity,
     PhaseVector,
+    Unreachable,
     assert_single_control,
     equiv_up_to_free_phase,
     read_bonds,
@@ -148,10 +149,16 @@ def _write(out_dir: str, name: str, text: str) -> str:
     return str(target)
 
 
-def _infeasible_message(reading: BondReading) -> str:
+def _require_native(reading: BondReading) -> BondReading:
+    """The reading of a target native to the array: one controlled phase per
+    bond times a free phase.  Raises ``Unreachable`` for any other target."""
     if reading.unbonded_pairs:
-        return f"gate couples dot pairs {', '.join(map(str, reading.unbonded_pairs))} with no bond"
-    return f"not one controlled phase per bond times a free phase (residual {reading.residual:.3e})"
+        pairs = ", ".join(map(str, reading.unbonded_pairs))
+        raise Unreachable(f"gate couples dot pairs {pairs} with no bond")
+    if not reading.feasible:
+        raise Unreachable("not one controlled phase per bond times a free phase "
+                          f"(residual {reading.residual:.3e})")
+    return reading
 
 
 def cmd_check(args) -> int:
@@ -170,33 +177,21 @@ def cmd_check(args) -> int:
     if reading.unbonded_pairs:
         report["unbonded_pairs"] = [list(p) for p in reading.unbonded_pairs]
     _write(args.out, "check.json", json.dumps(report, indent=2))
-    if reading.feasible:
-        print("feasible; local phases:", report["local_phases"])
-        return 0
-    print(f"infeasible: {_infeasible_message(reading)}")
-    return 2
+    _require_native(reading)
+    print("feasible; local phases:", report["local_phases"])
+    return 0
 
 
 def _candidate_times(array: DotArray, target: PhaseVector, args):
-    """Bond reading and candidate gate times; None, after saying why, when
-    the target is not native to the array."""
-    reading = read_bonds(array, target, args.tol)
-    if not reading.feasible:
-        print(f"infeasible: {_infeasible_message(reading)}")
-        return None
-    try:
-        return reading, solve_dynamics(array, reading.bond_phases, args.tau_max, args.tol)
-    except NoBondVelocity as exc:
-        print(f"infeasible: {exc}")
-        return None
+    """Bond reading and candidate gate times of a target native to the
+    array; raises ``Unreachable`` for any other target."""
+    reading = _require_native(read_bonds(array, target, args.tol))
+    return reading, solve_dynamics(array, reading.bond_phases, args.tau_max, args.tol)
 
 
 def cmd_solve(args) -> int:
     array = _load_array(args.array)
-    solved = _candidate_times(array, _load_gate(args.gate).expand(array.n_dots), args)
-    if solved is None:
-        return 2
-    reading, candidates = solved
+    reading, candidates = _candidate_times(array, _load_gate(args.gate).expand(array.n_dots), args)
     report = {"local_phases": list(reading.local_phases)} | {
         branch: [
             {"tau": tau, "max_residual": worst}
@@ -206,8 +201,7 @@ def cmd_solve(args) -> int:
     }
     _write(args.out, "solve.json", json.dumps(report, indent=2))
     if not candidates.mod_pi.times.size:
-        print("no candidate times within tau-max")
-        return 2
+        raise Unreachable("no candidate times within tau-max")
     best = report["mod_pi"][0]
     print(f"best tau {best['tau']!r} (max per-bond residual {best['max_residual']:.3e})")
     return 0
@@ -217,26 +211,23 @@ def cmd_simulate(args) -> int:
     array = _load_array(args.array)
     target = _load_gate(args.gate).expand(array.n_dots)
     if args.tau is None:
-        solved = _candidate_times(array, target, args)
-        if solved is None:
-            print("pass --tau to simulate anyway")
-            return 2
-        _, candidates = solved
+        _, candidates = _candidate_times(array, target, args)
         if not candidates.mod_pi.times.size:
-            print("no candidate times within tau-max")
-            return 2
+            raise Unreachable("no candidate times within tau-max")
         tau = float(candidates.mod_pi.times[0])
     else:
         tau = args.tau
     report = simulate_gate(array, tau)
+    # swept before any write, so an array the sweep cannot scale leaves nothing
+    swept = None if args.sweep is None else sweep_rows(array, tau, args.sweep)
     diag = PhaseVector(np.angle(report.u_diag))
     _, _, equiv_residual = equiv_up_to_free_phase(diag, target, tol=args.tol)
     doc = json.loads(report.to_json())
     doc["tau"] = tau
     doc["equiv_residual_vs_target"] = equiv_residual
     _write(args.out, "simulate.json", json.dumps(doc, indent=2))
-    if args.sweep is not None:
-        rows, skipped = sweep_rows(array, tau, args.sweep)
+    if swept is not None:
+        rows, skipped = swept
         lines = ["j_over_eps,infidelity,bound,max_residue"]
         lines += [f"{a!r},{b!r},{c!r},{d!r}" for a, b, c, d in rows]
         _write(args.out, "sweep.csv", "\n".join(lines) + "\n")
@@ -252,17 +243,11 @@ def cmd_simulate(args) -> int:
 def cmd_calibrate(args) -> int:
     array = _load_array(args.array)
     gate = _load_gate(args.gate).expand(array.n_dots)
-    reading = read_bonds(array, gate, args.tol)
-    if not reading.feasible:
-        raise ValueError(_infeasible_message(reading))
-    try:
-        target = CalibrationTarget.for_array(array, reading.bond_phases)
-        schedule = solve_intervals(
-            array, target, choose_assignments(array), offset_bound=args.offset_bound
-        )
-    except (NoBondVelocity, InfeasibleSchedule) as exc:
-        print(f"infeasible: {exc}")
-        return 2
+    reading = _require_native(read_bonds(array, gate, args.tol))
+    target = CalibrationTarget.for_array(array, reading.bond_phases)
+    schedule = solve_intervals(
+        array, target, choose_assignments(array), offset_bound=args.offset_bound
+    )
     # shared by the base and the woven verify; built before any artifact is
     # written, so an array past the dense limit leaves none
     spectrum = Spectrum.of(array)
@@ -290,8 +275,7 @@ def cmd_calibrate(args) -> int:
     _write(args.out, "calibrate.json", json.dumps(record, indent=2))
     answered = "dd_equiv_residual" if args.dd else "equiv_residual"
     if record[answered] > VERIFY_TOL:
-        print(f"infeasible: exact {answered} {record[answered]:.3e} exceeds {VERIFY_TOL:g}")
-        return 2
+        raise Unreachable(f"exact {answered} {record[answered]:.3e} exceeds {VERIFY_TOL:g}")
     print(f"schedule with {len(schedule.stages)} stages, total time {schedule.total_time!r}")
     return 0
 
@@ -371,27 +355,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (exception types, exit code, line prefix, stream) of every outcome a flow
+# raises, in lookup order: the first row the exception is an instance of
+# wins, so Unreachable comes before ValueError (NoBondVelocity is both).  The
+# stream is named, not held: it is looked up when the line is printed, so a
+# sys.stdout or sys.stderr swapped in at run time receives it.  README's
+# "Command line" table lists the same rows.
+OUTCOMES = (
+    ((Unreachable,), 2, "infeasible", "stdout"),
+    ((OSError, KeyError, ValueError, TypeError), 1, "input error", "stderr"),
+    ((DegenerateSpectrum,), 1, "degenerate spectrum", "stderr"),
+    ((EigensolverFailure,), 1, "eigensolver failure", "stderr"),
+    ((MemoryError,), 1, "out of memory", "stderr"),
+)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         _apply_overrides(args)
         # looked up per call, so a replaced module attribute is the one run
         return globals()[f"cmd_{args.command}"](args)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
-    except (KeyError, ValueError, TypeError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
-    except DegenerateSpectrum as exc:
-        print(f"degenerate spectrum: {exc}", file=sys.stderr)
-        return 1
-    except EigensolverFailure as exc:
-        print(f"eigensolver failure: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError as exc:
-        print(f"out of memory: {exc}", file=sys.stderr)
-        return 1
+    except Exception as exc:
+        for kinds, code, prefix, stream in OUTCOMES:
+            if isinstance(exc, kinds):
+                print(f"{prefix}: {exc}", file=getattr(sys, stream))
+                return code
+        raise  # no row: a fault in the program, shown with its traceback
 
 
 if __name__ == "__main__":

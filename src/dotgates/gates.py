@@ -41,7 +41,11 @@ from .model import DotArray, finite, integer
 DEFAULT_TOL = 1e-9
 
 
-class NoBondVelocity(ValueError):
+class Unreachable(Exception):
+    """The input is well formed, but no time or schedule reaches the target."""
+
+
+class NoBondVelocity(Unreachable, ValueError):
     """A bond with zero effective velocity cannot realize a nonzero phase."""
 
 
@@ -182,7 +186,10 @@ class GateSpec:
     def from_json(cls, source: str | dict) -> "GateSpec":
         doc = json.loads(source) if isinstance(source, str) else source
         if "raw" in doc:
-            raw = np.asarray(doc["raw"], dtype=float)
+            try:
+                raw = np.asarray(doc["raw"], dtype=float)
+            except OverflowError:  # an int past the float range, as JSON may hold
+                raw = np.array([np.inf])
             if not np.all(np.isfinite(raw)):
                 raise ValueError("raw gate phases must be finite")
             return cls(raw=PhaseVector(raw))

@@ -196,8 +196,12 @@ def soi_strength_table(x_so: Sequence[float], gamma_so: Sequence[float]) -> Call
 # -- JSON ingestion -----------------------------------------------------------
 
 def finite(value, what: str) -> float:
-    """``float(value)``, rejecting NaN and infinities as input errors."""
-    x = float(value)
+    """``float(value)``, rejecting NaN and infinities, and integers too large
+    for a float, as input errors."""
+    try:
+        x = float(value)
+    except OverflowError:  # an int past the float range, as JSON may hold
+        x = math.inf if value > 0 else -math.inf
     if not math.isfinite(x):
         raise ValueError(f"{what} must be finite, got {x!r}")
     return x

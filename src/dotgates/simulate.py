@@ -438,8 +438,11 @@ def simulate_gate(array: DotArray, tau: float) -> SimReport:
 
 def scaled_zeeman_array(array: DotArray, j_over_eps: float) -> DotArray:
     """Copy of the array with Zeeman energies rescaled so the largest
-    exchange energy divided by the smallest Zeeman equals ``j_over_eps``."""
-    j_max = max(b.exchange for b in array.bonds)
+    exchange energy divided by the smallest Zeeman equals ``j_over_eps``;
+    an array with no bond of positive J has no such scale (``ValueError``)."""
+    j_max = max((b.exchange for b in array.bonds), default=0.0)
+    if j_max <= 0:
+        raise ValueError("a coupling sweep needs a bond with J > 0")
     eps_min = min(d.zeeman for d in array.dots)
     factor = (j_max / j_over_eps) / eps_min
     dots = [Dot(d.id, d.zeeman * factor, d.chem_potential) for d in array.dots]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dotgates import Bond, Dot, DotArray
+from dotgates import Bond, Dot, DotArray, order_reversal
 
 
 def make_bond(j, k, exchange, t_sq, phase_t=0.0, phase_s=0.0):
@@ -62,6 +62,29 @@ def random_connected_array(rng, n_dots, j_scale=1e-3):
         for j, k in sorted(edges)
     ]
     return DotArray(dots, bonds)
+
+
+def reversal_signs_brute_force(n_qubits: int, tol: float = 1e-9) -> np.ndarray:
+    """Signs p(a) extracted from the dense reversal matrix: the oracle of
+    ``consecutive_ones_parity``.
+
+    Verifies that |R| is exactly the bit-reversal permutation with entries
+    in {0, +-1} before reading off the signs.
+    """
+    r = order_reversal(n_qubits)
+    dim = r.shape[0]
+    signs = np.zeros(dim)
+    for a in range(dim):
+        col = r[:, a]
+        rev = int(format(a, f"0{n_qubits}b")[::-1], 2)
+        value = col[rev]
+        rest = np.delete(np.abs(col), rev)
+        if np.max(rest) > tol or abs(abs(value) - 1.0) > tol:
+            raise AssertionError("reversal matrix is not a signed permutation")
+        if abs(value.imag) > tol:
+            raise AssertionError("reversal signs are not real")
+        signs[a] = np.sign(value.real)
+    return signs
 
 
 @pytest.fixture

@@ -39,7 +39,6 @@ from dotgates.circuits import (
     consecutive_ones_parity,
     logical_z_triangle,
     pauli_string,
-    reversal_signs_brute_force,
 )
 from dotgates.simulate import (
     diagonal_residues,
@@ -48,7 +47,7 @@ from dotgates.simulate import (
     scaled_zeeman_array,
 )
 
-from conftest import make_bond
+from conftest import make_bond, reversal_signs_brute_force
 
 
 def report(num, detail):

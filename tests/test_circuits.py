@@ -7,10 +7,11 @@ from dotgates.circuits import (
     parity_check_circuit,
     parity_operator,
     pauli_string,
-    reversal_signs_brute_force,
     run_circuit,
     run_cycle_unit,
 )
+
+from conftest import reversal_signs_brute_force
 
 
 def random_state(rng, n):

@@ -1,14 +1,19 @@
+import importlib
 import json
 import os
+import pkgutil
+import re
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dotgates
-from dotgates import cli
+from dotgates import Bond, Dot, DotArray, cli
+from dotgates.calibrate import choose_assignments, subset_signs
 from dotgates.circuits import order_reversal
 from dotgates.cli import main
 from dotgates.gates import GateSpec, parity_matrix, read_bonds, solve_dynamics
@@ -138,7 +143,7 @@ class TestSolve:
         assert main(["solve", "--array", array, "--gate", gate, "--out", str(out)]) == 2
         assert "(0, 2)" in capsys.readouterr().out
         assert not (out / "solve.json").exists()
-        assert main(["calibrate", "--array", array, "--gate", gate, "--out", str(out)]) == 1
+        assert main(["calibrate", "--array", array, "--gate", gate, "--out", str(out)]) == 2
 
 
     def test_reports_candidates(self, stellar_files):
@@ -232,6 +237,20 @@ class TestSimulate:
         assert code == 0
         assert not (out / "sweep_skipped.json").exists()
 
+    @pytest.mark.parametrize("bonds", [[], [0.0, 0.0]], ids=["no-bonds", "zero-J"])
+    def test_sweep_needs_a_coupled_bond(self, stellar_files, tmp_path, capsys, bonds):
+        # the sweep scales the Zeeman energies by the largest J
+        array, gate, _ = stellar_files
+        doc = json.loads(Path(array).read_text())
+        doc["bonds"] = [dict(rec, J=j) for rec, j in zip(doc["bonds"], bonds)]
+        Path(array).write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run("simulate", array, gate, out, "--tau", "10", "--sweep", "1e-4:1e-2:3") == 1
+        captured = capsys.readouterr()
+        assert captured.err == "input error: a coupling sweep needs a bond with J > 0\n"
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestCalibrate:
     def test_schedule_and_path_files(self, stellar_files):
@@ -281,7 +300,7 @@ class TestCalibrate:
         assert record["dd_equiv_residual" if dd else "equiv_residual"] > 1e-2
         assert (out / "schedule.json").exists()
 
-    def test_unbonded_factor_pair_exits_one(self, tmp_path, capsys):
+    def test_unbonded_factor_pair_exits_two(self, tmp_path, capsys):
         array = {
             "dots": [{"id": j, "zeeman": 1.0 + 0.3 * j} for j in range(3)],
             "bonds": [
@@ -295,9 +314,11 @@ class TestCalibrate:
         out = tmp_path / "out"
         code = main(["calibrate", "--array", str(tmp_path / "chain.json"),
                      "--gate", str(tmp_path / "gate.json"), "--out", str(out)])
-        assert code == 1
-        assert "(0, 2)" in capsys.readouterr().err
-        assert not (out / "calibrate.json").exists()
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "infeasible: gate couples dot pairs (0, 2) with no bond\n"
+        assert captured.err == ""
+        assert not out.exists()
 
     def test_repeated_factor_pairs_sum(self, stellar_files, tmp_path):
         # pi/2 on (0, 1) from each side is the pi of the CZZ fixture
@@ -352,6 +373,27 @@ class TestInputErrors:
         bad.write_text(json.dumps(gate))
         assert main(["check", "--array", array, "--gate", str(bad), "--out", str(out)]) == 1
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["J", "theta", "raw"])
+    def test_integer_past_the_float_range_exits_one(self, stellar_files, capsys, where):
+        # JSON integers are unbounded; this one overflows float()
+        array, gate, out = stellar_files
+        huge = 10**400
+        if where == "J":
+            doc = json.loads(Path(array).read_text())
+            doc["bonds"][0]["J"] = huge
+            Path(array).write_text(json.dumps(doc))
+        elif where == "theta":
+            Path(gate).write_text(json.dumps(
+                {"factors": [{"control": 0, "targets": [{"dot": 1, "theta": huge}]}]}))
+        else:
+            Path(gate).write_text(json.dumps({"raw": [huge] + [0.0] * 7}))
+        assert "1" + "0" * 400 in Path(array if where == "J" else gate).read_text()
+        assert run("check", array, gate, out) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ") and "must be finite" in captured.err
+        assert len(captured.err.splitlines()) == 1
 
     def test_eigensolver_failure_exits_one(self, stellar_files, monkeypatch, capsys):
         array, gate, out = stellar_files
@@ -651,16 +693,14 @@ class TestOneReading:
         array, _, out = three_dot_files(tmp_path, CHAIN, [(0, [(1, 1.1)])])
         bits = np.arange(8)
         gate = raw_gate_file(tmp_path, np.pi * ((bits >> 2) & 1) * (bits & 1))  # CZ(0, 2)
-        for command in ("check", "solve", "simulate"):
+        for command in ("check", "solve", "simulate", "calibrate"):
             assert run(command, array, gate, out) == 2
-            assert "(0, 2)" in capsys.readouterr().out
+            assert capsys.readouterr().out == "infeasible: gate couples dot pairs (0, 2) with no bond\n"
         report = json.loads((out / "check.json").read_text())
         assert report["feasible"] is False
         assert report["unbonded_pairs"] == [[0, 2]]
         assert report["local_phases"] is None
-        assert not (out / "solve.json").exists()
-        assert not (out / "simulate.json").exists()
-        assert run("calibrate", array, gate, out) == 1
+        assert [p.name for p in out.iterdir()] == ["check.json"]
 
     def test_check_and_solve_agree_on_local_phases(self, tmp_path):
         array, gate, out = three_dot_files(tmp_path, STAR, [(0, [(1, 1.1)])])
@@ -685,10 +725,11 @@ class TestOneReading:
     def test_short_tau_max_has_no_candidates(self, stellar_files, capsys):
         # no lattice point of either branch lies below tau-max
         array, gate, out = stellar_files
-        assert run("solve", array, gate, out, "--tau-max", "100") == 2
-        captured = capsys.readouterr()
-        assert "no candidate times" in captured.out and "Traceback" not in captured.err
-        assert run("simulate", array, gate, out, "--tau-max", "100") == 2
+        for command in ("solve", "simulate"):
+            assert run(command, array, gate, out, "--tau-max", "100") == 2
+            captured = capsys.readouterr()
+            assert captured.out == "infeasible: no candidate times within tau-max\n"
+            assert captured.err == ""
 
     @pytest.mark.parametrize("command", ["check", "solve", "simulate", "calibrate"])
     def test_gate_dot_outside_the_array_exits_one(self, tmp_path, command, capsys):
@@ -801,3 +842,91 @@ def test_dense_limit_refuses_before_writing(tmp_path, command, n_dots):
     assert done.stderr.startswith(f"input error: {n_dots} dots exceed the dense limit of 12")
     assert len(done.stderr.splitlines()) == 1
     assert not out.exists()
+
+
+def exception_classes():
+    """Every exception class defined in a module of the package."""
+    found = []
+    for info in pkgutil.iter_modules(dotgates.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"dotgates.{info.name}")
+        found += [obj for obj in vars(module).values()
+                  if isinstance(obj, type) and issubclass(obj, BaseException)
+                  and obj.__module__ == module.__name__]
+    return sorted(found, key=lambda kind: kind.__name__)
+
+
+class TestOutcomes:
+    """``main`` answers every outcome with one exit code and one line."""
+
+    def test_the_known_classes_are_found(self):
+        names = {kind.__name__ for kind in exception_classes()}
+        assert {"Unreachable", "NoBondVelocity", "InfeasibleSchedule", "BudgetExceeded",
+                "LatticeBudgetExceeded", "DegenerateSpectrum", "EigensolverFailure",
+                "DenseLimitExceeded"} <= names
+
+    @pytest.mark.parametrize("kind", exception_classes(), ids=lambda kind: kind.__name__)
+    def test_every_exception_class_exits_with_one_line(self, stellar_files, monkeypatch, capsys,
+                                                       kind):
+        try:
+            exc = kind("the reason")
+        except TypeError:  # InfeasibleSchedule also takes its best residual
+            exc = kind("the reason", 0.5)
+
+        def fail(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_check", fail)
+        code = run("check", *stellar_files)
+        captured = capsys.readouterr()
+        unreachable = isinstance(exc, dotgates.Unreachable)
+        assert code == (2 if unreachable else 1)
+        line = captured.out if unreachable else captured.err
+        assert (captured.out + captured.err) == line
+        assert line.count("\n") == 1 and line.endswith(f": {exc}\n")
+        assert "Traceback" not in line
+
+    def test_readme_table_lists_the_outcomes(self):
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        lines = text.splitlines()
+        start = lines.index("| Outcome | Raised as | Exit | Stream | Line starts with |")
+        table = []
+        for line in lines[start + 2:]:
+            if not line.startswith("|"):
+                break
+            table.append([cell.strip() for cell in line.strip("|").split("|")])
+        success, *rows = table
+        assert success[1:4] == ["—", "0", "stdout"]
+        assert [
+            (re.findall(r"`(\w+)`", raised), int(code), re.fullmatch(r"`(.+):`", prefix)[1], stream)
+            for _, raised, code, stream, prefix in rows
+        ] == [
+            ([kind.__name__ for kind in kinds], code, prefix, stream)
+            for kinds, code, prefix, stream in cli.OUTCOMES
+        ]
+
+    def test_weave_past_the_pulse_budget_exits_two(self, tmp_path, capsys):
+        # the complete graph on 9 dots, with a gate planted from 5000 on the
+        # first stage and 50 on the other 35: the weave would pulse one dot
+        # 20 times, past the budget of 16
+        n = 9
+        bonds = [Bond(j, k, 2e-4, t=np.sqrt(0.8), s=1j * np.sqrt(0.2))
+                 for j, k in combinations(range(n), 2)]
+        array = DotArray([Dot(j, 1.0 + 0.4 * j) for j in range(n)], bonds)
+        signs = np.array([subset_signs(array, stage) for stage in choose_assignments(array)])
+        durations = np.array([5000.0] + [50.0] * (len(bonds) - 1))
+        phases = np.array([b.velocity for b in bonds]) * (durations @ signs)
+        thetas = np.mod(-2.0 * phases, 2.0 * np.pi)
+        gate = {"factors": [{"control": b.j, "targets": [{"dot": b.k, "theta": float(th)}]}
+                            for b, th in zip(bonds, thetas)]}
+        (tmp_path / "array.json").write_text(array_to_json(array))
+        (tmp_path / "gate.json").write_text(json.dumps(gate))
+        out = tmp_path / "out"
+        code = run("calibrate", str(tmp_path / "array.json"), str(tmp_path / "gate.json"), out,
+                   "--dd", "--offset-bound", "0")
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "infeasible: weave needs 20 pulses on one qubit, budget is 16\n"
+        assert captured.err == ""
+        assert sorted(p.name for p in out.iterdir()) == ["kspace.csv", "schedule.json"]

@@ -42,7 +42,6 @@ from .simulate import (
     fidelity_lower_bound,
     ideal_evolution,
     optimal_phase_correction,
-    perturbation_second_order,
     pulsed_evolution,
     qubit_frame_evolution,
     simulate_gate,

@@ -59,7 +59,8 @@ from .simulate import (
 )
 
 
-VERIFY_TOL = 1e-2  # equivalence residual a calibrated schedule must reach
+VERIFY_TOL = 1e-2  # equivalence residual an answered time or schedule must reach
+SWEEP_MAX_STEPS = 1000  # points of one --sweep grid, each an eigendecomposition
 
 
 def _nonnegative(text: str) -> float:
@@ -86,14 +87,16 @@ def _positive_int(text: str) -> int:
 
 def _sweep_grid(text: str) -> np.ndarray:
     """Type of ``--sweep lo:hi:steps``: the geometric grid of J/eps values,
-    with lo, hi > 0 and steps >= 1."""
+    with lo, hi > 0 and 1 <= steps <= ``SWEEP_MAX_STEPS``."""
     try:
         lo, hi, steps = text.split(":")
         lo, hi, steps = finite(lo, "lo"), finite(hi, "hi"), int(steps)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    if lo <= 0 or hi <= 0 or steps < 1:
-        raise argparse.ArgumentTypeError(f"need lo > 0, hi > 0 and steps >= 1, got {text!r}")
+    if lo <= 0 or hi <= 0 or not 1 <= steps <= SWEEP_MAX_STEPS:
+        raise argparse.ArgumentTypeError(
+            f"need lo > 0, hi > 0 and 1 <= steps <= {SWEEP_MAX_STEPS}, got {text!r}"
+        )
     return np.geomspace(lo, hi, steps)
 
 
@@ -159,6 +162,12 @@ def _require_native(reading: BondReading) -> BondReading:
         raise Unreachable("not one controlled phase per bond times a free phase "
                           f"(residual {reading.residual:.3e})")
     return reading
+
+
+def _require_verified(name: str, residual: float) -> None:
+    """Refuse an answer whose exact equivalence residual exceeds ``VERIFY_TOL``."""
+    if residual > VERIFY_TOL:
+        raise Unreachable(f"exact {name} {residual:.3e} exceeds {VERIFY_TOL:g}")
 
 
 def cmd_check(args) -> int:
@@ -236,6 +245,8 @@ def cmd_simulate(args) -> int:
             _write(args.out, "sweep_skipped.json", json.dumps(doc, indent=2))
             print(f"skipped {len(skipped)} of {len(args.sweep)} sweep points with a degenerate "
                   "spectrum (sweep_skipped.json)")
+    if args.tau is None:  # the solved time is an answer; a given one is simulated anyway
+        _require_verified("equiv_residual_vs_target", equiv_residual)
     print(f"fidelity {report.fidelity!r}, bound {report.bound!r}")
     return 0
 
@@ -248,9 +259,11 @@ def cmd_calibrate(args) -> int:
     schedule = solve_intervals(
         array, target, choose_assignments(array), offset_bound=args.offset_bound
     )
-    # shared by the base and the woven verify; built before any artifact is
-    # written, so an array past the dense limit leaves none
+    # shared by the base and the woven verify; built and checked before any
+    # artifact is written, so an array past the dense limit or outside the
+    # perturbative regime leaves none
     spectrum = Spectrum.of(array)
+    spectrum.leak()
     _write(args.out, "schedule.json", schedule.to_json())
     path = kspace_path(array, schedule, target, samples_per_stage=8)
     _write(args.out, "kspace.csv", path.to_csv())
@@ -274,8 +287,7 @@ def cmd_calibrate(args) -> int:
         record["dd_total_time"] = woven.total_time
     _write(args.out, "calibrate.json", json.dumps(record, indent=2))
     answered = "dd_equiv_residual" if args.dd else "equiv_residual"
-    if record[answered] > VERIFY_TOL:
-        raise Unreachable(f"exact {answered} {record[answered]:.3e} exceeds {VERIFY_TOL:g}")
+    _require_verified(answered, record[answered])
     print(f"schedule with {len(schedule.stages)} stages, total time {schedule.total_time!r}")
     return 0
 

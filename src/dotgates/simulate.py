@@ -1,13 +1,14 @@
-"""Exact and perturbative dynamics of the dot array.
+"""Exact dynamics of the dot array.
 
 The computational Hamiltonian splits into a diagonal Zeeman part and an
 exchange part assembled from one projector per bond onto the entangled
 state ``(s* |uu> + t* |ud> - t |du> + s |dd>) / sqrt(2)``.  One Hermitian
 eigendecomposition per array, held by :class:`Spectrum`, serves every
 exact flow: the qubit-frame propagator ``exp(+i tau H0) exp(-i tau (H0 +
-Hex))``, the matching of perturbed eigenstates to basis states, and staged
-evolutions with instantaneous Pauli pulses.  Its first-order approximation
-is the diagonal gate ``exp(+i tau Lambda)`` with Lambda the grid vector.
+Hex))``, the one regime check (:meth:`Spectrum.leak`, which matches
+perturbed eigenstates to basis states), and staged evolutions with
+instantaneous Pauli pulses.  Its first-order approximation is the diagonal
+gate ``exp(+i tau Lambda)`` with Lambda the grid vector.
 
 The flows read only the diagonal of the propagator, which costs O(4^N)
 given the spectrum; pulses act as signed permutations of rows.  The dense
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -133,35 +133,32 @@ class Spectrum:
         evals, evecs = _eigh(h)
         return cls(pair.h0, h_ex_diag, evals, evecs)
 
-    @cached_property
-    def weights(self) -> np.ndarray:
-        """``weights[n, m] = |<n|m'>|^2``, basis state n and eigenvector m."""
-        return np.abs(self.evecs) ** 2
-
     def diagonal(self, tau: float) -> np.ndarray:
         """Diagonal of ``exp(+i tau H0) exp(-i tau H)``:
         ``e^{i tau h0} (|V|^2 e^{-i tau E})``."""
         rot = np.exp(-1j * tau * self.evals)
-        mixed = self.weights @ np.column_stack([rot.real, rot.imag])
+        mixed = np.abs(self.evecs) ** 2 @ np.column_stack([rot.real, rot.imag])
         return np.exp(1j * tau * self.h0) * (mixed[:, 0] + 1j * mixed[:, 1])
 
-    def match(self) -> MatchedSpectrum:
-        """Pair eigenvectors with basis states; see :func:`match_eigenstates`."""
-        dim = self.evals.shape[0]
-        basis_of = _match_columns(self.weights)
-        overlaps = self.weights[np.arange(dim), basis_of]
+    def leak(self) -> float:
+        """Leaked population ``sum_n (1 - |<n|n'>|^2)``, the regime check of
+        every exact flow.
+
+        Each eigenvector n' is paired with the basis state n it overlaps most
+        (see :func:`_match_columns`).  Two eigenvectors that pick the same
+        state, or a pair whose overlap is below ``MIN_OVERLAP``, put the
+        spectrum outside the perturbative regime and raise
+        :class:`DegenerateSpectrum`.
+        """
+        weights = np.abs(self.evecs) ** 2
+        overlaps = weights[np.arange(weights.shape[0]), _match_columns(weights)]
         if np.min(overlaps) < MIN_OVERLAP:
             worst = int(np.argmin(overlaps))
             raise DegenerateSpectrum(
                 f"state {worst} overlaps its eigenvector by only {overlaps[worst]:.3f}; "
                 "the spectrum is outside the perturbative regime"
             )
-        return MatchedSpectrum(
-            energies_0=self.h0.copy(),
-            energies=self.evals[basis_of],
-            overlaps=overlaps,
-            first_order=self.h_ex_diag.copy(),
-        )
+        return float(np.sum(1.0 - overlaps))
 
     def _pulsed_factors(self, schedule: PulseSchedule, head: SignedPermutation):
         """``(left, right)`` with ``left @ right = head U``, U the staged
@@ -241,31 +238,6 @@ def fidelity_lower_bound(residues, leak: float) -> float:
     return float(1.0 - (2.0 * d / (d + 1.0)) * np.max(np.abs(residues)) - (4.0 / (d + 1.0)) * leak)
 
 
-@dataclass(frozen=True)
-class MatchedSpectrum:
-    """Perturbed eigensystem matched to the computational basis."""
-
-    energies_0: np.ndarray     # unperturbed Zeeman energies E_n
-    energies: np.ndarray       # matched perturbed energies E'_n
-    overlaps: np.ndarray       # r_nn = |<n|n'>|^2
-    first_order: np.ndarray    # <n|Hex|n>
-
-    @property
-    def leak(self) -> float:
-        return float(np.sum(1.0 - self.overlaps))
-
-
-def match_eigenstates(array: DotArray) -> MatchedSpectrum:
-    """Pair perturbed eigenstates with basis states by maximal overlap.
-
-    Each eigenvector goes to the basis state it overlaps most (the lowest
-    index on ties).  Two eigenvectors that pick the same state, or a pair
-    whose overlap is below ``MIN_OVERLAP``, signal a non-perturbative
-    spectrum and raise :class:`DegenerateSpectrum`.
-    """
-    return Spectrum.of(array).match()
-
-
 def _match_columns(weights: np.ndarray) -> np.ndarray:
     """Basis row -> eigenvector column, each column at the row of its
     largest weight (the lowest row on ties).
@@ -286,56 +258,9 @@ def _match_columns(weights: np.ndarray) -> np.ndarray:
     return np.argsort(rows)  # rows is a permutation; this is its inverse
 
 
-def diagonal_residues(u: np.ndarray, ideal: PhaseVector) -> np.ndarray:
-    """arg(U_nn e^{-i tau Lambda_n}) folded to (-pi, pi]."""
-    return _diagonal_residues(np.diag(u), ideal)
-
-
-def _diagonal_residues(u_diag: np.ndarray, ideal: PhaseVector) -> np.ndarray:
+def diagonal_residues(u_diag: np.ndarray, ideal: PhaseVector) -> np.ndarray:
+    """arg(U_nn e^{-i tau Lambda_n}) folded to (-pi, pi], from diag(U)."""
     return wrap_pm_pi(np.angle(u_diag) - ideal.values)
-
-
-@dataclass(frozen=True)
-class SecondOrder:
-    """Leading perturbative residue phases and leaked population."""
-
-    phi: np.ndarray
-    leak: float
-
-
-def perturbation_second_order(
-    array: DotArray, tau: float, gap_threshold: float | None = None
-) -> SecondOrder:
-    """Second-order energy residues and leak from the exchange coupling.
-
-    ``phi_n = tau sum_{m != n} |<n|Hex|m>|^2 / (E_n - E_m)`` and
-    ``leak = sum_{n != m} |<n|Hex|m>|^2 / (E_n - E_m)^2`` over the
-    unperturbed Zeeman energies.
-
-    Raises
-    ------
-    DegenerateSpectrum
-        If a coupled pair of levels sits closer than ``gap_threshold``
-        (default ten times the total exchange energy).
-    """
-    pair = build_hamiltonian(array)
-    if gap_threshold is None:
-        gap_threshold = 10.0 * sum(b.exchange for b in array.bonds)
-    v = pair.h_ex - np.diag(np.diag(pair.h_ex))
-    gaps = pair.h0[:, None] - pair.h0[None, :]
-    coupled = np.abs(v) > 1e-14
-    bad = coupled & (np.abs(gaps) < gap_threshold)
-    if np.any(bad):
-        n, m = np.argwhere(bad)[0]
-        raise DegenerateSpectrum(
-            f"levels {int(n)} and {int(m)} are coupled but separated by only "
-            f"{abs(gaps[n, m]):.3e} (threshold {gap_threshold:.3e})"
-        )
-    weight = np.abs(v) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(coupled, weight / gaps, 0.0)
-        ratio2 = np.where(coupled, weight / gaps**2, 0.0)
-    return SecondOrder(phi=tau * ratio.sum(axis=1), leak=float(ratio2.sum()))
 
 
 @dataclass(frozen=True)
@@ -420,8 +345,8 @@ def simulate_gate(array: DotArray, tau: float) -> SimReport:
     spectrum = Spectrum.of(array)
     u_diag = spectrum.diagonal(tau)
     ideal = PhaseVector(-tau * spectrum.h_ex_diag)
-    residues = _diagonal_residues(u_diag, ideal)
-    leak = spectrum.match().leak
+    residues = diagonal_residues(u_diag, ideal)
+    leak = spectrum.leak()
     corr = optimal_phase_correction(residues, array.n_dots)
     return SimReport(
         tau=tau,

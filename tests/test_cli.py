@@ -300,6 +300,27 @@ class TestCalibrate:
         assert record["dd_equiv_residual" if dd else "equiv_residual"] > 1e-2
         assert (out / "schedule.json").exists()
 
+    def test_degenerate_spectrum_exits_one_before_writing(self, tmp_path, capsys):
+        # equal Zeeman energies: the bond mixes |ud> and |du> half and half,
+        # which simulate refuses and calibrate used to verify at 1e-6
+        array = {
+            "dots": [{"id": 0, "zeeman": 1.0}, {"id": 1, "zeeman": 1.0}],
+            "bonds": [{"j": 0, "k": 1, "J": 1e-3, "t": [np.sqrt(0.8), 0.0],
+                       "s": [0.0, np.sqrt(0.2)]}],
+        }
+        gate = {"factors": [{"control": 0, "targets": [{"dot": 1, "theta": 3.14159}]}]}
+        (tmp_path / "array.json").write_text(json.dumps(array))
+        (tmp_path / "gate.json").write_text(json.dumps(gate))
+        out = tmp_path / "out"
+        for command, *extra in (("simulate", "--tau", "100"), ("calibrate",), ("calibrate", "--dd")):
+            assert run(command, str(tmp_path / "array.json"), str(tmp_path / "gate.json"),
+                       out, *extra) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("degenerate spectrum: state ")
+            assert captured.err.count("\n") == 1
+            assert not out.exists()
+
     def test_unbonded_factor_pair_exits_two(self, tmp_path, capsys):
         array = {
             "dots": [{"id": j, "zeeman": 1.0 + 0.3 * j} for j in range(3)],
@@ -469,6 +490,7 @@ class TestInputErrors:
             ("simulate", "--sweep", "1e-4:-1e-2:3"),
             ("simulate", "--sweep", "0:1e-2:3"),
             ("simulate", "--sweep", "1e-4:1e-2:0"),
+            ("simulate", "--sweep", f"1e-4:1e-2:{cli.SWEEP_MAX_STEPS + 1}"),
         ],
     )
     def test_non_finite_or_negative_number_exits_one(self, stellar_files, capsys, command, flag, value):
@@ -673,21 +695,36 @@ class TestOneReading:
         assert report["equiv_residual_vs_target"] <= 1e-2
         assert run("calibrate", array, gate, out) == 0
 
-    def test_chain_gate_not_controlled_by_dot_zero(self, tmp_path):
+    def test_chain_gate_not_controlled_by_dot_zero(self, tmp_path, capsys):
         array, gate, out = three_dot_files(tmp_path, CHAIN, [(0, [(1, 1.1)]), (1, [(2, 2.3)])])
         assert run("check", array, gate, out) == 0
         report = json.loads((out / "check.json").read_text())
         assert report["feasible"] is True
         assert report["second_control"] is None and report["degenerate_two_qubit"] is None
         assert run("solve", array, gate, out) == 0
-        assert run("simulate", array, gate, out) == 0
+        capsys.readouterr()
+        # no lattice time meets both bonds; simulate refuses the best one's misfit
+        assert run("simulate", array, gate, out) == 2
+        residual = json.loads((out / "simulate.json").read_text())["equiv_residual_vs_target"]
+        assert residual > 1.0
+        assert capsys.readouterr().out == (
+            f"infeasible: exact equiv_residual_vs_target {residual:.3e} exceeds 0.01\n"
+        )
+        assert run("simulate", array, gate, out, "--tau", "100") == 0  # simulated anyway
 
-    def test_bond_away_from_the_control(self, tmp_path):
+    def test_bond_away_from_the_control(self, tmp_path, capsys):
         array, gate, out = three_dot_files(tmp_path, CHAIN, [(0, [(1, 1.1)])])
-        for command in ("check", "solve", "simulate"):
+        for command in ("check", "solve"):
             assert run(command, array, gate, out) == 0
+        capsys.readouterr()
+        # both bonds accrue phase at one rate, so no time gives bond (0, 1) its
+        # phase and bond (1, 2) none; the best lattice time is tau = 0
+        assert run("simulate", array, gate, out) == 2
+        assert capsys.readouterr().out.startswith("infeasible: exact equiv_residual_vs_target")
         solved = json.loads((out / "solve.json").read_text())
-        assert json.loads((out / "simulate.json").read_text())["tau"] == solved["mod_pi"][0]["tau"]
+        report = json.loads((out / "simulate.json").read_text())
+        assert report["tau"] == solved["mod_pi"][0]["tau"]
+        assert report["equiv_residual_vs_target"] > 1e-2
 
     def test_raw_gate_on_unbonded_pair(self, tmp_path, capsys):
         array, _, out = three_dot_files(tmp_path, CHAIN, [(0, [(1, 1.1)])])

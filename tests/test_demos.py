@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -5,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from dotgates import GateSpec, PulseSchedule, array_from_json
 
 ROOT = Path(__file__).parent.parent
 DEMOS = sorted((ROOT / "demos").glob("demo_*.py"))
@@ -33,3 +36,17 @@ def test_readme_quick_start_runs():
     result = run_python(["-c", code])
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+
+
+def test_readme_file_formats_parse():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("### File formats", 1)[1].split("\n## ", 1)[0]
+    array_block, gate_block, schedule_block = re.findall(r"```json\n(.*?)```", section, re.DOTALL)
+    array = array_from_json(array_block)
+    decoder, rest, gates = json.JSONDecoder(), gate_block.strip(), []
+    while rest:  # the gate block holds one document per form
+        doc, end = decoder.raw_decode(rest)
+        gates.append(GateSpec.from_json(doc))
+        rest = rest[end:].strip()
+    assert len(gates) == 2 and gates[0].expand(array.n_dots).values.shape == (8,)
+    assert len(PulseSchedule.from_json(schedule_block, array.n_dots).stages) == 2

@@ -19,11 +19,7 @@ from dotgates import (
     weave_dd,
 )
 from dotgates.basis import circular_distance, wrap_pm_pi
-from dotgates.simulate import (
-    _match_columns,
-    match_eigenstates,
-    optimal_phase_correction,
-)
+from dotgates.simulate import _match_columns, optimal_phase_correction
 
 from conftest import chain_array, random_connected_array, stellar_array
 
@@ -175,7 +171,7 @@ class TestMatching:
         rng = np.random.default_rng(11)
         for n in range(2, 8):
             for arr in array_family(rng, max(n, 3)):
-                weights = Spectrum.of(arr).weights
+                weights = np.abs(Spectrum.of(arr).evecs) ** 2
                 assert np.array_equal(_match_columns(weights), greedy_match(weights))
 
     def test_argmax_equals_greedy_on_random_weights(self):
@@ -208,7 +204,7 @@ class TestMatching:
         with pytest.raises(DegenerateSpectrum, match="state 0 overlaps both eigenvectors 1 and 2 most"):
             _match_columns(weights)
         with pytest.raises(DegenerateSpectrum, match="state 0 overlaps both"):
-            spectrum_with_vectors(evecs).match()
+            spectrum_with_vectors(evecs).leak()
 
     def test_exact_half_tie_raises(self):
         # every weight of the Hadamard is 1/2, so both columns pick row 0;
@@ -216,14 +212,15 @@ class TestMatching:
         evecs = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
         assert greedy_match(evecs**2).tolist() == [0, 1]
         with pytest.raises(DegenerateSpectrum, match="state 0 overlaps both eigenvectors 0 and 1 most"):
-            spectrum_with_vectors(evecs).match()
+            spectrum_with_vectors(evecs).leak()
 
-    def test_match_eigenstates_uses_the_spectrum(self, rng):
-        arr = random_connected_array(rng, 4)
-        a = match_eigenstates(arr)
-        b = Spectrum.of(arr).match()
-        assert np.array_equal(a.energies, b.energies)
-        assert np.array_equal(a.overlaps, b.overlaps)
+    def test_overlap_below_the_floor_raises(self):
+        # exp(i phi J / 3) for the all-ones J: every column peaks on its own
+        # row, at weight (5 + 4 cos phi) / 9 = 0.418 < 1/2 for phi = 0.6 pi
+        evecs = np.eye(3) + (np.exp(0.6j * np.pi) - 1.0) / 3.0
+        assert _match_columns(np.abs(evecs) ** 2).tolist() == [0, 1, 2]
+        with pytest.raises(DegenerateSpectrum, match="state 0 overlaps its eigenvector by only 0.418"):
+            spectrum_with_vectors(evecs).leak()
 
 
 class TestSimulateGateDiagonal:

@@ -30,6 +30,17 @@ def bit_table(n_qubits: int) -> np.ndarray:
     ).astype(np.int64)
 
 
+def pair_view(values: np.ndarray, j: int, k: int) -> np.ndarray:
+    """The 2^N vector ``values`` seen with qubit j on axis 0, qubit k on
+    axis 1 and the other qubits after them in order: entry ``[b_j, b_k]`` is
+    the block of basis states with those two bits, aligned by the spectator
+    bits.  A writeable view of the ``(2,) * N`` view, where axis q is qubit
+    q; the one map that places a pair term in the 2^N basis."""
+    n = values.shape[0].bit_length() - 1
+    spectators = [q for q in range(n) if q != j and q != k]
+    return values.reshape((2,) * n).transpose([j, k, *spectators])
+
+
 def single_bit_index(qubit: int, n_qubits: int) -> int:
     """Basis index with only ``qubit`` excited (bit set)."""
     return 1 << (n_qubits - 1 - qubit)

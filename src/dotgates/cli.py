@@ -11,9 +11,11 @@ stderr for malformed input and every other failure it knows.
 The flags ``--out``, ``--tol``, ``--seed``, ``--jobs``, ``--tau-max`` and
 ``--offset-bound`` have environment-variable overrides ``DOTGATES_OUT``,
 ``DOTGATES_TOL``, ``DOTGATES_SEED``, ``DOTGATES_JOBS``, ``DOTGATES_TAU_MAX``
-and ``DOTGATES_OFFSET_BOUND``, read on every ``main`` call; a malformed
-value, on the command line or in the environment, exits 1.  Identical
-inputs and seed produce byte-identical outputs.
+and ``DOTGATES_OFFSET_BOUND``, read on every ``main`` call by the
+subcommands that have the flag; a malformed value, on the command line or
+in the environment, exits 1.  Only ``apps`` draws random numbers, so only
+it takes ``--seed``.  Identical inputs and seed produce byte-identical
+outputs.
 
 Run as ``python -m dotgates.cli <subcommand> ...``.
 """
@@ -132,7 +134,6 @@ def _add_common(parser: argparse.ArgumentParser, need_gate: bool = True):
         parser.add_argument("--gate", required=True, help="gate-spec JSON file")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--tol", type=_nonnegative)
-    parser.add_argument("--seed", type=int)
     parser.add_argument("--jobs", type=int, help="accepted for compatibility; sweeps run serially")
 
 

@@ -33,6 +33,7 @@ from .basis import (
     TWO_PI,
     bit_table,
     circular_distance,
+    pair_view,
     single_bit_index,
     wrap_2pi,
 )
@@ -56,14 +57,6 @@ class LatticeBudgetExceeded(ValueError):
     """A time search would generate more than ``LATTICE_BUDGET`` lattice points."""
 
 
-def _pair_block(n_qubits: int, j: int, k: int) -> tuple:
-    """Index into the ``(2,) * n_qubits`` view of a phase vector that picks
-    the rows with qubits j and k both excited."""
-    block = [slice(None)] * n_qubits
-    block[j] = block[k] = 1
-    return tuple(block)
-
-
 def phase_polynomial(n_qubits: int, constant: float, slopes=(), pairs=(), angles=()) -> np.ndarray:
     """``constant + sum_j slopes[j] b_j + sum_w angles[w] b_j b_k`` with
     ``pairs[w] = (j, k)``, on every basis index: the phase polynomial that
@@ -72,9 +65,10 @@ def phase_polynomial(n_qubits: int, constant: float, slopes=(), pairs=(), angles
     total = np.full((2,) * n_qubits, float(constant))
     for j, slope in enumerate(slopes):
         total[(slice(None),) * j + (1,)] += slope
+    total = total.ravel()
     for (j, k), theta in zip(pairs, angles):
-        total[_pair_block(n_qubits, j, k)] += theta
-    return total.ravel()
+        pair_view(total, j, k)[1, 1] += theta
+    return total
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .basis import bit_of
+from .basis import pair_view
 
 TS_NORM_TOL = 1e-12
 
@@ -150,26 +150,13 @@ class DotArray:
         return DotArray(self.dots, bonds)
 
 
-def bond_pair_index(j: int, k: int, n_dots: int) -> np.ndarray:
-    """``2 b_j + b_k`` for every basis index: the entry of a bond's 4-vector
-    (up-up, up-down, down-up, down-down) that each basis state sees."""
-    idx = np.arange(1 << n_dots)
-    return 2 * bit_of(idx, j, n_dots) + bit_of(idx, k, n_dots)
-
-
-def embed_bond_values(values4: Sequence[float], j: int, k: int, n_dots: int) -> np.ndarray:
-    """Expand a per-bond diagonal quadruple to the full 2^N diagonal.
-
-    Entry order of ``values4`` follows the (b_j, b_k) bit pair of the bond.
-    """
-    return np.asarray(values4, dtype=float)[bond_pair_index(j, k, n_dots)]
-
-
 def grid_vector(array: DotArray) -> np.ndarray:
     """Kronecker sum of all bond vectors over the full 2^N space."""
-    total = np.zeros(1 << array.n_dots)
+    n = array.n_dots
+    total = np.zeros(1 << n)
     for bond in array.bonds:
-        total += embed_bond_values(bond_vector(bond), bond.j, bond.k, array.n_dots)
+        block = pair_view(total, bond.j, bond.k)
+        block += bond_vector(bond).reshape((2, 2) + (1,) * (n - 2))
     return total
 
 

@@ -5,8 +5,8 @@ exchange part assembled from one projector per bond onto the entangled
 state ``(s* |uu> + t* |ud> - t |du> + s |dd>) / sqrt(2)``.  One Hermitian
 eigendecomposition per array, held by :class:`Spectrum`, serves every
 exact flow: the qubit-frame propagator ``exp(+i tau H0) exp(-i tau (H0 +
-Hex))``, the one regime check (:meth:`Spectrum.leak`, which matches
-perturbed eigenstates to basis states), and staged evolutions with
+Hex))``, the one regime check (:meth:`Spectrum.leak`, which reads each
+basis state's overlap with its eigenvector), and staged evolutions with
 instantaneous Pauli pulses.  Its first-order approximation is the diagonal
 gate ``exp(+i tau Lambda)`` with Lambda the grid vector.
 
@@ -28,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import bit_table, wrap_pm_pi
+from .basis import bit_table, pair_view, wrap_pm_pi
 from .calibrate import PauliAssignment, PulseSchedule, SignedPermutation, Stage
 from .gates import FreePhase, PhaseVector, phase_polynomial
-from .model import Bond, Dot, DotArray, bond_pair_index, grid_vector
+from .model import Bond, Dot, DotArray, grid_vector
 
 
 class EigensolverFailure(RuntimeError):
@@ -52,7 +52,11 @@ class DenseLimitExceeded(ValueError):
     """An array with more dots than the dense path takes."""
 
 
-MIN_OVERLAP = 0.5  # least |<n|n'>|^2 of a matched pair in the perturbative regime
+# Least |<n|n'>|^2 of a basis state and its eigenvector in the perturbative
+# regime: in a two-level pair, 3/4 admits mixing up to |V_nm| / |E_n - E_m| =
+# sqrt(3) / 2.  Every row and column of |V|^2 sums to 1 (V is unitary), so
+# overlaps above 1/2 pair states and eigenvectors one to one.
+MIN_OVERLAP = 0.75
 
 
 def entangled_state(bond: Bond) -> np.ndarray:
@@ -67,17 +71,6 @@ class HamiltonianPair:
 
     h0: np.ndarray
     h_ex: np.ndarray
-
-
-def _embed_projector_add(h: np.ndarray, xi: np.ndarray, weight: float, j: int, k: int, n: int):
-    """Add weight * |xi><xi| (acting on dots j, k) into the dense matrix."""
-    sub = bond_pair_index(j, k, n)
-    # each group lists its rows in spectator-bit order, so rows align across groups
-    grouped = [np.flatnonzero(sub == a) for a in range(4)]
-    proj = weight * np.outer(xi, np.conj(xi))
-    for a in range(4):
-        for b in range(4):
-            h[grouped[a], grouped[b]] += proj[a, b]
 
 
 def build_hamiltonian(array: DotArray) -> HamiltonianPair:
@@ -99,7 +92,9 @@ def build_hamiltonian(array: DotArray) -> HamiltonianPair:
     h0 = ((1 - 2 * bits) @ array.zeemans) / 2.0
     h_ex = np.zeros((1 << n, 1 << n), dtype=complex)
     for bond in array.bonds:
-        _embed_projector_add(h_ex, entangled_state(bond), -bond.exchange, bond.j, bond.k, n)
+        xi = entangled_state(bond)
+        rows = pair_view(np.arange(1 << n), bond.j, bond.k).reshape(4, -1)
+        h_ex[rows[:, None], rows[None, :]] += (-bond.exchange * np.outer(xi, np.conj(xi)))[:, :, None]
     return HamiltonianPair(h0=h0, h_ex=h_ex)
 
 
@@ -144,14 +139,15 @@ class Spectrum:
         """Leaked population ``sum_n (1 - |<n|n'>|^2)``, the regime check of
         every exact flow.
 
-        Each eigenvector n' is paired with the basis state n it overlaps most
-        (see :func:`_match_columns`).  Two eigenvectors that pick the same
-        state, or a pair whose overlap is below ``MIN_OVERLAP``, put the
-        spectrum outside the perturbative regime and raise
-        :class:`DegenerateSpectrum`.
+        State n's overlap is the largest weight in row n of |V|^2; one below
+        ``MIN_OVERLAP`` puts the spectrum outside the perturbative regime and
+        raises :class:`DegenerateSpectrum`.  Rows and columns of |V|^2 each
+        sum to 1, so a weight above 1/2 is also the largest of its column:
+        above the floor, states and eigenvectors pair one to one, each
+        eigenvector with the state it overlaps most.  The terms are summed
+        in basis-row order.
         """
-        weights = np.abs(self.evecs) ** 2
-        overlaps = weights[np.arange(weights.shape[0]), _match_columns(weights)]
+        overlaps = np.max(np.abs(self.evecs) ** 2, axis=1)
         if np.min(overlaps) < MIN_OVERLAP:
             worst = int(np.argmin(overlaps))
             raise DegenerateSpectrum(
@@ -236,26 +232,6 @@ def fidelity_lower_bound(residues, leak: float) -> float:
     residues = np.asarray(residues, dtype=float)
     d = residues.shape[0]
     return float(1.0 - (2.0 * d / (d + 1.0)) * np.max(np.abs(residues)) - (4.0 / (d + 1.0)) * leak)
-
-
-def _match_columns(weights: np.ndarray) -> np.ndarray:
-    """Basis row -> eigenvector column, each column at the row of its
-    largest weight (the lowest row on ties).
-
-    Raises :class:`DegenerateSpectrum` when two columns pick the same row n.
-    V is unitary, so row n's weights sum to 1 and one of the two columns
-    has a largest weight, and so every weight, of at most 1/2: no pairing
-    gives it an overlap above ``MIN_OVERLAP``.
-    """
-    rows = np.argmax(weights, axis=0)
-    shared = np.flatnonzero(np.bincount(rows, minlength=rows.shape[0]) > 1)
-    if shared.size:
-        a, b = np.flatnonzero(rows == shared[0])[:2].tolist()
-        raise DegenerateSpectrum(
-            f"state {shared[0]} overlaps both eigenvectors {a} and {b} most; "
-            "the spectrum is outside the perturbative regime"
-        )
-    return np.argsort(rows)  # rows is a permutation; this is its inverse
 
 
 def diagonal_residues(u_diag: np.ndarray, ideal: PhaseVector) -> np.ndarray:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dotgates import Bond, Dot, DotArray, order_reversal
+from dotgates.basis import bit_of
 
 
 def make_bond(j, k, exchange, t_sq, phase_t=0.0, phase_s=0.0):
@@ -16,6 +17,30 @@ def conjugated(bond):
     action of a single X or Y pulse on one endpoint, which negates the
     effective velocity.  The reference the pulsed-frame oracles build on."""
     return Bond(bond.j, bond.k, bond.exchange, t=bond.s, s=bond.t)
+
+
+def bond_pair_index(j, k, n_dots):
+    """``2 b_j + b_k`` for every basis index: the entry of a bond's 4-vector
+    (up-up, up-down, down-up, down-down) that each basis state sees.  The
+    reference grouping of ``basis.pair_view``."""
+    idx = np.arange(1 << n_dots)
+    return 2 * bit_of(idx, j, n_dots) + bit_of(idx, k, n_dots)
+
+
+def argmax_match(weights):
+    """Basis row -> eigenvector column, each column at the row of its
+    largest weight (the lowest row on ties), or None when two columns pick
+    the same row: the pairing that ``Spectrum.leak()`` is checked against."""
+    rows = np.argmax(weights, axis=0)
+    if np.unique(rows).size < rows.size:
+        return None
+    return np.argsort(rows)  # rows is a permutation; this is its inverse
+
+
+def min_column_overlap(evecs):
+    """Smallest over eigenvectors of the largest |V|^2 weight: below
+    ``MIN_OVERLAP`` (3/4), ``Spectrum.leak()`` must refuse the spectrum."""
+    return float(np.min(np.max(np.abs(evecs) ** 2, axis=0)))
 
 
 def stellar_array(n_targets, j_scale=1e-3, t_sq=None, zeemans=None, rng=None):

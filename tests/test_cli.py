@@ -194,7 +194,7 @@ class TestSimulate:
         for out in (out1, out2):
             code = main(
                 ["simulate", "--array", array, "--gate", gate, "--out", str(out),
-                 "--seed", "7", "--sweep", "1e-4:1e-3:3"]
+                 "--sweep", "1e-4:1e-3:3"]
             )
             assert code == 0
         assert (out1 / "simulate.json").read_bytes() == (out2 / "simulate.json").read_bytes()
@@ -302,24 +302,28 @@ class TestCalibrate:
 
     def test_degenerate_spectrum_exits_one_before_writing(self, tmp_path, capsys):
         # equal Zeeman energies: the bond mixes |ud> and |du> half and half,
-        # which simulate refuses and calibrate used to verify at 1e-6
-        array = {
-            "dots": [{"id": 0, "zeeman": 1.0}, {"id": 1, "zeeman": 1.0}],
-            "bonds": [{"j": 0, "k": 1, "J": 1e-3, "t": [np.sqrt(0.8), 0.0],
-                       "s": [0.0, np.sqrt(0.2)]}],
-        }
+        # which simulate refuses and calibrate used to verify at 1e-6; moved
+        # by 1e-6, each mixed state overlaps its eigenvector by 0.5006, which
+        # the overlap floor of 1/2 admitted and 3/4 refuses
         gate = {"factors": [{"control": 0, "targets": [{"dot": 1, "theta": 3.14159}]}]}
-        (tmp_path / "array.json").write_text(json.dumps(array))
         (tmp_path / "gate.json").write_text(json.dumps(gate))
         out = tmp_path / "out"
-        for command, *extra in (("simulate", "--tau", "100"), ("calibrate",), ("calibrate", "--dd")):
-            assert run(command, str(tmp_path / "array.json"), str(tmp_path / "gate.json"),
-                       out, *extra) == 1
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.startswith("degenerate spectrum: state ")
-            assert captured.err.count("\n") == 1
-            assert not out.exists()
+        for zeeman in (1.0, 1.000001):
+            array = {
+                "dots": [{"id": 0, "zeeman": 1.0}, {"id": 1, "zeeman": zeeman}],
+                "bonds": [{"j": 0, "k": 1, "J": 1e-3, "t": [np.sqrt(0.8), 0.0],
+                           "s": [0.0, np.sqrt(0.2)]}],
+            }
+            (tmp_path / "array.json").write_text(json.dumps(array))
+            for command, *extra in (("simulate", "--tau", "100"), ("calibrate",),
+                                    ("calibrate", "--dd")):
+                assert run(command, str(tmp_path / "array.json"), str(tmp_path / "gate.json"),
+                           out, *extra) == 1
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.startswith("degenerate spectrum: state ")
+                assert captured.err.count("\n") == 1
+                assert not out.exists()
 
     def test_unbonded_factor_pair_exits_two(self, tmp_path, capsys):
         array = {
@@ -584,17 +588,27 @@ class TestEnvOverrides:
             ("TOL", "abc", "check"),
             ("TOL", "nan", "check"),
             ("TAU_MAX", "-1", "solve"),
-            ("SEED", "1.5", "check"),
+            ("SEED", "1.5", "apps"),
             ("OFFSET_BOUND", "x", "calibrate"),
         ],
     )
     def test_malformed_value_exits_one(self, stellar_files, monkeypatch, capsys, name, value, command):
         array, gate, out = stellar_files
         monkeypatch.setenv(f"DOTGATES_{name}", value)
-        assert run(command, array, gate, out) == 1
+        if command == "apps":  # the one subcommand that takes a seed
+            assert main(["apps", "paritycheck", "--out", str(out)]) == 1
+        else:
+            assert run(command, array, gate, out) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"input error: DOTGATES_{name}=") and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["check", "solve", "simulate", "calibrate"])
+    def test_only_apps_takes_a_seed(self, stellar_files, capsys, command):
+        array, gate, out = stellar_files
+        assert run(command, array, gate, out, "--seed", "7") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and "--seed 7" in err
 
     def test_patched_command_function_is_the_one_run(self, stellar_files, monkeypatch):
         array, gate, out = stellar_files

@@ -11,9 +11,19 @@ from dotgates import (
     grid_vector,
     tunneling_from_soi,
 )
-from dotgates.model import embed_bond_values, soi_strength_table
+from dotgates.basis import pair_view
+from dotgates.gates import phase_polynomial
+from dotgates.model import soi_strength_table
+from dotgates.simulate import build_hamiltonian, entangled_state
 
-from conftest import conjugated, make_bond, random_connected_array
+from conftest import (
+    bond_pair_index,
+    chain_array,
+    conjugated,
+    make_bond,
+    random_connected_array,
+    stellar_array,
+)
 
 
 class DegenerateChargeState(ValueError):
@@ -180,10 +190,70 @@ class TestGridVector:
 
     def test_embedding_respects_bit_convention(self):
         # qubit 0 is the most significant bit
-        vals = embed_bond_values([10.0, 20.0, 30.0, 40.0], 0, 2, 3)
+        vals = np.zeros(8)
+        pair_view(vals, 0, 2)[...] = np.array([[10.0], [20.0], [30.0], [40.0]]).reshape(2, 2, 1)
         # index 4 = bits (1,0,0): b_j=1, b_k=0 -> third entry
         assert vals[4] == 30.0
         assert vals[1] == 20.0  # bits (0,0,1): b_j=0, b_k=1
+
+
+def oracle_h_ex(array):
+    """Exchange Hamiltonian with each bond's rows grouped by
+    ``bond_pair_index``, block pair by block pair."""
+    n = array.n_dots
+    h = np.zeros((1 << n, 1 << n), dtype=complex)
+    for bond in array.bonds:
+        sub = bond_pair_index(bond.j, bond.k, n)
+        # each group lists its rows in spectator-bit order, so rows align across groups
+        grouped = [np.flatnonzero(sub == a) for a in range(4)]
+        xi = entangled_state(bond)
+        proj = -bond.exchange * np.outer(xi, np.conj(xi))
+        for a in range(4):
+            for b in range(4):
+                h[grouped[a], grouped[b]] += proj[a, b]
+    return h
+
+
+def oracle_grid_vector(array):
+    total = np.zeros(1 << array.n_dots)
+    for bond in array.bonds:
+        total += bond_vector(bond)[bond_pair_index(bond.j, bond.k, array.n_dots)]
+    return total
+
+
+def oracle_phase_polynomial(n, constant, slopes, pairs, angles):
+    total = np.full((2,) * n, float(constant))
+    for j, slope in enumerate(slopes):
+        total[(slice(None),) * j + (1,)] += slope
+    total = total.ravel()
+    for (j, k), theta in zip(pairs, angles):
+        total[bond_pair_index(j, k, n) == 3] += theta
+    return total
+
+
+class TestBondMap:
+    """``basis.pair_view`` places every bond term exactly where the
+    ``bond_pair_index`` grouping does, bit for bit."""
+
+    @staticmethod
+    def rephased(array, rng):
+        # random complex t and s phases, as the bench arrays have
+        return array.with_bonds(
+            make_bond(b.j, b.k, b.exchange, abs(b.t) ** 2, *rng.uniform(0.0, 2 * np.pi, 2))
+            for b in array.bonds
+        )
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_placements_match_the_oracle(self, n):
+        rng = np.random.default_rng(300 + n)
+        shapes = [chain_array(n, rng=rng), stellar_array(n - 1, rng=rng),
+                  random_connected_array(rng, n)]
+        for arr in (self.rephased(a, rng) for a in shapes):
+            assert np.array_equal(build_hamiltonian(arr).h_ex, oracle_h_ex(arr))
+            assert np.array_equal(grid_vector(arr), oracle_grid_vector(arr))
+            pairs = [(b.k, b.j) if rng.random() < 0.5 else (b.j, b.k) for b in arr.bonds]
+            args = (n, rng.normal(), rng.normal(size=n), pairs, rng.normal(size=len(pairs)))
+            assert np.array_equal(phase_polynomial(*args), oracle_phase_polynomial(*args))
 
 
 class TestSoiTable:

@@ -23,14 +23,21 @@ from dotgates import (
 from dotgates.basis import bit_table, circular_distance, wrap_pm_pi
 from dotgates.model import grid_vector
 from dotgates.simulate import (
+    MIN_OVERLAP,
+    DegenerateSpectrum,
     Spectrum,
     _diagonal_fidelity,
-    _match_columns,
     diagonal_residues,
     scaled_zeeman_array,
 )
 
-from conftest import make_bond, random_connected_array, stellar_array
+from conftest import (
+    argmax_match,
+    make_bond,
+    min_column_overlap,
+    random_connected_array,
+    stellar_array,
+)
 from test_frames import oracle_conjugated_grid
 
 
@@ -237,18 +244,24 @@ class TestFidelity:
         assert fidelity_lower_bound(residues, 0.0) == pytest.approx(1.0 - (8.0 / 5.0) * eps)
 
     def test_bound_holds_on_random_instances(self, rng):
-        checked = 0
+        checked = refused = 0
         for _ in range(40):
             n = int(rng.integers(2, 6))
             arr = random_connected_array(rng, n, j_scale=10 ** rng.uniform(-3.5, -1.5))
             tau = float(rng.uniform(0.2, 2.0)) * np.pi / np.mean(
                 [abs(b.velocity) + 1e-9 for b in arr.bonds]
             )
+            if min_column_overlap(Spectrum.of(arr).evecs) < MIN_OVERLAP:
+                refused += 1
+                with pytest.raises(DegenerateSpectrum):
+                    simulate_gate(arr, tau)
+                continue
             report = simulate_gate(arr, tau)
             if report.bound >= 0:
                 checked += 1
                 assert report.fidelity >= report.bound - 1e-12
         assert checked > 10
+        assert refused >= 1  # one instance mixes two states at overlap 0.528
 
 
 class TestPerturbation:
@@ -269,7 +282,7 @@ class TestPerturbation:
         tau = 7.0
         so = perturbation_second_order(arr, tau)
         spectrum = Spectrum.of(arr)
-        energies = spectrum.evals[_match_columns(np.abs(spectrum.evecs) ** 2)]
+        energies = spectrum.evals[argmax_match(np.abs(spectrum.evecs) ** 2)]
         # tau (dE_n - dE_n^(1)), the exact shift beyond first order
         shift = energies - spectrum.h0 - spectrum.h_ex_diag
         exact = wrap_pm_pi(tau * shift)

@@ -19,9 +19,15 @@ from dotgates import (
     weave_dd,
 )
 from dotgates.basis import circular_distance, wrap_pm_pi
-from dotgates.simulate import _match_columns, optimal_phase_correction
+from dotgates.simulate import MIN_OVERLAP, optimal_phase_correction
 
-from conftest import chain_array, random_connected_array, stellar_array
+from conftest import (
+    argmax_match,
+    chain_array,
+    min_column_overlap,
+    random_connected_array,
+    stellar_array,
+)
 
 PAULI_2X2 = {
     "I": np.eye(2),
@@ -57,7 +63,7 @@ def dense_readout(array, schedule):
 
 def greedy_match(weights):
     """Basis row -> eigenvector column, pairs taken by descending weight
-    with index tie-breaking: the reference pairing of ``_match_columns``.
+    with index tie-breaking: the reference pairing of ``argmax_match``.
 
     Each column's largest weight (lowest row on ties) comes first in this
     order among that column's entries, so when those rows are all distinct
@@ -166,34 +172,49 @@ class TestPulsedDiagonal:
         assert np.max(np.abs(got - np.diag(kron_pulse(net).conj().T @ dense))) <= 1e-12
 
 
+def oracle_leak(weights):
+    """``sum_n (1 - overlap_n)`` over the argmax pairing, in basis-row order."""
+    return float(np.sum(1.0 - weights[np.arange(weights.shape[0]), argmax_match(weights)]))
+
+
 class TestMatching:
     def test_argmax_equals_greedy_on_arrays(self):
         rng = np.random.default_rng(11)
         for n in range(2, 8):
             for arr in array_family(rng, max(n, 3)):
-                weights = np.abs(Spectrum.of(arr).evecs) ** 2
-                assert np.array_equal(_match_columns(weights), greedy_match(weights))
+                spectrum = Spectrum.of(arr)
+                weights = np.abs(spectrum.evecs) ** 2
+                assert np.array_equal(argmax_match(weights), greedy_match(weights))
+                if min_column_overlap(spectrum.evecs) < MIN_OVERLAP:
+                    with pytest.raises(DegenerateSpectrum):
+                        spectrum.leak()
+                else:
+                    assert spectrum.leak() == oracle_leak(weights)  # bit for bit
 
     def test_argmax_equals_greedy_on_random_weights(self):
         # strongly mixed unitaries make column collisions common
         rng = np.random.default_rng(12)
-        collisions = 0
+        collisions = admitted = 0
         for dim in (2, 4, 8, 16):
             for _ in range(25):
                 z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
                 q, _ = np.linalg.qr(z)
                 weights = np.abs(q) ** 2
-                rows = np.argmax(weights, axis=0)
-                if len(set(rows.tolist())) == dim:
-                    assert np.array_equal(_match_columns(weights), greedy_match(weights))
-                    continue
-                collisions += 1
-                with pytest.raises(DegenerateSpectrum):
-                    _match_columns(weights)
-                # the theorem: any pairing, greedy's included, leaves some
-                # state at overlap <= 1/2
-                assert np.min(weights[np.arange(dim), greedy_match(weights)]) <= 0.5
-        assert collisions > 0
+                spectrum = spectrum_with_vectors(q)
+                if argmax_match(weights) is not None:
+                    assert np.array_equal(argmax_match(weights), greedy_match(weights))
+                    if min_column_overlap(q) >= MIN_OVERLAP:
+                        admitted += 1
+                        assert spectrum.leak() == oracle_leak(weights)
+                        continue
+                else:
+                    collisions += 1
+                    # the theorem: any pairing, greedy's included, leaves some
+                    # state at overlap <= 1/2
+                    assert np.min(weights[np.arange(dim), greedy_match(weights)]) <= 0.5
+                with pytest.raises(DegenerateSpectrum, match="overlaps its eigenvector by only"):
+                    spectrum.leak()
+        assert collisions > 0 and admitted > 0
 
     def test_collision_raises_degenerate_spectrum(self):
         # a Householder reflection I - (2/3) J: columns 1 and 2 both peak
@@ -201,26 +222,42 @@ class TestMatching:
         evecs = np.eye(3) - 2.0 / 3.0
         weights = evecs**2
         assert np.argmax(weights, axis=0).tolist() == [1, 0, 0]
-        with pytest.raises(DegenerateSpectrum, match="state 0 overlaps both eigenvectors 1 and 2 most"):
-            _match_columns(weights)
-        with pytest.raises(DegenerateSpectrum, match="state 0 overlaps both"):
+        assert argmax_match(weights) is None
+        with pytest.raises(DegenerateSpectrum, match="state 0 overlaps its eigenvector by only 0.444"):
             spectrum_with_vectors(evecs).leak()
 
     def test_exact_half_tie_raises(self):
         # every weight of the Hadamard is 1/2, so both columns pick row 0;
-        # greedy would pair them at overlap exactly 1/2, on the floor
+        # greedy would pair them at overlap exactly 1/2, below the floor
         evecs = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
         assert greedy_match(evecs**2).tolist() == [0, 1]
-        with pytest.raises(DegenerateSpectrum, match="state 0 overlaps both eigenvectors 0 and 1 most"):
+        with pytest.raises(DegenerateSpectrum, match="state 0 overlaps its eigenvector by only 0.500"):
             spectrum_with_vectors(evecs).leak()
 
     def test_overlap_below_the_floor_raises(self):
         # exp(i phi J / 3) for the all-ones J: every column peaks on its own
         # row, at weight (5 + 4 cos phi) / 9 = 0.418 < 1/2 for phi = 0.6 pi
         evecs = np.eye(3) + (np.exp(0.6j * np.pi) - 1.0) / 3.0
-        assert _match_columns(np.abs(evecs) ** 2).tolist() == [0, 1, 2]
+        assert argmax_match(np.abs(evecs) ** 2).tolist() == [0, 1, 2]
         with pytest.raises(DegenerateSpectrum, match="state 0 overlaps its eigenvector by only 0.418"):
             spectrum_with_vectors(evecs).leak()
+
+    @pytest.mark.parametrize("overlap", [0.5006, 0.6, 0.7499])
+    def test_two_level_mixing_below_three_quarters_raises(self, overlap):
+        # a rotation by theta with cos^2 theta = overlap: argmax pairs the two
+        # states one to one, yet they are mixed past |V|/|dE| = sqrt(3)/2
+        c, s = np.sqrt(overlap), np.sqrt(1.0 - overlap)
+        evecs = np.array([[c, -s], [s, c]])
+        assert argmax_match(evecs**2).tolist() == [0, 1]
+        with pytest.raises(DegenerateSpectrum, match=f"by only {overlap:.3f}"):
+            spectrum_with_vectors(evecs).leak()
+
+    @pytest.mark.parametrize("overlap", [0.7501, 0.9, 1.0])
+    def test_two_level_mixing_at_three_quarters_is_admitted(self, overlap):
+        c, s = np.sqrt(overlap), np.sqrt(1.0 - overlap)
+        evecs = np.array([[c, -s], [s, c]])
+        assert min_column_overlap(evecs) >= MIN_OVERLAP
+        assert spectrum_with_vectors(evecs).leak() == oracle_leak(evecs**2)
 
 
 class TestSimulateGateDiagonal:
@@ -229,6 +266,12 @@ class TestSimulateGateDiagonal:
         rng = np.random.default_rng(40 + n)
         for arr in array_family(rng, n):
             tau = float(rng.uniform(100.0, 3000.0))
+            if min_column_overlap(Spectrum.of(arr).evecs) < MIN_OVERLAP:
+                # n = 3: the random array's Zeeman energies 1.2508 and 1.2507
+                # mix two states at overlap 0.535
+                with pytest.raises(DegenerateSpectrum):
+                    simulate_gate(arr, tau)
+                continue
             report = simulate_gate(arr, tau)
 
             pair = build_hamiltonian(arr)

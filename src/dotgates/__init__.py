@@ -23,10 +23,8 @@ from .gates import (
     PhaseVector,
     Unreachable,
     assert_single_control,
-    decompose_intrinsic,
     equiv_up_to_free_phase,
     mqcp_phase_solution,
-    parity_matrix,
     phase_polynomial,
     read_bonds,
     solve_dynamics,
@@ -40,7 +38,6 @@ from .simulate import (
     Spectrum,
     build_hamiltonian,
     fidelity_lower_bound,
-    ideal_evolution,
     optimal_phase_correction,
     pulsed_evolution,
     qubit_frame_evolution,

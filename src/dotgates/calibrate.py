@@ -22,6 +22,7 @@ of a product.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from itertools import combinations
@@ -92,6 +93,54 @@ class SignedPermutation:
         out = np.zeros((idx.shape[0], idx.shape[0]), dtype=complex)
         out[idx ^ self.flip, idx] = self.phase
         return out
+
+    def reflection(self, v: np.ndarray, out: np.ndarray):
+        """``(c, C)`` with ``V^dag self V = c (C^dag C - I)`` for unitary V.
+
+        ``self`` must be ``c P_h`` with ``P_h`` a Pauli string, otherwise
+        ``ValueError``.  ``P_h`` is a Hermitian involution, traceless unless
+        it is I, so ``P_h = 2 Pi - I`` with ``Pi`` the projector on its +1
+        eigenspace, of rank 2^N / 2.  ``C`` holds ``sqrt(2) Pi V`` in that
+        eigenspace's basis: one row ``V[b] + conj(phase_h[b]) V[b ^ flip]``
+        for each pair ``{b, b ^ flip}``, or ``sqrt(2) V[b]`` for each b with
+        ``phase_h[b] = +1`` when ``flip`` is 0.  The gather costs O(4^N) and
+        writes C into ``out`` (2^N / 2 rows); C is None when ``self`` is
+        ``c I``.
+        """
+        n_dots = self.phase.shape[0].bit_length() - 1
+        ref = np.conj(self.phase[0])
+        z = sum(1 << j for j in range(n_dots) if (self.phase[1 << j] * ref).real < 0)
+        pauli = _pauli_phase(n_dots, self.flip, z)
+        c = complex(self.phase[0] / pauli[0])
+        if np.abs(self.phase - c * pauli).max() > 1e-12:
+            raise ValueError("a boundary operator that is not a Pauli product has no reflection")
+        if self.flip == 0 and z == 0:
+            return c, None
+        if self.flip:
+            top = 1 << (self.flip.bit_length() - 1)
+            lo = np.arange(self.phase.shape[0]).reshape(-1, 2, top)[:, 0].ravel()
+            # mode "clip" lets take write into out unbuffered; every index is in range
+            rows = np.take(v, lo ^ self.flip, axis=0, out=out, mode="clip")
+            rows *= np.conj(pauli[lo])[:, None]
+            rows += v[lo]
+        else:
+            rows = np.take(v, np.flatnonzero(pauli.real > 0), axis=0, out=out, mode="clip")
+            rows *= np.sqrt(2.0)
+        return c, rows
+
+
+@functools.lru_cache(maxsize=64)
+def _pauli_phase(n_dots: int, x: int, z: int) -> np.ndarray:
+    """``i^|x & z| (-1)^|b & z|`` for every basis state b, read-only: the
+    phases of a Pauli string, shared by every pulse with these masks."""
+    idx = np.arange(1 << n_dots)
+    odd = np.zeros(idx.shape, dtype=np.int64)  # parity of |b & z|
+    for shift in range(n_dots):
+        if (z >> shift) & 1:
+            odd ^= (idx >> shift) & 1
+    phase = _I_POWERS[(x & z).bit_count() % 4] * (1 - 2 * odd)
+    phase.flags.writeable = False
+    return phase
 
 
 @dataclass(frozen=True)
@@ -168,13 +217,7 @@ class PauliAssignment:
         return PauliAssignment._from_masks(x, z, self.n_dots), _I_POWERS[power % 4]
 
     def signed_permutation(self) -> SignedPermutation:
-        idx = np.arange(1 << self.n_dots)
-        odd = np.zeros(idx.shape, dtype=np.int64)  # parity of |b & z|
-        for shift in range(self.n_dots):
-            if (self.z_mask >> shift) & 1:
-                odd ^= (idx >> shift) & 1
-        prefactor = _I_POWERS[(self.x_mask & self.z_mask).bit_count() % 4]
-        return SignedPermutation(self.x_mask, prefactor * (1 - 2 * odd))
+        return SignedPermutation(self.x_mask, _pauli_phase(self.n_dots, self.x_mask, self.z_mask))
 
     def matrix(self) -> np.ndarray:
         return self.signed_permutation().matrix()

@@ -31,7 +31,6 @@ import numpy as np
 
 from .basis import (
     TWO_PI,
-    bit_table,
     circular_distance,
     pair_view,
     single_bit_index,
@@ -218,19 +217,6 @@ class ParitySolution:
     feasible: bool
     free: FreePhase | None
     residual: float
-
-
-def parity_matrix(n_qubits: int) -> np.ndarray:
-    """Signed matrix mapping (phi_c, phi_1, .., phi_{N-1}) to the reduced
-    gate vector: the row for target bits a is (-1, (-1)^a_1, ..)."""
-    if n_qubits < 2:
-        raise ValueError("need at least two qubits")
-    rows = 1 << (n_qubits - 1)
-    mat = np.empty((rows, n_qubits), dtype=np.int64)
-    mat[:, 0] = -1
-    bits = bit_table(n_qubits - 1)
-    mat[:, 1:] = 1 - 2 * bits
-    return mat
 
 
 def solve_parity(theta_g, n_qubits: int, tol: float = DEFAULT_TOL) -> ParitySolution:
@@ -432,30 +418,6 @@ def solve_dynamics(
         mod_pi=_scan_lattice(velocities, np.mod(phases, np.pi), np.pi, tau_max, tol),
         mod_2pi=_scan_lattice(velocities, wrap_2pi(2.0 * phases), TWO_PI, tau_max, tol),
     )
-
-
-def decompose_intrinsic(array: DotArray, tau: float) -> tuple[GateSpec, FreePhase]:
-    """Split the ideal evolution at time tau into per-bond controlled-phase
-    factors plus local phase corrections.
-
-    Each bond contributes a controlled-phase of angle ``-2 tau Delta_w``;
-    the correction on dot j is the sum of ``tau Delta_w`` over bonds at j
-    (independent of how bonds are grouped into stars), and the global phase
-    collects ``tau S_w``.
-    """
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    factors = []
-    local = np.zeros(array.n_dots)
-    global_phase = 0.0
-    for b in array.bonds:
-        theta = wrap_2pi(-2.0 * tau * b.velocity)
-        factors.append(MqcpFactor(b.j, [(b.k, theta)]))
-        local[b.j] += tau * b.velocity
-        local[b.k] += tau * b.velocity
-        global_phase += tau * b.spin_flip_rate
-    corrections = FreePhase(wrap_2pi(global_phase), wrap_2pi(local))
-    return GateSpec(factors=tuple(factors)), corrections
 
 
 def equiv_up_to_free_phase(

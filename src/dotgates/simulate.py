@@ -11,8 +11,13 @@ instantaneous Pauli pulses.  Its first-order approximation is the diagonal
 gate ``exp(+i tau Lambda)`` with Lambda the grid vector.
 
 The flows read only the diagonal of the propagator, which costs O(4^N)
-given the spectrum; pulses act as signed permutations of rows.  The dense
-propagator is built only on request (``qubit_frame_evolution``,
+given the spectrum.  Pulses before the first and after the last evolving
+stage act as signed permutations of rows, also O(4^N).  The pulses between
+two evolving stages compose into a Pauli product ``P = c P_h``, whose
+eigen-coordinate form ``V^dag P V = c (C^dag C - I)`` is a reflection with
+C of 2^N / 2 rows (:meth:`SignedPermutation.reflection`): each such
+boundary costs two half-size products, 8^N complex multiply-adds.  The
+dense propagator is built only on request (``qubit_frame_evolution``,
 ``pulsed_evolution``).
 
 The difference from the ideal gate is coherent error, quantified by the
@@ -31,7 +36,7 @@ import numpy as np
 from .basis import bit_table, pair_view, wrap_pm_pi
 from .calibrate import PauliAssignment, PulseSchedule, SignedPermutation, Stage
 from .gates import FreePhase, PhaseVector, phase_polynomial
-from .model import Bond, Dot, DotArray, grid_vector
+from .model import Bond, Dot, DotArray
 
 
 class EigensolverFailure(RuntimeError):
@@ -161,29 +166,45 @@ class Spectrum:
         evolution of the schedule before the final frame rotation.
 
         The running product is kept as ``V w`` in eigen coordinates ``w``.
-        Evolving stages scale the rows of ``w``; the pulses between two of
-        them, composed into one signed permutation P, cost the two dense
-        products of ``V^dag P V``.  Pulses before the first evolution act on
-        the columns of ``V^dag`` and pulses after the last one, with
-        ``head``, on the rows of ``V``, so neither takes a dense product.
+        Evolving stages scale the rows of ``w``.  The pulses between two of
+        them compose into one Pauli product ``P = c P_h``, a reflection:
+        ``V^dag P V = c (C^dag C - I)`` with C the 2^N / 2 rows of
+        :meth:`SignedPermutation.reflection`, so ``w <- c (C^dag (C w) - w)``
+        costs two half-size products, 8^N complex multiply-adds where the
+        sandwich ``V^dag P V w`` took twice that, and none when P is ``c I``.
+        ``w`` is updated in place and the work buffers are reused from
+        boundary to boundary.
+        Pulses before the first evolution act on the columns of ``V^dag``
+        and pulses after the last one, with ``head``, on the rows of ``V``,
+        so neither takes a dense product.
         """
         v = self.evecs
-        vh = v.conj().T
         w = None
         pending = None  # pulses since the last evolving stage
+        rows = half = spare = None  # work buffers of the boundaries
         for stage in schedule.stages:
             if stage.duration > 0:
                 if w is None:
-                    w = vh if pending is None else pending.apply_columns(vh)
+                    w = v.conj().T if pending is None else pending.apply_columns(v.conj().T)
                 elif pending is not None:
-                    w = vh @ pending.apply_rows(v @ w)
-                w = np.exp(-1j * stage.duration * self.evals)[:, None] * w
+                    if rows is None:
+                        rows, half = np.empty((2, v.shape[0] // 2, v.shape[0]), dtype=complex)
+                        spare = np.empty(v.shape, dtype=complex)
+                    c, reflected = pending.reflection(v, out=rows)
+                    if reflected is not None:
+                        np.matmul(rows, w, out=half)
+                        np.conjugate(rows, out=rows)
+                        np.matmul(rows.T, half, out=spare)
+                        np.subtract(spare, w, out=w)
+                    if c != 1:
+                        w *= c
+                w *= np.exp(-1j * stage.duration * self.evals)[:, None]
                 pending = None
             if stage.pulse is not None:
                 pulse = stage.pulse.signed_permutation()
                 pending = pulse if pending is None else pulse.after(pending)
         if w is None:  # nothing evolves: the schedule is its pulses alone
-            w = vh if pending is None else pending.apply_columns(vh)
+            w = v.conj().T if pending is None else pending.apply_columns(v.conj().T)
         elif pending is not None:
             head = head.after(pending)
         return head.apply_rows(v), w
@@ -210,13 +231,6 @@ def qubit_frame_evolution(array: DotArray, tau: float) -> np.ndarray:
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     return Spectrum.of(array).pulsed(PulseSchedule(array.n_dots, [Stage(tau)]))
-
-
-def ideal_evolution(array: DotArray, tau: float) -> PhaseVector:
-    """First-order diagonal gate: phases ``tau * Lambda``."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    return PhaseVector(tau * grid_vector(array))
 
 
 def _diagonal_fidelity(u_diag: np.ndarray, v_diag: PhaseVector) -> float:

@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
 
-from dotgates import Bond, Dot, DotArray, order_reversal
-from dotgates.basis import bit_of
+from dotgates import (
+    Bond,
+    Dot,
+    DotArray,
+    FreePhase,
+    GateSpec,
+    MqcpFactor,
+    PhaseVector,
+    grid_vector,
+    order_reversal,
+)
+from dotgates.basis import bit_of, bit_table, wrap_2pi
 
 
 def make_bond(j, k, exchange, t_sq, phase_t=0.0, phase_s=0.0):
@@ -25,6 +35,52 @@ def bond_pair_index(j, k, n_dots):
     reference grouping of ``basis.pair_view``."""
     idx = np.arange(1 << n_dots)
     return 2 * bit_of(idx, j, n_dots) + bit_of(idx, k, n_dots)
+
+
+def parity_matrix(n_qubits):
+    """Signed matrix mapping (phi_c, phi_1, .., phi_{N-1}) to the reduced
+    gate vector: the row for target bits a is (-1, (-1)^a_1, ..).  The
+    paper's parity rule ``L phi = theta mod 2pi``, against which
+    ``solve_parity`` and the CLI's local phases are checked."""
+    if n_qubits < 2:
+        raise ValueError("need at least two qubits")
+    mat = np.empty((1 << (n_qubits - 1), n_qubits), dtype=np.int64)
+    mat[:, 0] = -1
+    mat[:, 1:] = 1 - 2 * bit_table(n_qubits - 1)
+    return mat
+
+
+def ideal_evolution(array, tau):
+    """First-order diagonal gate: phases ``tau * Lambda``, Lambda the grid
+    vector.  The reference the exact propagator converges to as J/eps -> 0."""
+    if tau < 0:
+        raise ValueError("tau must be nonnegative")
+    return PhaseVector(tau * grid_vector(array))
+
+
+def decompose_intrinsic(array, tau):
+    """Split the ideal evolution at time tau into per-bond controlled-phase
+    factors plus local phase corrections, the paper's reading of a native
+    gate.
+
+    Each bond contributes a controlled-phase of angle ``-2 tau Delta_w``;
+    the correction on dot j is the sum of ``tau Delta_w`` over bonds at j
+    (independent of how bonds are grouped into stars), and the global phase
+    collects ``tau S_w``.
+    """
+    if tau < 0:
+        raise ValueError("tau must be nonnegative")
+    factors = []
+    local = np.zeros(array.n_dots)
+    global_phase = 0.0
+    for b in array.bonds:
+        theta = wrap_2pi(-2.0 * tau * b.velocity)
+        factors.append(MqcpFactor(b.j, [(b.k, theta)]))
+        local[b.j] += tau * b.velocity
+        local[b.k] += tau * b.velocity
+        global_phase += tau * b.spin_flip_rate
+    corrections = FreePhase(wrap_2pi(global_phase), wrap_2pi(local))
+    return GateSpec(factors=tuple(factors)), corrections
 
 
 def argmax_match(weights):

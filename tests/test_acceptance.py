@@ -20,12 +20,9 @@ from dotgates import (
     PhaseVector,
     accumulated_bond_phases,
     assignment_vectors,
-    decompose_intrinsic,
     equiv_up_to_free_phase,
     extra_local_phases,
-    ideal_evolution,
     mqcp_phase_solution,
-    parity_matrix,
     qubit_frame_evolution,
     simulate_gate,
     solve_intervals,
@@ -47,7 +44,13 @@ from dotgates.simulate import (
     scaled_zeeman_array,
 )
 
-from conftest import make_bond, reversal_signs_brute_force
+from conftest import (
+    decompose_intrinsic,
+    ideal_evolution,
+    make_bond,
+    parity_matrix,
+    reversal_signs_brute_force,
+)
 
 
 def report(num, detail):

@@ -16,10 +16,10 @@ from dotgates import Bond, Dot, DotArray, cli
 from dotgates.calibrate import choose_assignments, subset_signs
 from dotgates.circuits import order_reversal
 from dotgates.cli import main
-from dotgates.gates import GateSpec, parity_matrix, read_bonds, solve_dynamics
+from dotgates.gates import GateSpec, read_bonds, solve_dynamics
 from dotgates.model import array_from_json, array_to_json
 
-from conftest import chain_array, stellar_array
+from conftest import chain_array, parity_matrix, stellar_array
 
 
 @pytest.fixture
@@ -550,10 +550,14 @@ def test_calibrate_and_simulate_leave_scipy_unimported(stellar_files):
         "    if mod.name != '__main__':\n"
         "        importlib.import_module(f'dotgates.{mod.name}')\n"
         "from conftest import chain_array\n"
-        "from dotgates.calibrate import assignment_vectors\n"
+        "from dotgates.calibrate import SignedPermutation, assignment_vectors\n"
         "from dotgates.cli import main\n"
         "assert assignment_vectors(chain_array(16)).n_bonds == 15\n"
+        # the exact verify crosses pulse boundaries through the reflection kernel
+        "reflect, calls = SignedPermutation.reflection, []\n"
+        "SignedPermutation.reflection = lambda *a, **k: calls.append(1) or reflect(*a, **k)\n"
         f"assert main(['calibrate', '--dd', *{files!r}]) == 0\n"
+        "assert calls\n"
         f"assert main(['simulate', *{files!r}]) == 0\n"
     )
     env["PYTHONPATH"] += os.pathsep + str(Path(__file__).parent)

@@ -11,11 +11,8 @@ from dotgates import (
     NoBondVelocity,
     PhaseVector,
     assert_single_control,
-    decompose_intrinsic,
     equiv_up_to_free_phase,
-    ideal_evolution,
     mqcp_phase_solution,
-    parity_matrix,
     phase_polynomial,
     read_bonds,
     solve_dynamics,
@@ -23,7 +20,13 @@ from dotgates import (
 )
 from dotgates.basis import bit_table, circular_distance, wrap_2pi
 
-from conftest import make_bond, stellar_array
+from conftest import (
+    decompose_intrinsic,
+    ideal_evolution,
+    make_bond,
+    parity_matrix,
+    stellar_array,
+)
 
 
 def czz_spec(thetas):

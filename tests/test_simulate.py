@@ -14,7 +14,6 @@ from dotgates import (
     build_hamiltonian,
     equiv_up_to_free_phase,
     fidelity_lower_bound,
-    ideal_evolution,
     optimal_phase_correction,
     pulsed_evolution,
     qubit_frame_evolution,
@@ -33,6 +32,7 @@ from dotgates.simulate import (
 
 from conftest import (
     argmax_match,
+    ideal_evolution,
     make_bond,
     min_column_overlap,
     random_connected_array,

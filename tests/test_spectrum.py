@@ -19,6 +19,7 @@ from dotgates import (
     weave_dd,
 )
 from dotgates.basis import circular_distance, wrap_pm_pi
+from dotgates.calibrate import SignedPermutation
 from dotgates.simulate import MIN_OVERLAP, optimal_phase_correction
 
 from conftest import (
@@ -59,6 +60,12 @@ def expm_reference(array, schedule):
 def dense_readout(array, schedule):
     net = schedule.net_pulse()
     return np.diag(net.matrix().conj().T @ pulsed_evolution(array, schedule))
+
+
+def expm_readout(array, schedule):
+    """``diag(net^dag U)`` from ``expm_reference``: no code of Spectrum."""
+    net = kron_pulse(schedule.net_pulse())
+    return np.diag(net.conj().T @ expm_reference(array, schedule))
 
 
 def greedy_match(weights):
@@ -118,6 +125,7 @@ class TestPulsedDiagonal:
                 for s in [sched] + woven:
                     got = spectrum.pulsed_diagonal(s, s.net_pulse())
                     assert np.max(np.abs(got - dense_readout(arr, s))) <= 1e-12
+                    assert np.max(np.abs(got - expm_readout(arr, s))) <= 1e-9
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_matches_dense_on_solved_schedules(self, n):
@@ -130,6 +138,7 @@ class TestPulsedDiagonal:
             for s in (base, weave_dd(base)):
                 got = spectrum.pulsed_diagonal(s, s.net_pulse())
                 assert np.max(np.abs(got - dense_readout(arr, s))) <= 1e-12
+                assert np.max(np.abs(got - expm_readout(arr, s))) <= 1e-9
 
     EDGE_SCHEDULES = {
         "y_and_z_labels": [
@@ -170,6 +179,107 @@ class TestPulsedDiagonal:
         net = sched.net_pulse()
         got = Spectrum.of(arr).pulsed_diagonal(sched, net)
         assert np.max(np.abs(got - np.diag(kron_pulse(net).conj().T @ dense))) <= 1e-12
+
+
+def random_unitary(rng, dim):
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, _ = np.linalg.qr(z)
+    return q
+
+
+def composite(labels_list):
+    """Signed permutation of the pulses applied in order, first label first."""
+    ops = [PauliAssignment(labels).signed_permutation() for labels in labels_list]
+    out = ops[0]
+    for op in ops[1:]:
+        out = op.after(out)
+    return out
+
+
+class NotAPauli:
+    """A stage pulse whose operator is no Pauli product."""
+
+    def __init__(self, op):
+        self.op = op
+        self.n_dots = op.phase.shape[0].bit_length() - 1
+
+    def signed_permutation(self):
+        return self.op
+
+
+class TestReflection:
+    """``V^dag P V = c (C^dag C - I)`` for every Pauli product P."""
+
+    def assert_reflection(self, op, v):
+        out = np.empty((v.shape[0] // 2, v.shape[0]), dtype=complex)
+        c, rows = op.reflection(v, out)
+        target = v.conj().T @ op.matrix() @ v
+        if rows is None:
+            assert np.max(np.abs(target - c * np.eye(v.shape[0]))) <= 1e-13
+            return c, rows
+        assert rows is out
+        rebuilt = c * (rows.conj().T @ rows - np.eye(v.shape[0]))
+        assert np.max(np.abs(target - rebuilt)) <= 1e-13
+        return c, rows
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_pauli_strings_and_their_products(self, n):
+        rng = np.random.default_rng(200 + n)
+        scalars = set()
+        for _ in range(12):
+            v = random_unitary(rng, 1 << n)
+            labels = [rng.choice(list("IXYZ"), size=n) for _ in range(int(rng.integers(1, 4)))]
+            scalars.add(self.assert_reflection(composite(labels), v)[0])
+        assert scalars - {1}  # products carry phases i^k
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_pure_z_products(self, n):
+        rng = np.random.default_rng(210 + n)
+        for _ in range(8):
+            labels = [rng.choice(list("IZ"), size=n) for _ in range(int(rng.integers(1, 3)))]
+            op = composite(labels)
+            assert op.flip == 0
+            self.assert_reflection(op, random_unitary(rng, 1 << n))
+
+    @pytest.mark.parametrize(
+        "labels, scalar",
+        [
+            (["XZ", "XZ"], 1),  # a pulse and its inverse on zero-duration stages
+            (["Z", "Y", "X"], 1j),  # X Y Z = i I
+            (["ZZ", "YY", "XX"], -1),
+            (["ZZZ", "YYY", "XXX"], -1j),
+            (["XI", "IY", "XY"], 1),
+        ],
+    )
+    def test_scalar_composites_take_no_rows(self, labels, scalar):
+        rng = np.random.default_rng(220)
+        v = random_unitary(rng, 1 << len(labels[0]))
+        c, rows = self.assert_reflection(composite(labels), v)
+        assert rows is None and c == pytest.approx(scalar)
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            SignedPermutation.diagonal([1, 1, 1, -1]),  # CZ
+            SignedPermutation.diagonal(np.exp(1j * np.arange(4.0))),
+            SignedPermutation(1, np.array([1, 1, 1, -1], dtype=complex)),  # X on a CZ
+            SignedPermutation(3, np.array([1, 1j, 1, 1j])),  # not a character
+            SignedPermutation.diagonal([1, -1, -1, -1, 1, 1, 1, -1]),  # traceless, not a string
+        ],
+    )
+    def test_non_pauli_operator_raises(self, op):
+        dim = op.phase.shape[0]
+        v = random_unitary(np.random.default_rng(240), dim)
+        with pytest.raises(ValueError, match="not a Pauli product"):
+            op.reflection(v, np.empty((dim // 2, dim), dtype=complex))
+
+    def test_non_pauli_boundary_fails_the_chain(self):
+        # a boundary between two evolving stages has no other path
+        arr = random_connected_array(np.random.default_rng(5), 2, j_scale=3e-3)
+        cz = NotAPauli(SignedPermutation.diagonal([1, 1, 1, -1]))
+        sched = PulseSchedule(2, [Stage(100.0, cz), Stage(200.0, None)])
+        with pytest.raises(ValueError, match="not a Pauli product"):
+            Spectrum.of(arr).pulsed_diagonal(sched, PauliAssignment("II"))
 
 
 def oracle_leak(weights):

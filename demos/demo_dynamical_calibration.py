@@ -46,7 +46,7 @@ print(f"velocity ratio: {v[0] / v[1]:.6f} (irrational by construction)")
 target = CalibrationTarget.for_array(star, [np.pi / 2, np.pi / 2])
 horizon = 30 * np.pi / min(v)
 grid = np.linspace(0, horizon, 200_000)
-folded = straight_path_fold(v, target, grid)
+folded = straight_path_fold(v, grid)
 goal = np.array(target.phases) / np.pi
 dist = np.max(np.minimum(np.abs(folded - goal), 1.0 - np.abs(folded - goal)), axis=1)
 print(f"closest unpulsed approach to the target over {horizon:.0f} time units: "
@@ -113,6 +113,6 @@ for j in range(3):
 print("each qubit sees an alternating X-Y echo train (net identity), so the")
 print("same gate is produced while low-frequency noise is echoed away")
 
-path = kspace_path(star, woven, target, samples_per_stage=4)
+path = kspace_path(star, woven, samples_per_stage=4)
 print(f"k-space path export: {path.raw.shape[0]} samples x {path.raw.shape[1]} bonds "
       f"(see kspace_path(...).to_csv())")

@@ -15,9 +15,12 @@ by XOR, one frame per stage plus the net frame after the last, and
 (b_j xor b_k)``.  The stage sign matrix, the stage pulses of
 ``solve_intervals``, the pulse-induced local phases (from the per-dot
 signs) and the echo weave (from the per-dot toggles) are all read from
-those frames.  A pulse is its X and Z masks; the net pulse of a schedule
-is their XOR, and only ``PauliAssignment.compose`` tracks the global phase
-of a product.
+those frames.  A pulse is its X and Z masks, and ``PauliAssignment`` is
+the one pulse type: the net pulse of a schedule is the XOR of the masks,
+``PauliAssignment.compose`` multiplies two pulses on their masks and
+returns the product's scalar exactly, and the exact layer applies a pulse
+to rows or columns, or as the reflection ``PauliAssignment.reflection``,
+from its masks alone.
 """
 
 from __future__ import annotations
@@ -50,83 +53,6 @@ class InfeasibleSchedule(Unreachable, RuntimeError):
 
 class BudgetExceeded(Unreachable, RuntimeError):
     """Weaving would need more pulses per qubit than the configured budget."""
-
-
-@dataclass(frozen=True)
-class SignedPermutation:
-    """Operator ``|b> -> phase[b] |b ^ flip>`` on the computational basis.
-
-    Pauli strings are signed permutations with phases in {1, i, -1, -i};
-    products with diagonal unitaries keep the form, so any unit-modulus
-    phases are allowed.  Applying one to a 2^N x 2^N matrix costs O(4^N).
-    """
-
-    flip: int
-    phase: np.ndarray
-
-    @classmethod
-    def diagonal(cls, phase) -> "SignedPermutation":
-        return cls(0, np.asarray(phase, dtype=complex))
-
-    def _shifted(self) -> np.ndarray:
-        return np.arange(self.phase.shape[0]) ^ self.flip
-
-    def after(self, other: "SignedPermutation") -> "SignedPermutation":
-        """``self`` applied after ``other``."""
-        return SignedPermutation(
-            self.flip ^ other.flip, other.phase * self.phase[other._shifted()]
-        )
-
-    def inverse(self) -> "SignedPermutation":
-        return SignedPermutation(self.flip, np.conj(self.phase[self._shifted()]))
-
-    def apply_rows(self, matrix: np.ndarray) -> np.ndarray:
-        """``self @ matrix``."""
-        return (self.phase[:, None] * matrix)[self._shifted()]
-
-    def apply_columns(self, matrix: np.ndarray) -> np.ndarray:
-        """``matrix @ self``."""
-        return matrix[:, self._shifted()] * self.phase[None, :]
-
-    def matrix(self) -> np.ndarray:
-        idx = np.arange(self.phase.shape[0])
-        out = np.zeros((idx.shape[0], idx.shape[0]), dtype=complex)
-        out[idx ^ self.flip, idx] = self.phase
-        return out
-
-    def reflection(self, v: np.ndarray, out: np.ndarray):
-        """``(c, C)`` with ``V^dag self V = c (C^dag C - I)`` for unitary V.
-
-        ``self`` must be ``c P_h`` with ``P_h`` a Pauli string, otherwise
-        ``ValueError``.  ``P_h`` is a Hermitian involution, traceless unless
-        it is I, so ``P_h = 2 Pi - I`` with ``Pi`` the projector on its +1
-        eigenspace, of rank 2^N / 2.  ``C`` holds ``sqrt(2) Pi V`` in that
-        eigenspace's basis: one row ``V[b] + conj(phase_h[b]) V[b ^ flip]``
-        for each pair ``{b, b ^ flip}``, or ``sqrt(2) V[b]`` for each b with
-        ``phase_h[b] = +1`` when ``flip`` is 0.  The gather costs O(4^N) and
-        writes C into ``out`` (2^N / 2 rows); C is None when ``self`` is
-        ``c I``.
-        """
-        n_dots = self.phase.shape[0].bit_length() - 1
-        ref = np.conj(self.phase[0])
-        z = sum(1 << j for j in range(n_dots) if (self.phase[1 << j] * ref).real < 0)
-        pauli = _pauli_phase(n_dots, self.flip, z)
-        c = complex(self.phase[0] / pauli[0])
-        if np.abs(self.phase - c * pauli).max() > 1e-12:
-            raise ValueError("a boundary operator that is not a Pauli product has no reflection")
-        if self.flip == 0 and z == 0:
-            return c, None
-        if self.flip:
-            top = 1 << (self.flip.bit_length() - 1)
-            lo = np.arange(self.phase.shape[0]).reshape(-1, 2, top)[:, 0].ravel()
-            # mode "clip" lets take write into out unbuffered; every index is in range
-            rows = np.take(v, lo ^ self.flip, axis=0, out=out, mode="clip")
-            rows *= np.conj(pauli[lo])[:, None]
-            rows += v[lo]
-        else:
-            rows = np.take(v, np.flatnonzero(pauli.real > 0), axis=0, out=out, mode="clip")
-            rows *= np.sqrt(2.0)
-        return c, rows
 
 
 @functools.lru_cache(maxsize=64)
@@ -216,11 +142,53 @@ class PauliAssignment:
         )
         return PauliAssignment._from_masks(x, z, self.n_dots), _I_POWERS[power % 4]
 
-    def signed_permutation(self) -> SignedPermutation:
-        return SignedPermutation(self.x_mask, _pauli_phase(self.n_dots, self.x_mask, self.z_mask))
+    def _phases(self) -> np.ndarray:
+        return _pauli_phase(self.n_dots, self.x_mask, self.z_mask)
+
+    def _shifted(self) -> np.ndarray:
+        return np.arange(1 << self.n_dots) ^ self.x_mask
+
+    def apply_rows(self, matrix: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
+        """``diag(scale) @ self @ matrix``, one product per entry of ``matrix``."""
+        shifted = self._shifted()
+        phase = self._phases() if scale is None else self._phases() * scale[shifted]
+        return (phase[:, None] * matrix)[shifted]
+
+    def apply_columns(self, matrix: np.ndarray) -> np.ndarray:
+        """``matrix @ self``."""
+        return matrix[:, self._shifted()] * self._phases()[None, :]
 
     def matrix(self) -> np.ndarray:
-        return self.signed_permutation().matrix()
+        idx = np.arange(1 << self.n_dots)
+        out = np.zeros((idx.shape[0], idx.shape[0]), dtype=complex)
+        out[idx ^ self.x_mask, idx] = self._phases()
+        return out
+
+    def reflection(self, v: np.ndarray, out: np.ndarray) -> np.ndarray | None:
+        """``C`` with ``V^dag self V = C^dag C - I`` for unitary V, or None for I.
+
+        A Pauli string other than I is a traceless Hermitian involution, so
+        ``self = 2 Pi - I`` with ``Pi`` the projector on its +1 eigenspace,
+        of rank 2^N / 2.  ``C`` holds ``sqrt(2) Pi V`` in that eigenspace's
+        basis: one row ``V[b] + conj(phase[b]) V[b ^ x]`` for each pair
+        ``{b, b ^ x}``, or ``sqrt(2) V[b]`` for each b with ``phase[b] = +1``
+        when the X mask is 0.  The gather costs O(4^N) and writes C into
+        ``out`` (2^N / 2 rows).
+        """
+        if self.is_identity():
+            return None
+        phase = self._phases()
+        if self.x_mask:
+            top = 1 << (self.x_mask.bit_length() - 1)
+            lo = np.arange(phase.shape[0]).reshape(-1, 2, top)[:, 0].ravel()
+            # mode "clip" lets take write into out unbuffered; every index is in range
+            rows = np.take(v, lo ^ self.x_mask, axis=0, out=out, mode="clip")
+            rows *= np.conj(phase[lo])[:, None]
+            rows += v[lo]
+        else:
+            rows = np.take(v, np.flatnonzero(phase.real > 0), axis=0, out=out, mode="clip")
+            rows *= np.sqrt(2.0)
+        return rows
 
 
 @dataclass(frozen=True)
@@ -304,32 +272,25 @@ class PulseSchedule:
 
 @dataclass(frozen=True)
 class CalibrationTarget:
-    """Per-bond phase targets and velocities, on a chosen phase lattice.
-
-    ``modulus`` is pi for controlled-phase targets (the general lattice) or
-    2pi for the coarser branch that realizes uncorrected end-to-end Z
-    pairs; both are exposed, mirroring the two branches of the time solver.
-    """
+    """Per-bond phase targets and velocities; bond w must land on the
+    lattice ``phases[w] + pi Z`` of controlled-phase targets."""
 
     phases: tuple[float, ...]
     velocities: tuple[float, ...]
-    modulus: float = np.pi
 
     def __post_init__(self):
         if len(self.phases) != len(self.velocities):
             raise ValueError("phases and velocities must align with the bond list")
         for phi, delta in zip(self.phases, self.velocities):
-            if abs(delta) < 1e-15 and circular_distance(phi, 0.0, self.modulus) > 1e-9:
+            if abs(delta) < 1e-15 and circular_distance(phi, 0.0, np.pi) > 1e-9:
                 raise NoBondVelocity(
                     "a zero-velocity bond can only target a phase that is "
                     "zero on the lattice"
                 )
 
     @classmethod
-    def for_array(
-        cls, array: DotArray, phases: Sequence[float], modulus: float = np.pi
-    ) -> "CalibrationTarget":
-        return cls(tuple(float(p) for p in phases), tuple(b.velocity for b in array.bonds), modulus)
+    def for_array(cls, array: DotArray, phases: Sequence[float]) -> "CalibrationTarget":
+        return cls(tuple(float(p) for p in phases), tuple(b.velocity for b in array.bonds))
 
 
 # -- toggling-frame signs ---------------------------------------------------------
@@ -618,7 +579,7 @@ def solve_intervals(
 ) -> PulseSchedule:
     """Solve stage durations so every bond accumulates its target phase.
 
-    The system is ``sum_n a_w^(n) tau_n = (phi_w + m_w * modulus) / Delta_w``
+    The system is ``sum_n a_w^(n) tau_n = (phi_w + m_w * pi) / Delta_w``
     with free integer offsets ``|m_w| <= offset_bound`` (per-bond offsets are
     independent) and durations required nonnegative; among exact solutions
     the smallest total time wins, ties broken by the smallest offset
@@ -678,7 +639,7 @@ def solve_intervals(
         if np.linalg.matrix_rank(sub) < n_bonds:
             continue
         try:
-            taus = _square_durations(sub, phi, vel, target.modulus, offset_bound, tol)
+            taus = _square_durations(sub, phi, vel, np.pi, offset_bound, tol)
         except InfeasibleSchedule as exc:
             least = min(least, exc.best_residual)
             continue
@@ -699,7 +660,7 @@ def solve_intervals(
         for idx, x in zip(kept, toggles)
     ])
     achieved = accumulated_bond_phases(array, schedule)
-    err = circular_distance(achieved[active], phi, target.modulus)
+    err = circular_distance(achieved[active], phi, np.pi)
     if np.max(err) > max(tol, 1e-7):
         raise InfeasibleSchedule("schedule verification failed", float(np.max(err)))
     return schedule
@@ -844,8 +805,7 @@ class KSpacePath:
 
     times: np.ndarray
     raw: np.ndarray      # (points, bonds), phase / pi
-    folded: np.ndarray   # raw folded into the target unit cell
-    modulus: float
+    folded: np.ndarray   # raw folded into the unit cell [0, 1)
 
     def to_csv(self) -> str:
         lines = ["time,bond_id,phase_over_pi,folded_phase_over_pi"]
@@ -855,16 +815,11 @@ class KSpacePath:
         return "\n".join(lines) + "\n"
 
 
-def kspace_path(
-    array: DotArray,
-    schedule: PulseSchedule,
-    target: CalibrationTarget,
-    samples_per_stage: int = 1,
-) -> KSpacePath:
+def kspace_path(array: DotArray, schedule: PulseSchedule, samples_per_stage: int = 1) -> KSpacePath:
     """Trace the per-bond accumulated phase (in pi units) along a schedule.
 
     Stage n advances bond w at velocity ``a_w^(n) Delta_w / pi``; the folded
-    form reduces each coordinate modulo the target lattice period.
+    form reduces each coordinate modulo 1, the period of the pi lattice.
     """
     signs = stage_sign_matrix(array, schedule)  # (bonds, stages)
     velocities = np.array([b.velocity for b in array.bonds])
@@ -880,17 +835,11 @@ def kspace_path(
             raw.append(start + rate * dt)
         t += st.duration
     raw_arr = np.array(raw)
-    cell = target.modulus / np.pi
-    folded = np.mod(raw_arr, cell)
-    return KSpacePath(np.array(times), raw_arr, folded, target.modulus)
+    return KSpacePath(np.array(times), raw_arr, np.mod(raw_arr, 1.0))
 
 
-def straight_path_fold(
-    velocities: Sequence[float],
-    target: CalibrationTarget,
-    t_grid: np.ndarray,
-) -> np.ndarray:
-    """Folded per-bond coordinates of the unpulsed straight path on a grid."""
+def straight_path_fold(velocities: Sequence[float], t_grid: np.ndarray) -> np.ndarray:
+    """Folded per-bond coordinates (phase / pi modulo 1) of the unpulsed
+    straight path on a grid."""
     v = np.asarray(velocities, dtype=float) / np.pi
-    cell = target.modulus / np.pi
-    return np.mod(np.outer(t_grid, v), cell)
+    return np.mod(np.outer(t_grid, v), 1.0)

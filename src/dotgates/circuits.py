@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .basis import bit_of
-from .calibrate import PauliAssignment, SignedPermutation
+from .calibrate import PauliAssignment
 from .gates import GateSpec, MqcpFactor, PhaseVector
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -164,10 +164,10 @@ def parity_check_circuit(n_targets: int, basis: str = "z") -> Circuit:
     return Circuit(n, tuple(ops))
 
 
-def parity_operator(n_targets: int, basis: str) -> SignedPermutation:
+def parity_operator(n_targets: int, basis: str) -> PauliAssignment:
     """Joint Z (or X) parity of the targets, identity on the ancilla."""
     label = "Z" if basis == "z" else "X"
-    return PauliAssignment(("I",) + (label,) * n_targets).signed_permutation()
+    return PauliAssignment(("I",) + (label,) * n_targets)
 
 
 def check_parity_run(
@@ -177,7 +177,7 @@ def check_parity_run(
     rng: np.random.Generator,
     *,
     circuit: Circuit | None = None,
-    parity: SignedPermutation | None = None,
+    parity: PauliAssignment | None = None,
 ) -> tuple[int, float]:
     """Run one parity check; returns the outcome and the eigenvalue defect.
 

@@ -266,7 +266,7 @@ def cmd_calibrate(args) -> int:
     spectrum = Spectrum.of(array)
     spectrum.leak()
     _write(args.out, "schedule.json", schedule.to_json())
-    path = kspace_path(array, schedule, target, samples_per_stage=8)
+    path = kspace_path(array, schedule, samples_per_stage=8)
     _write(args.out, "kspace.csv", path.to_csv())
 
     def verify(sched):

@@ -11,14 +11,14 @@ instantaneous Pauli pulses.  Its first-order approximation is the diagonal
 gate ``exp(+i tau Lambda)`` with Lambda the grid vector.
 
 The flows read only the diagonal of the propagator, which costs O(4^N)
-given the spectrum.  Pulses before the first and after the last evolving
-stage act as signed permutations of rows, also O(4^N).  The pulses between
-two evolving stages compose into a Pauli product ``P = c P_h``, whose
-eigen-coordinate form ``V^dag P V = c (C^dag C - I)`` is a reflection with
-C of 2^N / 2 rows (:meth:`SignedPermutation.reflection`): each such
-boundary costs two half-size products, 8^N complex multiply-adds.  The
-dense propagator is built only on request (``qubit_frame_evolution``,
-``pulsed_evolution``).
+given the spectrum.  Pulses compose on their masks
+(:meth:`PauliAssignment.compose`), so the pulses of any boundary are one
+Pauli string ``P_h`` and a scalar c.  Pulses before the first and after the
+last evolving stage permute and sign rows, also O(4^N).  Between two
+evolving stages, ``V^dag P_h V = C^dag C - I`` is a reflection with C of
+2^N / 2 rows (:meth:`PauliAssignment.reflection`): each such boundary costs
+two half-size products, 8^N complex multiply-adds.  The dense propagator is
+built only on request (``qubit_frame_evolution``, ``pulsed_evolution``).
 
 The difference from the ideal gate is coherent error, quantified by the
 average gate fidelity, a perturbative lower bound, per-state residue
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import bit_table, pair_view, wrap_pm_pi
-from .calibrate import PauliAssignment, PulseSchedule, SignedPermutation, Stage
+from .calibrate import PauliAssignment, PulseSchedule, Stage
 from .gates import FreePhase, PhaseVector, phase_polynomial
 from .model import Bond, Dot, DotArray
 
@@ -161,68 +161,74 @@ class Spectrum:
             )
         return float(np.sum(1.0 - overlaps))
 
-    def _pulsed_factors(self, schedule: PulseSchedule, head: SignedPermutation):
-        """``(left, right)`` with ``left @ right = head U``, U the staged
-        evolution of the schedule before the final frame rotation.
+    def _pulsed_factors(self, schedule: PulseSchedule, net: PauliAssignment):
+        """``(left, right)`` with ``left @ right = net U``, U the qubit-frame
+        propagator of the schedule and ``net`` a Pauli string.
 
         The running product is kept as ``V w`` in eigen coordinates ``w``.
-        Evolving stages scale the rows of ``w``.  The pulses between two of
-        them compose into one Pauli product ``P = c P_h``, a reflection:
-        ``V^dag P V = c (C^dag C - I)`` with C the 2^N / 2 rows of
-        :meth:`SignedPermutation.reflection`, so ``w <- c (C^dag (C w) - w)``
-        costs two half-size products, 8^N complex multiply-adds where the
-        sandwich ``V^dag P V w`` took twice that, and none when P is ``c I``.
-        ``w`` is updated in place and the work buffers are reused from
-        boundary to boundary.
-        Pulses before the first evolution act on the columns of ``V^dag``
-        and pulses after the last one, with ``head``, on the rows of ``V``,
-        so neither takes a dense product.
+        Evolving stages scale the rows of ``w``.  The pulses since the last
+        evolving stage compose on their masks into ``c P_h``, O(1) per
+        pulse with c in {1, i, -1, -i}.  Between two evolving stages P_h is a
+        reflection, ``V^dag P_h V = C^dag C - I`` with C the 2^N / 2 rows of
+        :meth:`PauliAssignment.reflection`, so ``w <- c (C^dag (C w) - w)``
+        costs two half-size products, 8^N complex multiply-adds, and none
+        when P_h is I.  ``w`` is updated in place and the work buffers are
+        reused from boundary to boundary.
+        Pulses before the first evolution act on the columns of ``V^dag``.
+        Pulses after the last one, ``net`` and the frame rotation
+        ``F = exp(i T H0)`` act on the rows of V: ``net F = F[b ^ x_net] net``
+        (F read at the flipped index), so ``left = F[b ^ x_net] c (net P_h) V``
+        and neither side takes a dense product.
         """
         v = self.evecs
+        identity = PauliAssignment.identity(schedule.n_dots)
+        pending, c = identity, 1  # c P_h, the pulses since the last evolving stage
+        buffers = []  # work buffers of the reflections
+
+        def cross(w):
+            """``w`` after the boundary ``c P_h``."""
+            if w is None:
+                w = v.conj().T if pending.is_identity() else pending.apply_columns(v.conj().T)
+            elif not pending.is_identity():
+                if not buffers:
+                    buffers.extend(np.empty((2, v.shape[0] // 2, v.shape[0]), dtype=complex))
+                    buffers.append(np.empty(v.shape, dtype=complex))
+                rows, half, spare = buffers
+                np.matmul(pending.reflection(v, out=rows), w, out=half)
+                np.conjugate(rows, out=rows)
+                np.matmul(rows.T, half, out=spare)
+                np.subtract(spare, w, out=w)
+            if c != 1:
+                w *= c
+            return w
+
         w = None
-        pending = None  # pulses since the last evolving stage
-        rows = half = spare = None  # work buffers of the boundaries
         for stage in schedule.stages:
             if stage.duration > 0:
-                if w is None:
-                    w = v.conj().T if pending is None else pending.apply_columns(v.conj().T)
-                elif pending is not None:
-                    if rows is None:
-                        rows, half = np.empty((2, v.shape[0] // 2, v.shape[0]), dtype=complex)
-                        spare = np.empty(v.shape, dtype=complex)
-                    c, reflected = pending.reflection(v, out=rows)
-                    if reflected is not None:
-                        np.matmul(rows, w, out=half)
-                        np.conjugate(rows, out=rows)
-                        np.matmul(rows.T, half, out=spare)
-                        np.subtract(spare, w, out=w)
-                    if c != 1:
-                        w *= c
+                w = cross(w)
                 w *= np.exp(-1j * stage.duration * self.evals)[:, None]
-                pending = None
+                pending, c = identity, 1
             if stage.pulse is not None:
-                pulse = stage.pulse.signed_permutation()
-                pending = pulse if pending is None else pulse.after(pending)
+                pending, phase = stage.pulse.compose(pending)
+                c *= phase
         if w is None:  # nothing evolves: the schedule is its pulses alone
-            w = v.conj().T if pending is None else pending.apply_columns(v.conj().T)
-        elif pending is not None:
-            head = head.after(pending)
-        return head.apply_rows(v), w
-
-    def _frame(self, schedule: PulseSchedule) -> SignedPermutation:
-        return SignedPermutation.diagonal(np.exp(1j * schedule.total_time * self.h0))
+            w = cross(w)
+            pending, c = identity, 1
+        head, phase = net.compose(pending)
+        frame = np.exp(1j * schedule.total_time * self.h0)
+        return head.apply_rows(v, frame[np.arange(v.shape[0]) ^ net.x_mask] * (c * phase)), w
 
     def pulsed(self, schedule: PulseSchedule) -> np.ndarray:
         """Dense qubit-frame propagator of a staged, pulsed evolution."""
-        left, right = self._pulsed_factors(schedule, self._frame(schedule))
+        left, right = self._pulsed_factors(schedule, PauliAssignment.identity(schedule.n_dots))
         return left @ right
 
     def pulsed_diagonal(self, schedule: PulseSchedule, net: PauliAssignment) -> np.ndarray:
         """``diag(net^dag U)`` of the pulsed propagator U, in O(4^N) beyond
         the products between evolving stages; ``net`` is the schedule's net
-        Pauli, so the result holds the gate's phases."""
-        head = net.signed_permutation().inverse().after(self._frame(schedule))
-        left, right = self._pulsed_factors(schedule, head)
+        Pauli (a Pauli string is its own inverse), so the result holds the
+        gate's phases."""
+        left, right = self._pulsed_factors(schedule, net)
         return np.einsum("bk,kb->b", left, right)
 
 

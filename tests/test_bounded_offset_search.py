@@ -99,7 +99,7 @@ def square_problem(array, target):
     active = np.abs(velocities) > 1e-15
     assignments = square_assignments(array, target)
     amat = np.array([subset_signs(array, s) for s in assignments], dtype=float).T[active]
-    return amat, np.asarray(target.phases, dtype=float)[active], velocities[active], target.modulus
+    return amat, np.asarray(target.phases, dtype=float)[active], velocities[active], np.pi
 
 
 def run(search, problem, bound):

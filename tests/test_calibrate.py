@@ -110,17 +110,23 @@ class TestPauliBits:
     def test_strings_on_bits(self, rng):
         for _ in range(100):
             n = int(rng.integers(1, 6))
-            la, lb = (list(rng.choice(list("IXYZ"), size=n)) for _ in range(2))
-            pa, pb = PauliAssignment(la), PauliAssignment(lb)
-            assert np.array_equal(pa.matrix(), kron_labels(la))
-            prod, phase = pa.compose(pb)
-            assert np.max(np.abs(phase * prod.matrix() - kron_labels(la) @ kron_labels(lb))) <= 1e-15
-            sa, sb = pa.signed_permutation(), pb.signed_permutation()
-            assert np.array_equal(sa.after(sb).matrix(), kron_labels(la) @ kron_labels(lb))
-            assert np.array_equal(sa.inverse().matrix(), kron_labels(la).conj().T)
+            labels = [list(rng.choice(list("IXYZ"), size=n)) for _ in range(int(rng.integers(2, 7)))]
+            pa = PauliAssignment(labels[0])
+            assert np.array_equal(pa.matrix(), kron_labels(labels[0]))
             m = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
-            assert np.allclose(sa.apply_rows(m), kron_labels(la) @ m, atol=1e-14)
-            assert np.allclose(sa.apply_columns(m), m @ kron_labels(la), atol=1e-14)
+            assert np.allclose(pa.apply_rows(m), kron_labels(labels[0]) @ m, atol=1e-14)
+            assert np.allclose(pa.apply_columns(m), m @ kron_labels(labels[0]), atol=1e-14)
+            scale = np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=1 << n))
+            dense = np.diag(scale) @ kron_labels(labels[0]) @ m
+            assert np.allclose(pa.apply_rows(m, scale), dense, atol=1e-14)
+            # factors applied in order, first label first: compose is exact on the masks
+            prod, phase, dense = PauliAssignment.identity(n), 1, np.eye(1 << n)
+            for la in labels:
+                prod, step = PauliAssignment(la).compose(prod)
+                phase *= step
+                dense = kron_labels(la) @ dense
+            assert phase in (1, 1j, -1, -1j)
+            assert np.array_equal(phase * prod.matrix(), dense)
 
     def test_masks_follow_basis_order(self):
         p = PauliAssignment("XYZI")
@@ -425,8 +431,8 @@ class TestWeave:
 
 class TestKSpacePath:
     def test_homogeneous_straight_line_to_half_half(self):
-        # two equal bonds, no pulses: on the coarse lattice (period 2pi) the
-        # path reaches the point (1/2, 1/2) in lattice units at tau_min
+        # two equal bonds, no pulses: the path reaches phase (pi, pi), the
+        # point (1/2, 1/2) in units of 2pi, at tau_min
         arr = DotArray(
             [Dot(0, 1.0), Dot(1, 1.3), Dot(2, 0.7)],
             [make_bond(0, 1, 1e-3, 0.8), make_bond(0, 2, 1e-3, 0.8)],
@@ -434,17 +440,19 @@ class TestKSpacePath:
         delta = arr.bonds[0].velocity
         tau_min = np.pi / delta
         sched = PulseSchedule(3, [Stage(tau_min, None)])
-        target = CalibrationTarget.for_array(arr, [np.pi, np.pi], modulus=2 * np.pi)
-        path = kspace_path(arr, sched, target)
+        path = kspace_path(arr, sched)
         assert path.raw[-1] == pytest.approx([1.0, 1.0])  # phase / pi
-        # lattice units = phase / 2pi
+        # units of 2pi = phase / 2pi
         assert path.raw[-1] / 2.0 == pytest.approx([0.5, 0.5])
+        # on the pi lattice the target pi folds onto the lattice point 0
+        assert np.max(circular_distance(path.folded[-1], 0.0, 1.0)) <= 1e-9
         # straight line: intermediate point proportional
-        mid = kspace_path(arr, PulseSchedule(3, [Stage(tau_min / 2, None)]), target)
+        mid = kspace_path(arr, PulseSchedule(3, [Stage(tau_min / 2, None)]))
         assert mid.raw[-1] == pytest.approx([0.5, 0.5])
+        assert mid.folded[-1] == pytest.approx([0.5, 0.5])
 
     def test_rational_ratio_hits_lattice_point(self):
-        # velocities 5:3 reach the lattice point (5/2, 3/2) in lattice units
+        # velocities 5:3 reach the point (5/2, 3/2) in units of 2pi
         arr = DotArray(
             [Dot(0, 1.0), Dot(1, 1.3), Dot(2, 0.7)],
             [make_bond(0, 1, 1e-3, 0.75), make_bond(0, 2, 1e-3 * 3.0 / 5.0, 0.75)],
@@ -452,11 +460,10 @@ class TestKSpacePath:
         v1, v2 = (b.velocity for b in arr.bonds)
         assert v1 / v2 == pytest.approx(5.0 / 3.0)
         tau = (5.0 / 2.0) * 2.0 * np.pi / v1
-        target = CalibrationTarget.for_array(arr, [np.pi, np.pi], modulus=2 * np.pi)
-        path = kspace_path(arr, PulseSchedule(3, [Stage(tau, None)]), target)
+        path = kspace_path(arr, PulseSchedule(3, [Stage(tau, None)]))
         assert path.raw[-1] / 2.0 == pytest.approx([2.5, 1.5])
-        # the endpoint sits on the target lattice point
-        assert np.max(circular_distance(path.folded[-1] * np.pi, np.pi, 2 * np.pi)) <= 1e-9
+        # the endpoint sits on the pi lattice point of the target phases pi
+        assert np.max(circular_distance(path.folded[-1] * np.pi, np.pi, np.pi)) <= 1e-9
 
     def test_irrational_ratio_never_lands(self):
         arr = DotArray(
@@ -467,18 +474,17 @@ class TestKSpacePath:
         velocities = [b.velocity for b in arr.bonds]
         horizon = 40.0 * np.pi / min(velocities)
         grid = np.linspace(0.0, horizon, 250_000)
-        folded = straight_path_fold(velocities, target, grid)
-        goal = np.mod(np.array(target.phases) / np.pi, target.modulus / np.pi)
-        cell = target.modulus / np.pi
+        folded = straight_path_fold(velocities, grid)
+        goal = np.mod(np.array(target.phases) / np.pi, 1.0)
         delta = np.abs(folded - goal)
-        dist = np.max(np.minimum(delta, cell - delta), axis=1)
+        dist = np.max(np.minimum(delta, 1.0 - delta), axis=1)
         assert np.min(dist) > 1e-3
 
     def test_csv_columns(self, rng):
         arr = stellar_array(2, rng=rng)
         target = CalibrationTarget.for_array(arr, [0.7, 1.1])
         sched = solve_intervals(arr, target)
-        csv = kspace_path(arr, sched, target).to_csv()
+        csv = kspace_path(arr, sched).to_csv()
         header = csv.splitlines()[0]
         assert header == "time,bond_id,phase_over_pi,folded_phase_over_pi"
         assert len(csv.splitlines()) == 1 + (len(sched.stages) + 1) * arr.n_bonds
@@ -486,7 +492,7 @@ class TestKSpacePath:
     def test_csv_matches_cell_by_cell_formatter(self, rng):
         arr = stellar_array(3, rng=rng)
         target = CalibrationTarget.for_array(arr, [0.7, 1.1, 2.9])
-        path = kspace_path(arr, solve_intervals(arr, target), target, samples_per_stage=8)
+        path = kspace_path(arr, solve_intervals(arr, target), samples_per_stage=8)
         lines = ["time,bond_id,phase_over_pi,folded_phase_over_pi"]
         for i, t in enumerate(path.times):
             for w in range(path.raw.shape[1]):

@@ -550,12 +550,12 @@ def test_calibrate_and_simulate_leave_scipy_unimported(stellar_files):
         "    if mod.name != '__main__':\n"
         "        importlib.import_module(f'dotgates.{mod.name}')\n"
         "from conftest import chain_array\n"
-        "from dotgates.calibrate import SignedPermutation, assignment_vectors\n"
+        "from dotgates.calibrate import PauliAssignment, assignment_vectors\n"
         "from dotgates.cli import main\n"
         "assert assignment_vectors(chain_array(16)).n_bonds == 15\n"
         # the exact verify crosses pulse boundaries through the reflection kernel
-        "reflect, calls = SignedPermutation.reflection, []\n"
-        "SignedPermutation.reflection = lambda *a, **k: calls.append(1) or reflect(*a, **k)\n"
+        "reflect, calls = PauliAssignment.reflection, []\n"
+        "PauliAssignment.reflection = lambda *a, **k: calls.append(1) or reflect(*a, **k)\n"
         f"assert main(['calibrate', '--dd', *{files!r}]) == 0\n"
         "assert calls\n"
         f"assert main(['simulate', *{files!r}]) == 0\n"

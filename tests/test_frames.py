@@ -158,7 +158,7 @@ def oracle_solve(array, target, assignments, bound, tol=1e-9):
         if np.linalg.matrix_rank(sub) < n_bonds:
             continue
         try:
-            taus = calibrate._square_durations(sub, phi, velocities[active], target.modulus, bound, tol)
+            taus = calibrate._square_durations(sub, phi, velocities[active], np.pi, bound, tol)
         except InfeasibleSchedule as exc:
             least = min(least, exc.best_residual)
             continue

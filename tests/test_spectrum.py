@@ -19,7 +19,6 @@ from dotgates import (
     weave_dd,
 )
 from dotgates.basis import circular_distance, wrap_pm_pi
-from dotgates.calibrate import SignedPermutation
 from dotgates.simulate import MIN_OVERLAP, optimal_phase_correction
 
 from conftest import (
@@ -163,6 +162,12 @@ class TestPulsedDiagonal:
             Stage(200.0, None),
             Stage(300.0, PauliAssignment("YYY")),
         ],
+        "scalar_boundary": [  # Z Y X = -i I: the boundary scales w and takes no rows
+            Stage(300.0, PauliAssignment("XII")),
+            Stage(0.0, PauliAssignment("YII")),
+            Stage(0.0, PauliAssignment("ZII")),
+            Stage(200.0, None),
+        ],
         "total_time_zero": [
             Stage(0.0, PauliAssignment("XZY")),
             Stage(0.0, PauliAssignment("ZIX")),
@@ -188,39 +193,30 @@ def random_unitary(rng, dim):
 
 
 def composite(labels_list):
-    """Signed permutation of the pulses applied in order, first label first."""
-    ops = [PauliAssignment(labels).signed_permutation() for labels in labels_list]
-    out = ops[0]
-    for op in ops[1:]:
-        out = op.after(out)
-    return out
-
-
-class NotAPauli:
-    """A stage pulse whose operator is no Pauli product."""
-
-    def __init__(self, op):
-        self.op = op
-        self.n_dots = op.phase.shape[0].bit_length() - 1
-
-    def signed_permutation(self):
-        return self.op
+    """``(c, P_h)``: the pulses applied in order, first label first, composed
+    on their masks into a scalar and a Pauli string."""
+    out, c = PauliAssignment(labels_list[0]), 1
+    for labels in labels_list[1:]:
+        out, phase = PauliAssignment(labels).compose(out)
+        c *= phase
+    return c, out
 
 
 class TestReflection:
-    """``V^dag P V = c (C^dag C - I)`` for every Pauli product P."""
+    """``V^dag P V = C^dag C - I`` for every Pauli string P."""
 
     def assert_reflection(self, op, v):
         out = np.empty((v.shape[0] // 2, v.shape[0]), dtype=complex)
-        c, rows = op.reflection(v, out)
+        rows = op.reflection(v, out)
         target = v.conj().T @ op.matrix() @ v
         if rows is None:
-            assert np.max(np.abs(target - c * np.eye(v.shape[0]))) <= 1e-13
-            return c, rows
+            assert op.is_identity()
+            assert np.max(np.abs(target - np.eye(v.shape[0]))) <= 1e-13
+            return rows
         assert rows is out
-        rebuilt = c * (rows.conj().T @ rows - np.eye(v.shape[0]))
+        rebuilt = rows.conj().T @ rows - np.eye(v.shape[0])
         assert np.max(np.abs(target - rebuilt)) <= 1e-13
-        return c, rows
+        return rows
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_pauli_strings_and_their_products(self, n):
@@ -229,7 +225,9 @@ class TestReflection:
         for _ in range(12):
             v = random_unitary(rng, 1 << n)
             labels = [rng.choice(list("IXYZ"), size=n) for _ in range(int(rng.integers(1, 4)))]
-            scalars.add(self.assert_reflection(composite(labels), v)[0])
+            c, op = composite(labels)
+            self.assert_reflection(op, v)
+            scalars.add(c)
         assert scalars - {1}  # products carry phases i^k
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -237,8 +235,8 @@ class TestReflection:
         rng = np.random.default_rng(210 + n)
         for _ in range(8):
             labels = [rng.choice(list("IZ"), size=n) for _ in range(int(rng.integers(1, 3)))]
-            op = composite(labels)
-            assert op.flip == 0
+            c, op = composite(labels)
+            assert op.x_mask == 0 and c == 1
             self.assert_reflection(op, random_unitary(rng, 1 << n))
 
     @pytest.mark.parametrize(
@@ -254,32 +252,24 @@ class TestReflection:
     def test_scalar_composites_take_no_rows(self, labels, scalar):
         rng = np.random.default_rng(220)
         v = random_unitary(rng, 1 << len(labels[0]))
-        c, rows = self.assert_reflection(composite(labels), v)
-        assert rows is None and c == pytest.approx(scalar)
+        c, op = composite(labels)
+        assert op.is_identity() and c == scalar
+        assert self.assert_reflection(op, v) is None
 
     @pytest.mark.parametrize(
-        "op",
-        [
-            SignedPermutation.diagonal([1, 1, 1, -1]),  # CZ
-            SignedPermutation.diagonal(np.exp(1j * np.arange(4.0))),
-            SignedPermutation(1, np.array([1, 1, 1, -1], dtype=complex)),  # X on a CZ
-            SignedPermutation(3, np.array([1, 1j, 1, 1j])),  # not a character
-            SignedPermutation.diagonal([1, -1, -1, -1, 1, 1, 1, -1]),  # traceless, not a string
-        ],
+        "op", [["C", "Z"], ["H"], ["x", "I"], ["S", "I", "I"], ["I", "T"]]
     )
     def test_non_pauli_operator_raises(self, op):
-        dim = op.phase.shape[0]
-        v = random_unitary(np.random.default_rng(240), dim)
-        with pytest.raises(ValueError, match="not a Pauli product"):
-            op.reflection(v, np.empty((dim // 2, dim), dtype=complex))
+        # a pulse is two masks, so an operator that is no Pauli string is
+        # refused where the pulse is built, before any reflection
+        with pytest.raises(ValueError, match="unknown Pauli label"):
+            PauliAssignment(op)
 
     def test_non_pauli_boundary_fails_the_chain(self):
-        # a boundary between two evolving stages has no other path
-        arr = random_connected_array(np.random.default_rng(5), 2, j_scale=3e-3)
-        cz = NotAPauli(SignedPermutation.diagonal([1, 1, 1, -1]))
-        sched = PulseSchedule(2, [Stage(100.0, cz), Stage(200.0, None)])
-        with pytest.raises(ValueError, match="not a Pauli product"):
-            Spectrum.of(arr).pulsed_diagonal(sched, PauliAssignment("II"))
+        # a schedule document naming a non-Pauli boundary is refused when read
+        doc = {"stages": [{"tau": 100.0, "pulse": [{"dot": 0, "pauli": "CZ"}]}, {"tau": 200.0}]}
+        with pytest.raises(ValueError, match="unknown Pauli label"):
+            PulseSchedule.from_json(doc, 2)
 
 
 def oracle_leak(weights):

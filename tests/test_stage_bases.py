@@ -37,7 +37,7 @@ def lp_durations(array, target, assignments, bound):
     offsets = np.arange(-bound, bound + 1)
     grids = np.meshgrid(*([offsets] * n_bonds), indexing="ij")
     mcombo = np.stack([g.ravel() for g in grids], axis=1)
-    rhs = (phi[None, :] + target.modulus * mcombo) / vel[None, :]
+    rhs = (phi[None, :] + np.pi * mcombo) / vel[None, :]
     best_sol, best_total = None, np.inf
     for row in range(rhs.shape[0]):
         res = scipy.optimize.linprog(
@@ -86,7 +86,7 @@ def assert_matches_lp(array, target, assignments, bound):
     assert got.total_time == pytest.approx(want.sum(), rel=1e-9)
     active = np.abs(np.array(target.velocities)) > 1e-15
     achieved = accumulated_bond_phases(array, got)[active]
-    err = circular_distance(achieved, np.array(target.phases)[active], target.modulus)
+    err = circular_distance(achieved, np.array(target.phases)[active], np.pi)
     assert np.max(err) <= 1e-9
     assert len(got.stages) <= oracle_stage_count(want)
     return True

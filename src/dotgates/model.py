@@ -51,8 +51,10 @@ class Dot:
     chem_potential: float | None = None
 
     def __post_init__(self):
-        if self.zeeman <= 0:
-            raise ValueError(f"dot {self.id}: zeeman splitting must be positive")
+        if not 0 < self.zeeman < math.inf:  # also refuses NaN
+            raise ValueError(
+                f"dot {self.id}: zeeman splitting must be positive and finite, got {self.zeeman!r}"
+            )
 
 
 @dataclass(frozen=True)

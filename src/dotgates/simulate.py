@@ -10,6 +10,18 @@ basis state's overlap with its eigenvector), and staged evolutions with
 instantaneous Pauli pulses.  Its first-order approximation is the diagonal
 gate ``exp(+i tau Lambda)`` with Lambda the grid vector.
 
+The eigendecomposition is LAPACK's ``zheevd`` (divide and conquer), called
+in place through ``ctypes`` from the library numpy already loads: the
+C-ordered H reaches Fortran as its conjugate, so the buffer comes back
+holding V^dag row by row, and V is its conjugate's transpose view, with no
+n x n copy.  The workspace is n^2 + 65 n + 4160 complex numbers: zheevd
+keeps n^2 + n of it, and the rest lets the eigenvector back-transformation
+(``zunmtr``) apply its Householder reflectors in blocks of 64.
+``numpy.linalg.eigh`` passes the minimum workspace, which leaves them one
+at a time and takes about twice as long.  Where numpy's LAPACK exports no
+64-bit-integer ``zheevd`` (Accelerate, MKL or a 32-bit-integer build),
+``numpy.linalg.eigh`` runs instead; the choice is made once, at import.
+
 The flows read only the diagonal of the propagator, which costs O(4^N)
 given the spectrum.  Pulses compose on their masks
 (:meth:`PauliAssignment.compose`), so the pulses of any boundary are one
@@ -28,6 +40,7 @@ least-squares free phase, which has a closed form.
 
 from __future__ import annotations
 
+import ctypes
 import json
 from dataclasses import dataclass
 
@@ -48,8 +61,9 @@ class DegenerateSpectrum(RuntimeError):
 
 
 # Most dots the dense path takes.  At 13 dots the complex 2^N x 2^N
-# Hamiltonian alone is 1 GiB, and eigh's copy and workspace add about four
-# times that; every further dot multiplies both by four.
+# Hamiltonian alone is 1 GiB; zheevd overwrites it in place and adds n^2
+# complex numbers of work and 2 n^2 floats of rwork, about 3x H in all,
+# and every further dot multiplies that by four.
 DENSE_MAX_DOTS = 12
 
 
@@ -85,7 +99,8 @@ def build_hamiltonian(array: DotArray) -> HamiltonianPair:
     spin up); ``h_ex`` accumulates ``-J_w`` times the embedded projector on
     each bond's entangled state, so its diagonal is minus the grid vector.
     An array of more than ``DENSE_MAX_DOTS`` dots raises
-    :class:`DenseLimitExceeded` before anything is allocated.
+    :class:`DenseLimitExceeded` before anything is allocated, and energies
+    that sum past the float range raise ``ValueError``.
     """
     n = array.n_dots
     if n > DENSE_MAX_DOTS:
@@ -94,20 +109,76 @@ def build_hamiltonian(array: DotArray) -> HamiltonianPair:
             f"Hamiltonian alone would take {4**n >> 26} GiB"
         )
     bits = bit_table(n)
-    h0 = ((1 - 2 * bits) @ array.zeemans) / 2.0
-    h_ex = np.zeros((1 << n, 1 << n), dtype=complex)
-    for bond in array.bonds:
-        xi = entangled_state(bond)
-        rows = pair_view(np.arange(1 << n), bond.j, bond.k).reshape(4, -1)
-        h_ex[rows[:, None], rows[None, :]] += (-bond.exchange * np.outer(xi, np.conj(xi)))[:, :, None]
+    # finite energies can still sum past the float range, and LAPACK is not
+    # promised to fail on a non-finite matrix: overflow is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        h0 = ((1 - 2 * bits) @ array.zeemans) / 2.0
+        h_ex = np.zeros((1 << n, 1 << n), dtype=complex)
+        for bond in array.bonds:
+            xi = entangled_state(bond)
+            rows = pair_view(np.arange(1 << n), bond.j, bond.k).reshape(4, -1)
+            h_ex[rows[:, None], rows[None, :]] += (-bond.exchange * np.outer(xi, np.conj(xi)))[:, :, None]
+    if not (np.isfinite(h0).all() and np.isfinite(h_ex).all()):
+        raise ValueError("the Hamiltonian overflows: energies sum past the float range")
     return HamiltonianPair(h0=h0, h_ex=h_ex)
 
 
-def _eigh(matrix: np.ndarray):
+def _lapack_zheevd():
+    """LAPACK's ``zheevd`` with 64-bit integers from the library numpy
+    links, or None where that library exports no such symbol."""
     try:
-        return np.linalg.eigh(matrix)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails
-        raise EigensolverFailure(str(exc)) from exc
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    func = getattr(lib, "scipy_zheevd_64_", None) or getattr(lib, "zheevd_64_", None)
+    if func is None:
+        return None
+    integer = ctypes.POINTER(ctypes.c_int64)
+
+    def buffer(dtype, ndim=1):
+        return np.ctypeslib.ndpointer(dtype, ndim=ndim, flags="C_CONTIGUOUS, WRITEABLE")
+
+    # jobz, uplo, n, a, lda, w, work, lwork, rwork, lrwork, iwork, liwork,
+    # info, and the hidden lengths of the two strings
+    func.argtypes = [
+        ctypes.c_char_p, ctypes.c_char_p, integer, buffer(np.complex128, 2), integer,
+        buffer(np.float64), buffer(np.complex128), integer, buffer(np.float64), integer,
+        buffer(np.int64), integer, integer, ctypes.c_size_t, ctypes.c_size_t,
+    ]
+    func.restype = None
+    return func
+
+
+_ZHEEVD = _lapack_zheevd()
+
+
+def _eigh(matrix: np.ndarray):
+    """Eigenvalues (ascending) and eigenvector columns of a Hermitian
+    complex C-ordered matrix.  The direct ``zheevd`` path overwrites the
+    matrix and returns the eigenvectors as a transposed view of its buffer;
+    the ``numpy.linalg.eigh`` fallback leaves it as it was."""
+    if _ZHEEVD is None:
+        try:
+            return np.linalg.eigh(matrix)
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverFailure(str(exc)) from exc
+    n = matrix.shape[0]
+    if matrix.shape != (n, n):
+        raise ValueError(f"eigh needs a square matrix, got shape {matrix.shape}")
+    evals = np.empty(n)
+    # zheevd keeps n^2 + n of work; zunmtr's blocked back-transformation
+    # needs n * 64 + 65 * 64 more (ilaenv's block size 64 and its T factor)
+    work = np.empty(n * n + 65 * n + 4160, dtype=complex)
+    rwork = np.empty(2 * n * n + 5 * n + 1)
+    iwork = np.empty(5 * n + 3, dtype=np.int64)
+    size, info = ctypes.c_int64(n), ctypes.c_int64(0)
+    _ZHEEVD(b"V", b"L", size, matrix, size, evals, work, ctypes.c_int64(work.size),
+            rwork, ctypes.c_int64(rwork.size), iwork, ctypes.c_int64(iwork.size), info, 1, 1)
+    if info.value:
+        raise EigensolverFailure(f"LAPACK zheevd returned info = {info.value}")
+    # Fortran read the buffer as conj(H), so row k holds conj(v_k)
+    np.conjugate(matrix, out=matrix)
+    return evals, matrix.T
 
 
 @dataclass(frozen=True)
@@ -117,6 +188,7 @@ class Spectrum:
     Holds the Zeeman diagonal ``h0``, the real diagonal of ``Hex`` (minus
     the grid vector), and the eigenvalues and eigenvector columns of H from
     a single ``eigh``; every exact quantity of the array is read from it.
+    The eigenvectors overwrite H's own buffer.
     """
 
     h0: np.ndarray

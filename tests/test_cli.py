@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import dotgates
-from dotgates import Bond, Dot, DotArray, cli
+from dotgates import Bond, Dot, DotArray, cli, simulate
 from dotgates.calibrate import choose_assignments, subset_signs
 from dotgates.circuits import order_reversal
 from dotgates.cli import main
@@ -423,10 +423,10 @@ class TestInputErrors:
     def test_eigensolver_failure_exits_one(self, stellar_files, monkeypatch, capsys):
         array, gate, out = stellar_files
 
-        def fail(_):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        def fail(*args):
+            args[12].value = 1  # LAPACK's info: the divide and conquer did not converge
 
-        monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(simulate, "_ZHEEVD", fail)
         code = main(["simulate", "--array", array, "--gate", gate, "--out", str(out),
                      "--tau", "100.0"])
         err = capsys.readouterr().err
@@ -440,12 +440,41 @@ class TestInputErrors:
         def fail(_):
             raise MemoryError("Unable to allocate 64.0 GiB")
 
-        monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(simulate, "_eigh", fail)
         code = main(["simulate", "--array", array, "--gate", gate, "--out", str(out),
                      "--tau", "100.0"])
         err = capsys.readouterr().err
         assert code == 1
         assert err == "out of memory: Unable to allocate 64.0 GiB\n"
+
+    def two_dot_files(self, tmp_path, zeeman):
+        array = {
+            "dots": [{"id": j, "zeeman": z} for j, z in enumerate(zeeman)],
+            "bonds": [{"j": 0, "k": 1, "J": 1e-3, "t": [np.sqrt(0.8), 0.0],
+                       "s": [np.sqrt(0.2), 0.0]}],
+        }
+        gate = {"factors": [{"control": 0, "targets": [{"dot": 1, "theta": 1.0}]}]}
+        (tmp_path / "array.json").write_text(json.dumps(array))
+        (tmp_path / "gate.json").write_text(json.dumps(gate))
+        return str(tmp_path / "array.json"), str(tmp_path / "gate.json"), tmp_path / "out"
+
+    @pytest.mark.parametrize(
+        "zeeman, flag",
+        [
+            # each energy is finite, but their sum overflows the Zeeman diagonal
+            ([1e308, 1e308], "--tau=10"),
+            # J/eps = 1e-320 scales the Zeeman energies past the float range
+            ([1.0, 1.4], "--sweep=1e-320:1e-2:3"),
+        ],
+        ids=["zeeman-sum-overflow", "sweep-scale-overflow"],
+    )
+    def test_energy_past_the_float_range_exits_one(self, tmp_path, capsys, zeeman, flag):
+        array, gate, out = self.two_dot_files(tmp_path, zeeman)
+        assert run("simulate", array, gate, out, flag) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ") and len(captured.err.splitlines()) == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["check", "solve", "simulate", "calibrate"])
     @pytest.mark.parametrize(
@@ -887,7 +916,7 @@ def run_capped(argv):
 
 @pytest.mark.parametrize("command, n_dots", [("simulate", 16), ("calibrate", 13)])
 def test_dense_limit_refuses_before_writing(tmp_path, command, n_dots):
-    # 13 dots need a 1 GiB Hamiltonian before eigh's copy and workspace
+    # 13 dots need a 1 GiB Hamiltonian before the eigensolver's workspace
     (tmp_path / "array.json").write_text(array_to_json(chain_array(n_dots)))
     (tmp_path / "identity.json").write_text('{"factors": []}')
     out = tmp_path / "out"

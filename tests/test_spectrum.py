@@ -14,12 +14,13 @@ from dotgates import (
     build_hamiltonian,
     pulsed_evolution,
     qubit_frame_evolution,
+    simulate,
     simulate_gate,
     solve_intervals,
     weave_dd,
 )
 from dotgates.basis import circular_distance, wrap_pm_pi
-from dotgates.simulate import MIN_OVERLAP, optimal_phase_correction
+from dotgates.simulate import MIN_OVERLAP, _eigh, optimal_phase_correction, scaled_zeeman_array
 
 from conftest import (
     argmax_match,
@@ -366,7 +367,8 @@ class TestSimulateGateDiagonal:
         rng = np.random.default_rng(40 + n)
         for arr in array_family(rng, n):
             tau = float(rng.uniform(100.0, 3000.0))
-            if min_column_overlap(Spectrum.of(arr).evecs) < MIN_OVERLAP:
+            spectrum = Spectrum.of(arr)
+            if min_column_overlap(spectrum.evecs) < MIN_OVERLAP:
                 # n = 3: the random array's Zeeman energies 1.2508 and 1.2507
                 # mix two states at overlap 0.535
                 with pytest.raises(DegenerateSpectrum):
@@ -374,8 +376,10 @@ class TestSimulateGateDiagonal:
                 continue
             report = simulate_gate(arr, tau)
 
+            # the spectrum's own eigenpairs: tau up to 3000 would multiply a
+            # second solver's rounding of E; TestEighKernel checks the pairs
             pair = build_hamiltonian(arr)
-            evals, evecs = np.linalg.eigh(np.diag(pair.h0) + pair.h_ex)
+            evals, evecs = spectrum.evals, spectrum.evecs
             u = np.exp(1j * tau * pair.h0)[:, None] * (
                 (evecs * np.exp(-1j * tau * evals)) @ evecs.conj().T
             )
@@ -399,7 +403,91 @@ class TestSimulateGateDiagonal:
 
     def test_one_eigh_per_report(self, monkeypatch, rng):
         calls = []
-        real_eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or real_eigh(a))
+        real_eigh = simulate._eigh
+        monkeypatch.setattr(simulate, "_eigh", lambda a: calls.append(1) or real_eigh(a))
         simulate_gate(stellar_array(3, rng=rng), 500.0)
         assert len(calls) == 1
+
+
+def array_hamiltonians(n):
+    """H of a chain, a star and a tree of n dots, each at its own scale and
+    with its Zeeman energies scaled to J/eps = 1e-4 and 1e-2."""
+    rng = np.random.default_rng(300 + n)
+    for arr in (chain_array(n, rng=rng), stellar_array(n - 1, rng=rng),
+                random_connected_array(rng, n)):
+        for scaled in (arr, scaled_zeeman_array(arr, 1e-4), scaled_zeeman_array(arr, 1e-2)):
+            pair = build_hamiltonian(scaled)
+            yield np.diag(pair.h0) + pair.h_ex
+
+
+def random_hermitian(rng, dim):
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return z + z.conj().T
+
+
+@pytest.fixture(params=["direct", "fallback"])
+def kernel(request, monkeypatch):
+    """``_eigh`` on the direct zheevd call, then on numpy's eigh."""
+    if request.param == "direct" and simulate._ZHEEVD is None:
+        pytest.skip("numpy's LAPACK exports no 64-bit-integer zheevd")
+    if request.param == "fallback":
+        monkeypatch.setattr(simulate, "_ZHEEVD", None)
+    return request.param
+
+
+class TestEighKernel:
+    """``_eigh`` against ``numpy.linalg.eigh``, on both of its paths."""
+
+    def assert_matches_numpy(self, h):
+        evals, evecs = _eigh(h.copy())  # the direct path overwrites its argument
+        ref_evals, ref_evecs = np.linalg.eigh(h)
+        scale = max(1.0, float(np.max(np.abs(ref_evals))))
+        assert np.max(np.abs(evals - ref_evals)) <= 1e-14 * scale
+        assert np.max(np.abs(h @ evecs - evecs * evals)) <= 1e-13 * scale
+        assert np.max(np.abs(evecs.conj().T @ evecs - np.eye(h.shape[0]))) <= 1e-13 * scale
+        # |V|^2 is unique only for simple eigenvalues: an exact tie leaves V
+        # free within its eigenspace, and a near-tie turns rounding into a
+        # rotation of size eps |E| / gap
+        gaps = np.diff(evals)
+        nearest = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
+        simple = nearest > 1e-6 * scale
+        weights, ref_weights = np.abs(evecs) ** 2, np.abs(ref_evecs) ** 2
+        assert np.max(np.abs(weights - ref_weights)[:, simple], initial=0.0) <= 1e-12
+        return simple
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_arrays(self, kernel, n):
+        for h in array_hamiltonians(n):
+            assert self.assert_matches_numpy(h).all()
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 64, 200])
+    def test_random_hermitian(self, kernel, dim):
+        self.assert_matches_numpy(random_hermitian(np.random.default_rng(400 + dim), dim))
+
+    def test_exactly_degenerate(self, kernel):
+        assert not self.assert_matches_numpy(np.eye(16, dtype=complex)).any()
+        diag = np.diag([2.0, -1.0, 2.0, 0.5, -1.0, 2.0, 3.0]).astype(complex)
+        assert self.assert_matches_numpy(diag).tolist() == [False, False, True, False, False, False, True]
+
+    def test_non_convergence_raises(self, kernel, monkeypatch):
+        if kernel == "direct":
+            monkeypatch.setattr(simulate, "_ZHEEVD", lambda *args: setattr(args[12], "value", 3))
+        else:
+            def fail(_):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+            monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(simulate.EigensolverFailure):
+            _eigh(np.eye(4, dtype=complex))
+
+
+def test_direct_kernel_resolves_on_scipy_openblas():
+    # pip's numpy wheels link scipy-openblas, whose zheevd the direct path
+    # calls: a renamed symbol there would silently halve sweep speed
+    try:
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]["name"]
+    except (TypeError, KeyError) as exc:  # numpy < 1.26 has no mode="dicts"
+        pytest.skip(f"numpy reports no LAPACK name ({exc!r})")
+    if lapack != "scipy-openblas":
+        pytest.skip(f"numpy's LAPACK is {lapack}, not scipy-openblas")
+    assert simulate._ZHEEVD is not None

@@ -423,6 +423,7 @@ _CAP_GROWTH = 1.5
 # from storing millions of rows.
 _OFFSET_BUDGET = 4_000_000
 _PREFIX_BUDGET = _OFFSET_BUDGET // 3
+_DURATION_TOL = 1e-9  # how far below zero a solved duration may round
 
 
 def _narrow(lo: np.ndarray, hi: np.ndarray, value: np.ndarray, slope: float, floor: float):
@@ -575,7 +576,6 @@ def solve_intervals(
     target: CalibrationTarget,
     assignments: Sequence[frozenset[int]] | None = None,
     offset_bound: int = 8,
-    tol: float = 1e-9,
 ) -> PulseSchedule:
     """Solve stage durations so every bond accumulates its target phase.
 
@@ -639,7 +639,7 @@ def solve_intervals(
         if np.linalg.matrix_rank(sub) < n_bonds:
             continue
         try:
-            taus = _square_durations(sub, phi, vel, np.pi, offset_bound, tol)
+            taus = _square_durations(sub, phi, vel, np.pi, offset_bound, _DURATION_TOL)
         except InfeasibleSchedule as exc:
             least = min(least, exc.best_residual)
             continue
@@ -661,35 +661,23 @@ def solve_intervals(
     ])
     achieved = accumulated_bond_phases(array, schedule)
     err = circular_distance(achieved[active], phi, np.pi)
-    if np.max(err) > max(tol, 1e-7):
+    if np.max(err) > 1e-7:
         raise InfeasibleSchedule("schedule verification failed", float(np.max(err)))
     return schedule
 
 
 # -- pulse-induced local phases --------------------------------------------------
 
-@dataclass(frozen=True)
-class PulsePhases:
-    """Extra per-qubit phases induced by the pulses, plus the net Pauli.
-
-    ``per_qubit[j]`` is the half-angle phi'_j of the sigma^Z rotation picked
-    up by qubit j; to first order the pulsed propagator factorizes as
-    ``net * prod_j exp(-i phi'_j sigma_j^Z) * prod_n exp(i tau_n Lambda^(n))``.
-    ``free`` is the same object expressed as a free-phase map on the
-    diagonal (global part plus 2 phi'_j per excited bit).
-    """
-
-    per_qubit: tuple[float, ...]
-    free: FreePhase
-    net: PauliAssignment
-
-
-def extra_local_phases(schedule: PulseSchedule, array: DotArray) -> PulsePhases:
+def extra_local_phases(schedule: PulseSchedule, array: DotArray) -> FreePhase:
     """Accumulate the pulse-induced single-qubit phases stage by stage.
 
-    Each stage contributes ``(s_nj - s_Nj) / 2 * eps_j * tau_n`` to qubit j,
-    where s_nj is the sign of dot j in the frame of stage n and s_Nj its
-    sign in the net frame after the last stage.
+    Each stage contributes ``(s_nj - s_Nj) / 2 * eps_j * tau_n`` to the
+    half-angle phi'_j of qubit j's sigma^Z rotation, where s_nj is the sign
+    of dot j in the frame of stage n and s_Nj its sign in the net frame
+    after the last stage.  To first order the pulsed propagator factorizes
+    as ``net * prod_j exp(-i phi'_j sigma_j^Z) * prod_n exp(i tau_n Lambda^(n))``;
+    the result is that rotation as a free phase on the diagonal (global part
+    plus 2 phi'_j per excited bit).
     """
     eps = array.zeemans
     if len(eps) != schedule.n_dots:
@@ -698,8 +686,7 @@ def extra_local_phases(schedule: PulseSchedule, array: DotArray) -> PulsePhases:
     durations = np.array([st.duration for st in schedule.stages], dtype=float)
     terms = 0.5 * (signs[:-1] - signs[-1]) * eps * durations[:, None]  # (stages, dots)
     phi = sum(terms, np.zeros(schedule.n_dots))  # stage by stage, in time order
-    free = FreePhase(wrap_2pi(-np.sum(phi)), wrap_2pi(2.0 * phi))
-    return PulsePhases(tuple(float(x) for x in phi), free, schedule.net_pulse())
+    return FreePhase(wrap_2pi(-np.sum(phi)), wrap_2pi(2.0 * phi))
 
 
 # -- dynamical-decoupling weave ---------------------------------------------------

@@ -35,8 +35,6 @@ from . import circuits
 from .calibrate import (
     CalibrationTarget,
     accumulated_bond_phases,
-    choose_assignments,
-    extra_local_phases,
     kspace_path,
     solve_intervals,
     weave_dd,
@@ -128,10 +126,9 @@ def _apply_overrides(args: argparse.Namespace) -> None:
             raise ValueError(f"DOTGATES_{name}={value!r}: {exc}") from None
 
 
-def _add_common(parser: argparse.ArgumentParser, need_gate: bool = True):
+def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--array", required=True, help="array JSON file")
-    if need_gate:
-        parser.add_argument("--gate", required=True, help="gate-spec JSON file")
+    parser.add_argument("--gate", required=True, help="gate-spec JSON file")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--tol", type=_nonnegative)
     parser.add_argument("--jobs", type=int, help="accepted for compatibility; sweeps run serially")
@@ -165,9 +162,16 @@ def _require_native(reading: BondReading) -> BondReading:
     return reading
 
 
+def _exact_residual(diagonal: np.ndarray, target: PhaseVector) -> float:
+    """Equivalence residual of an exact propagator diagonal against the
+    target, up to a free phase: the one check of ``simulate`` and ``calibrate``."""
+    return equiv_up_to_free_phase(PhaseVector(np.angle(diagonal)), target)[2]
+
+
 def _require_verified(name: str, residual: float) -> None:
-    """Refuse an answer whose exact equivalence residual exceeds ``VERIFY_TOL``."""
-    if residual > VERIFY_TOL:
+    """Refuse an answer whose exact equivalence residual is not within
+    ``VERIFY_TOL``; a NaN residual is refused too."""
+    if not residual <= VERIFY_TOL:
         raise Unreachable(f"exact {name} {residual:.3e} exceeds {VERIFY_TOL:g}")
 
 
@@ -175,8 +179,7 @@ def cmd_check(args) -> int:
     array = _load_array(args.array)
     target = _load_gate(args.gate).expand(array.n_dots)
     reading = read_bonds(array, target, args.tol)
-    half = target.values.shape[0] // 2  # the one-control analysis needs dot 0 to control
-    analysis = assert_single_control(target.values[half:]) if target.controlled else None
+    analysis = assert_single_control(target.reduced()) if target.controlled else None
     report = {
         "feasible": reading.feasible,
         "residual": reading.residual,
@@ -230,8 +233,7 @@ def cmd_simulate(args) -> int:
     report = simulate_gate(array, tau)
     # swept before any write, so an array the sweep cannot scale leaves nothing
     swept = None if args.sweep is None else sweep_rows(array, tau, args.sweep)
-    diag = PhaseVector(np.angle(report.u_diag))
-    _, _, equiv_residual = equiv_up_to_free_phase(diag, target, tol=args.tol)
+    equiv_residual = _exact_residual(report.u_diag, target)
     doc = json.loads(report.to_json())
     doc["tau"] = tau
     doc["equiv_residual_vs_target"] = equiv_residual
@@ -253,38 +255,32 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    """Solve the stage durations, weave the echo train with ``--dd``, and verify
+    each schedule's exact diagonal alone: its frame phases are a free phase."""
     array = _load_array(args.array)
     gate = _load_gate(args.gate).expand(array.n_dots)
     reading = _require_native(read_bonds(array, gate, args.tol))
     target = CalibrationTarget.for_array(array, reading.bond_phases)
-    schedule = solve_intervals(
-        array, target, choose_assignments(array), offset_bound=args.offset_bound
-    )
-    # shared by the base and the woven verify; built and checked before any
-    # artifact is written, so an array past the dense limit or outside the
-    # perturbative regime leaves none
+    schedule = solve_intervals(array, target, offset_bound=args.offset_bound)
+    # shared by the base and the woven verify; checked before any artifact is
+    # written, so an array past the dense limit or the perturbative regime, or
+    # a total time (the woven one's too) whose phases overflow, leaves none
     spectrum = Spectrum.of(array)
     spectrum.leak()
+    spectrum.check_time(schedule.total_time)
     _write(args.out, "schedule.json", schedule.to_json())
     path = kspace_path(array, schedule, samples_per_stage=8)
     _write(args.out, "kspace.csv", path.to_csv())
 
-    def verify(sched):
-        pp = extra_local_phases(sched, array)
-        stripped = spectrum.pulsed_diagonal(sched, pp.net)
-        diag = PhaseVector(np.angle(stripped) - pp.free.expand().values)
-        _, _, residual = equiv_up_to_free_phase(diag, gate, tol=VERIFY_TOL)
-        return residual
-
     record = {
         "total_time": schedule.total_time,
         "bond_phases_mod_pi": [float(x) for x in np.mod(accumulated_bond_phases(array, schedule), np.pi)],
-        "equiv_residual": verify(schedule),
+        "equiv_residual": _exact_residual(spectrum.pulsed_diagonal(schedule), gate),
     }
     if args.dd:
         woven = weave_dd(schedule)
         _write(args.out, "schedule_dd.json", woven.to_json())
-        record["dd_equiv_residual"] = verify(woven)
+        record["dd_equiv_residual"] = _exact_residual(spectrum.pulsed_diagonal(woven), gate)
         record["dd_total_time"] = woven.total_time
     _write(args.out, "calibrate.json", json.dumps(record, indent=2))
     answered = "dd_equiv_residual" if args.dd else "equiv_residual"

@@ -205,9 +205,17 @@ class Spectrum:
         evals, evecs = _eigh(h)
         return cls(pair.h0, h_ex_diag, evals, evecs)
 
+    def check_time(self, t: float) -> None:
+        """Refuse a time whose phases ``t E`` or ``t h0`` overflow a float,
+        which would make every exponential NaN (``ValueError``)."""
+        energy = float(max(np.abs(self.evals).max(), np.abs(self.h0).max()))
+        if not np.isfinite(abs(float(t)) * energy):
+            raise ValueError(f"time {t!r} times an energy of the array overflows a float")
+
     def diagonal(self, tau: float) -> np.ndarray:
         """Diagonal of ``exp(+i tau H0) exp(-i tau H)``:
         ``e^{i tau h0} (|V|^2 e^{-i tau E})``."""
+        self.check_time(tau)
         rot = np.exp(-1j * tau * self.evals)
         mixed = np.abs(self.evecs) ** 2 @ np.column_stack([rot.real, rot.imag])
         return np.exp(1j * tau * self.h0) * (mixed[:, 0] + 1j * mixed[:, 1])
@@ -252,6 +260,7 @@ class Spectrum:
         (F read at the flipped index), so ``left = F[b ^ x_net] c (net P_h) V``
         and neither side takes a dense product.
         """
+        self.check_time(schedule.total_time)
         v = self.evecs
         identity = PauliAssignment.identity(schedule.n_dots)
         pending, c = identity, 1  # c P_h, the pulses since the last evolving stage
@@ -295,12 +304,12 @@ class Spectrum:
         left, right = self._pulsed_factors(schedule, PauliAssignment.identity(schedule.n_dots))
         return left @ right
 
-    def pulsed_diagonal(self, schedule: PulseSchedule, net: PauliAssignment) -> np.ndarray:
+    def pulsed_diagonal(self, schedule: PulseSchedule) -> np.ndarray:
         """``diag(net^dag U)`` of the pulsed propagator U, in O(4^N) beyond
         the products between evolving stages; ``net`` is the schedule's net
         Pauli (a Pauli string is its own inverse), so the result holds the
         gate's phases."""
-        left, right = self._pulsed_factors(schedule, net)
+        left, right = self._pulsed_factors(schedule, schedule.net_pulse())
         return np.einsum("bk,kb->b", left, right)
 
 

@@ -304,9 +304,9 @@ def test_criterion_6_calibration_end_to_end():
             rect_matrix_checked += 1
 
         u = pulsed_evolution(arr, schedule)
-        phases = extra_local_phases(schedule, arr)
-        stripped = phases.net.matrix().conj().T @ u
-        diag = PhaseVector(np.angle(np.diag(stripped)) - phases.free.expand().values)
+        stripped = schedule.net_pulse().matrix().conj().T @ u
+        frame = extra_local_phases(schedule, arr)
+        diag = PhaseVector(np.angle(np.diag(stripped)) - frame.expand().values)
         ok, _, residual = equiv_up_to_free_phase(
             diag, spec.expand(arr.n_dots), tol=1e-2
         )

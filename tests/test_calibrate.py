@@ -8,6 +8,7 @@ from dotgates import (
     CalibrationTarget,
     Dot,
     DotArray,
+    FreePhase,
     GateSpec,
     InfeasibleSchedule,
     MqcpFactor,
@@ -301,9 +302,8 @@ class TestExtraLocalPhases:
     def test_no_pulses(self, rng):
         arr = stellar_array(2, rng=rng)
         sched = PulseSchedule(3, [Stage(10.0, None)])
-        pp = extra_local_phases(sched, arr)
-        assert pp.net.is_identity()
-        assert pp.per_qubit == pytest.approx((0.0, 0.0, 0.0))
+        assert sched.net_pulse().is_identity()
+        assert extra_local_phases(sched, arr) == FreePhase(0.0, (0.0, 0.0, 0.0))
 
     def test_three_pulse_pattern(self):
         eps = [1.0, 1.47, 0.63]
@@ -318,11 +318,13 @@ class TestExtraLocalPhases:
             Stage(t[2], PauliAssignment.x_on([0], 3)),
             Stage(t[3], None),
         ])
-        pp = extra_local_phases(sched, arr)
-        assert pp.net.labels == ("X", "X", "X")
-        assert pp.per_qubit[0] == pytest.approx((t[0] + t[1] + t[2]) * eps[0])
-        assert pp.per_qubit[1] == pytest.approx(t[0] * eps[1])
-        assert pp.per_qubit[2] == pytest.approx((t[0] + t[1]) * eps[2])
+        assert sched.net_pulse().labels == ("X", "X", "X")
+        # half-angles (t0 + t1 + t2) eps0, t0 eps1 and (t0 + t1) eps2, as a free phase
+        phi = np.array([(t[0] + t[1] + t[2]) * eps[0], t[0] * eps[1], (t[0] + t[1]) * eps[2]])
+        free = extra_local_phases(sched, arr)
+        want = FreePhase(-np.sum(phi), 2.0 * phi)
+        assert circular_distance(free.global_phase, want.global_phase) <= 1e-9
+        assert np.max(circular_distance(np.array(free.local), np.array(want.local))) <= 1e-9
 
     def test_prediction_matches_exact_unitary(self):
         # strip the net Pauli; the diagonal phases then factor into the
@@ -338,14 +340,13 @@ class TestExtraLocalPhases:
             Stage(400.0, PauliAssignment.x_on([0], 3)),
             Stage(900.0, None),
         ])
-        pp = extra_local_phases(sched, arr)
         u = pulsed_evolution(arr, sched)
-        stripped = pp.net.matrix().conj().T @ u
+        stripped = sched.net_pulse().matrix().conj().T @ u
         entangle = np.zeros(8)
         for mask, st in zip(sched.frames().tolist(), sched.stages):
             q = PauliAssignment.x_on([j for j in range(3) if mask >> (2 - j) & 1], 3)
             entangle += st.duration * oracle_conjugated_grid(arr, q)
-        predicted = PhaseVector(entangle + pp.free.expand().values)
+        predicted = PhaseVector(entangle + extra_local_phases(sched, arr).expand().values)
         actual = PhaseVector(np.angle(np.diag(stripped)))
         assert actual.distance(predicted) <= 1e-4
 
@@ -413,9 +414,8 @@ class TestWeave:
 
         def gate_of(s):
             u = pulsed_evolution(arr, s)
-            pp = extra_local_phases(s, arr)
-            diag = np.angle(np.diag(pp.net.matrix().conj().T @ u))
-            return PhaseVector(diag - pp.free.expand().values)
+            diag = np.angle(np.diag(s.net_pulse().matrix().conj().T @ u))
+            return PhaseVector(diag - extra_local_phases(s, arr).expand().values)
 
         ok1, _, r1 = equiv_up_to_free_phase(gate_of(sched), expected, tol=1e-2)
         ok2, _, r2 = equiv_up_to_free_phase(gate_of(woven), expected, tol=1e-2)

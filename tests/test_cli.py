@@ -13,13 +13,14 @@ import pytest
 
 import dotgates
 from dotgates import Bond, Dot, DotArray, cli, simulate
-from dotgates.calibrate import choose_assignments, subset_signs
+from dotgates.calibrate import PulseSchedule, choose_assignments, extra_local_phases, subset_signs
 from dotgates.circuits import order_reversal
 from dotgates.cli import main
-from dotgates.gates import GateSpec, read_bonds, solve_dynamics
+from dotgates.gates import GateSpec, PhaseVector, equiv_up_to_free_phase, read_bonds, solve_dynamics
 from dotgates.model import array_from_json, array_to_json
+from dotgates.simulate import Spectrum
 
-from conftest import chain_array, parity_matrix, stellar_array
+from conftest import chain_array, parity_matrix, random_connected_array, stellar_array
 
 
 @pytest.fixture
@@ -253,6 +254,35 @@ class TestSimulate:
 
 
 class TestCalibrate:
+    @pytest.mark.parametrize("j_scale", [2e-4, 1e-3])
+    def test_check_equals_the_frame_subtracted_recipe(self, tmp_path, j_scale):
+        # the pulses' frame phases are a free phase, so the check that reads
+        # the schedule's diagonal alone agrees with the one removing them first
+        rng = np.random.default_rng(19)
+        arrays = ([stellar_array(n - 1, j_scale, rng=rng) for n in (3, 4, 6)]
+                  + [chain_array(n, j_scale, rng=rng) for n in (3, 5, 6)]
+                  + [random_connected_array(rng, n, j_scale) for n in (4, 5, 6)])
+        for i, array in enumerate(arrays):
+            # a controlled Z on every bond: bond phase pi/2
+            gate = {"factors": [{"control": int(b.j), "targets": [{"dot": int(b.k), "theta": np.pi}]}
+                                for b in array.bonds]}
+            (tmp_path / f"array{i}.json").write_text(array_to_json(array))
+            (tmp_path / f"gate{i}.json").write_text(json.dumps(gate))
+            out = tmp_path / f"out{i}"
+            code = run("calibrate", str(tmp_path / f"array{i}.json"),
+                       str(tmp_path / f"gate{i}.json"), out, "--dd", "--offset-bound", "3")
+            assert code in (0, 2)  # calibrate.json is written before the verdict
+            record = json.loads((out / "calibrate.json").read_text())
+            target = GateSpec.from_json(gate).expand(array.n_dots)
+            spectrum = Spectrum.of(array)
+            for key, name in (("equiv_residual", "schedule.json"),
+                              ("dd_equiv_residual", "schedule_dd.json")):
+                schedule = PulseSchedule.from_json((out / name).read_text(), array.n_dots)
+                frame = extra_local_phases(schedule, array).expand().values
+                diag = PhaseVector(np.angle(spectrum.pulsed_diagonal(schedule)) - frame)
+                _, _, residual = equiv_up_to_free_phase(diag, target)
+                assert abs(record[key] - residual) <= 1e-12
+
     def test_schedule_and_path_files(self, stellar_files):
         array, gate, out = stellar_files
         code = main(["calibrate", "--array", array, "--gate", gate, "--out", str(out), "--dd"])
@@ -447,30 +477,47 @@ class TestInputErrors:
         assert code == 1
         assert err == "out of memory: Unable to allocate 64.0 GiB\n"
 
-    def two_dot_files(self, tmp_path, zeeman):
+    def star_files(self, tmp_path, zeeman, exchanges, theta):
+        """Dot 0 bonded to each other dot with |t|^2 = 0.8, and the gate of one
+        factor: dot 0 controls a phase theta on every other dot."""
         array = {
             "dots": [{"id": j, "zeeman": z} for j, z in enumerate(zeeman)],
-            "bonds": [{"j": 0, "k": 1, "J": 1e-3, "t": [np.sqrt(0.8), 0.0],
-                       "s": [np.sqrt(0.2), 0.0]}],
+            "bonds": [{"j": 0, "k": k, "J": exchange, "t": [np.sqrt(0.8), 0.0],
+                       "s": [np.sqrt(0.2), 0.0]} for k, exchange in enumerate(exchanges, 1)],
         }
-        gate = {"factors": [{"control": 0, "targets": [{"dot": 1, "theta": 1.0}]}]}
+        targets = [{"dot": k, "theta": theta} for k in range(1, len(zeeman))]
+        gate = {"factors": [{"control": 0, "targets": targets}]}
         (tmp_path / "array.json").write_text(json.dumps(array))
         (tmp_path / "gate.json").write_text(json.dumps(gate))
         return str(tmp_path / "array.json"), str(tmp_path / "gate.json"), tmp_path / "out"
 
     @pytest.mark.parametrize(
-        "zeeman, flag",
+        "command, zeeman, exchanges, theta, flags",
         [
             # each energy is finite, but their sum overflows the Zeeman diagonal
-            ([1e308, 1e308], "--tau=10"),
+            ("simulate", [1e308, 1e308], [1e-3], 1.0, ["--tau=10"]),
             # J/eps = 1e-320 scales the Zeeman energies past the float range
-            ([1.0, 1.4], "--sweep=1e-320:1e-2:3"),
+            ("simulate", [1.0, 1.4], [1e-3], 1.0, ["--sweep=1e-320:1e-2:3"]),
+            # the energies are finite, but the schedule's total time times
+            # them is not: every phase of the verify would be NaN
+            ("calibrate", [1e306, 1.45e306, 0.62e306], [1e-3, 1.3e-3], np.pi, ["--dd"]),
+            # the same for a given time, with and without a sweep
+            ("simulate", [1.0, 14.5, 0.62], [1e-3, 1.3e-3], np.pi, ["--tau=1e308"]),
+            ("simulate", [1.0, 14.5, 0.62], [1e-3, 1.3e-3], np.pi,
+             ["--tau=1e308", "--sweep=1e-4:1e-2:3"]),
+            # the time is in range at the given energies, but the sweep's
+            # first point scales them 21-fold, past it
+            ("simulate", [1.0, 14.5, 0.62], [1e-3, 1.3e-3], np.pi,
+             ["--tau=1e307", "--sweep=1e-4:1e-2:3"]),
         ],
-        ids=["zeeman-sum-overflow", "sweep-scale-overflow"],
+        ids=["zeeman-sum-overflow", "sweep-scale-overflow", "calibrate-phase-overflow",
+             "simulate-phase-overflow", "sweep-phase-overflow", "sweep-point-phase-overflow"],
     )
-    def test_energy_past_the_float_range_exits_one(self, tmp_path, capsys, zeeman, flag):
-        array, gate, out = self.two_dot_files(tmp_path, zeeman)
-        assert run("simulate", array, gate, out, flag) == 1
+    def test_energy_past_the_float_range_exits_one(
+        self, tmp_path, capsys, command, zeeman, exchanges, theta, flags
+    ):
+        array, gate, out = self.star_files(tmp_path, zeeman, exchanges, theta)
+        assert run(command, array, gate, out, *flags) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("input error: ") and len(captured.err.splitlines()) == 1

@@ -14,11 +14,13 @@ DEMOS = sorted((ROOT / "demos").glob("demo_*.py"))
 
 
 def run_python(args):
-    # demos import dotgates from the source tree, installed or not
+    # demos import dotgates from the source tree, installed or not; warnings
+    # are errors there too, as pyproject's filterwarnings makes them in-process
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, timeout=120, env=env
+        [sys.executable, "-W", "error", *args], capture_output=True, text=True, timeout=120,
+        env=env,
     )
 
 

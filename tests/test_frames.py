@@ -285,11 +285,10 @@ def test_subset_reader_matches_the_labels():
 @pytest.mark.parametrize("seed", [0, 1])
 def test_local_phases_match_the_per_dot_loop(seed):
     for array, schedule in instances(seed):
-        pp = extra_local_phases(schedule, array)
         phi = oracle_local_phases(schedule, array)
-        assert np.array_equal(np.array(pp.per_qubit), phi)
-        assert pp.free == FreePhase(wrap_2pi(-np.sum(phi)), wrap_2pi(2.0 * phi))
-        assert pp.net == schedule.net_pulse()
+        # exact equality pins the stage-by-stage accumulation order
+        assert extra_local_phases(schedule, array) == FreePhase(
+            wrap_2pi(-np.sum(phi)), wrap_2pi(2.0 * phi))
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -180,8 +180,8 @@ def test_pulsed_phases_are_the_staged_first_order_phases(drawn):
     for s in (schedule, weave_dd(schedule)):
         tol = array.n_bonds * (s.total_time * j_max**2 / delta
                                + (len(s.stages) + 1) * (j_max / delta) ** 2)
-        actual = (np.angle(spectrum.pulsed_diagonal(s, s.net_pulse()))
-                  - extra_local_phases(s, array).free.expand().values)
+        actual = (np.angle(spectrum.pulsed_diagonal(s))
+                  - extra_local_phases(s, array).expand().values)
         staged = np.zeros(1 << n)
         for mask, stage in zip(s.frames().tolist(), s.stages):
             frame = PauliAssignment.x_on([j for j in range(n) if mask >> (n - 1 - j) & 1], n)

@@ -123,7 +123,7 @@ class TestPulsedDiagonal:
                 sched = random_schedule(rng, n, int(rng.integers(2, 6)))
                 woven = [weave_dd(sched)] if sched.total_time > 0 else []
                 for s in [sched] + woven:
-                    got = spectrum.pulsed_diagonal(s, s.net_pulse())
+                    got = spectrum.pulsed_diagonal(s)
                     assert np.max(np.abs(got - dense_readout(arr, s))) <= 1e-12
                     assert np.max(np.abs(got - expm_readout(arr, s))) <= 1e-9
 
@@ -136,7 +136,7 @@ class TestPulsedDiagonal:
             base = solve_intervals(arr, target, offset_bound=3)
             spectrum = Spectrum.of(arr)
             for s in (base, weave_dd(base)):
-                got = spectrum.pulsed_diagonal(s, s.net_pulse())
+                got = spectrum.pulsed_diagonal(s)
                 assert np.max(np.abs(got - dense_readout(arr, s))) <= 1e-12
                 assert np.max(np.abs(got - expm_readout(arr, s))) <= 1e-9
 
@@ -182,9 +182,9 @@ class TestPulsedDiagonal:
         sched = PulseSchedule(3, self.EDGE_SCHEDULES[name])
         dense = pulsed_evolution(arr, sched)
         assert np.max(np.abs(dense - expm_reference(arr, sched))) <= 1e-9
-        net = sched.net_pulse()
-        got = Spectrum.of(arr).pulsed_diagonal(sched, net)
-        assert np.max(np.abs(got - np.diag(kron_pulse(net).conj().T @ dense))) <= 1e-12
+        got = Spectrum.of(arr).pulsed_diagonal(sched)
+        readout = np.diag(kron_pulse(sched.net_pulse()).conj().T @ dense)
+        assert np.max(np.abs(got - readout)) <= 1e-12
 
 
 def random_unitary(rng, dim):

@@ -60,7 +60,7 @@ print("=" * 72)
 schedule = solve_intervals(star, target, offset_bound=8)
 print(f"stages: {[round(st.duration, 1) for st in schedule.stages]}")
 for st in schedule.stages:
-    if st.pulse is not None:
+    if not st.pulse.is_identity():
         print(f"  pulse after a stage: {st.pulse.labels}")
 acc = accumulated_bond_phases(star, schedule)
 print(f"accumulated bond phases mod pi: {np.round(np.mod(acc, np.pi), 9)} "
@@ -111,8 +111,7 @@ drift = np.max(np.abs(accumulated_bond_phases(star, woven) - acc))
 print(f"woven schedule: {len(woven.stages)} stages, "
       f"bond-phase drift {drift:.1e} (exactly zero by construction)")
 for j in range(3):
-    trace = [st.pulse.labels[j] for st in woven.stages
-             if st.pulse is not None and st.pulse.labels[j] != "I"]
+    trace = [st.pulse.labels[j] for st in woven.stages if st.pulse.labels[j] != "I"]
     print(f"  dot {j} pulse trace: {'-'.join(trace)}")
 print("each qubit sees an alternating X-Y echo train (net identity), so the")
 print("same gate is produced while low-frequency noise is echoed away")

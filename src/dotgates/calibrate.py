@@ -16,8 +16,11 @@ by XOR, one frame per stage plus the net frame after the last, and
 ``solve_intervals``, the pulse-induced local phases (from the per-dot
 signs) and the echo weave (from the per-dot toggles) are all read from
 those frames.  A pulse is its X and Z masks, and ``PauliAssignment`` is
-the one pulse type: the net pulse of a schedule is the XOR of the masks,
-``PauliAssignment.compose`` multiplies two pulses on their masks and
+the one pulse type, built from its width and masks (``PauliAssignment(n)``
+is the identity) or from text by ``PauliAssignment.from_labels``.  Every
+stage of a schedule carries a pulse, the identity where none fires, so a
+schedule has one value.  The net pulse of a schedule is the XOR of the
+masks, ``PauliAssignment.compose`` multiplies two pulses on their masks and
 returns the product's scalar exactly, and the exact layer applies a pulse
 to rows or columns, or as the reflection ``PauliAssignment.reflection``,
 from its masks alone.
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -35,7 +39,7 @@ import numpy as np
 
 from .basis import bit_of, bit_table, circular_distance, single_bit_index, wrap_2pi
 from .gates import FreePhase, NoBondVelocity, Unreachable
-from .model import DotArray, integer
+from .model import DotArray, finite, integer
 
 # (x, z) bits of each single-qubit Pauli, with Y = i X Z
 _PAULI_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -75,37 +79,29 @@ class PauliAssignment:
 
     The assignment is ``i^|x & z| X^x Z^z``: ``x_mask`` and ``z_mask`` are
     indexed like basis states (dot 0 the most significant bit), so it maps
-    ``|b>`` to ``i^|x & z| (-1)^|b & z| |b ^ x>``.  It is built from one
-    I/X/Y/Z label per dot, and ``labels`` reads them back.
+    ``|b>`` to ``i^|x & z| (-1)^|b & z| |b ^ x>``.  ``PauliAssignment(n)``
+    is the identity on n dots; ``from_labels`` reads one I/X/Y/Z label per
+    dot, and ``labels`` reads them back.
     """
 
     n_dots: int
-    x_mask: int
-    z_mask: int
+    x_mask: int = 0
+    z_mask: int = 0
 
-    def __init__(self, labels: Iterable[str]):
+    def __post_init__(self):
+        # x | z is negative if either is; 1 << n is a TypeError unless n is an integer
+        if not 0 <= self.x_mask | self.z_mask < 1 << self.n_dots:
+            raise ValueError(f"masks {self.x_mask}, {self.z_mask} are not in [0, 2^{self.n_dots})")
+
+    @classmethod
+    def from_labels(cls, labels: Iterable[str]) -> "PauliAssignment":
         n = x = z = 0
         for lab in labels:
             if lab not in _PAULI_BITS:
                 raise ValueError(f"unknown Pauli label {lab!r}")
             bx, bz = _PAULI_BITS[lab]
             n, x, z = n + 1, (x << 1) | bx, (z << 1) | bz
-        self._fill(n, x, z)
-
-    def _fill(self, n_dots: int, x: int, z: int) -> None:
-        object.__setattr__(self, "n_dots", n_dots)
-        object.__setattr__(self, "x_mask", x)
-        object.__setattr__(self, "z_mask", z)
-
-    @classmethod
-    def _from_masks(cls, x: int, z: int, n_dots: int) -> "PauliAssignment":
-        pulse = object.__new__(cls)
-        pulse._fill(n_dots, x, z)
-        return pulse
-
-    @classmethod
-    def identity(cls, n_dots: int) -> "PauliAssignment":
-        return cls._from_masks(0, 0, n_dots)
+        return cls(n, x, z)
 
     @classmethod
     def x_on(cls, dots: Iterable[int], n_dots: int) -> "PauliAssignment":
@@ -114,7 +110,7 @@ class PauliAssignment:
             if not 0 <= d < n_dots:
                 raise ValueError(f"dot {d} is not in 0..{n_dots - 1}")
             x |= single_bit_index(d, n_dots)
-        return cls._from_masks(x, 0, n_dots)
+        return cls(n_dots, x)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -140,7 +136,7 @@ class PauliAssignment:
             - (x & z).bit_count()
             + 2 * (self.z_mask & other.x_mask).bit_count()
         )
-        return PauliAssignment._from_masks(x, z, self.n_dots), _I_POWERS[power % 4]
+        return PauliAssignment(self.n_dots, x, z), _I_POWERS[power % 4]
 
     def _phases(self) -> np.ndarray:
         return _pauli_phase(self.n_dots, self.x_mask, self.z_mask)
@@ -193,65 +189,59 @@ class PauliAssignment:
 
 @dataclass(frozen=True)
 class Stage:
-    """Evolution period followed by an optional boundary pulse."""
+    """Evolution period followed by a boundary pulse, the identity if omitted."""
 
     duration: float
     pulse: PauliAssignment | None = None
 
     def __post_init__(self):
-        if self.duration < 0:
-            raise ValueError("stage duration must be nonnegative")
+        if not 0 <= self.duration < math.inf:
+            raise ValueError(f"stage duration must be finite and nonnegative, got {self.duration!r}")
 
 
 @dataclass(frozen=True)
 class PulseSchedule:
-    """Ordered stages; the pulse of stage n fires after its evolution."""
+    """Ordered stages; the pulse of stage n fires after its evolution.  Every
+    stage carries a pulse: ``Stage(t)`` and ``Stage(t, PauliAssignment(n))``
+    build equal schedules."""
 
     n_dots: int
     stages: tuple[Stage, ...]
 
     def __init__(self, n_dots: int, stages: Iterable[Stage]):
-        stages = tuple(stages)
-        for st in stages:
-            if st.pulse is not None and st.pulse.n_dots != n_dots:
-                raise ValueError("pulse width does not match dot count")
-        object.__setattr__(self, "n_dots", int(n_dots))
+        identity = PauliAssignment(int(n_dots))
+        stages = tuple(Stage(st.duration, st.pulse or identity) for st in stages)
+        if any(st.pulse.n_dots != identity.n_dots for st in stages):
+            raise ValueError("pulse width does not match dot count")
+        object.__setattr__(self, "n_dots", identity.n_dots)
         object.__setattr__(self, "stages", stages)
 
     @property
     def total_time(self) -> float:
         return float(sum(st.duration for st in self.stages))
 
+    @property
+    def durations(self) -> np.ndarray:
+        return np.array([st.duration for st in self.stages], dtype=float)
+
     def frames(self) -> np.ndarray:
         """X-mask in force during each stage, then the net mask after the
         last stage: the XOR of the X-masks of every pulse fired so far."""
-        pulses = [0] + [0 if st.pulse is None else st.pulse.x_mask for st in self.stages]
+        pulses = [0] + [st.pulse.x_mask for st in self.stages]
         return np.bitwise_xor.accumulate(np.array(pulses, dtype=np.int64))
 
     def net_pulse(self) -> PauliAssignment:
         """Product of the pulses up to a global phase: the XOR of their masks."""
         x = z = 0
         for st in self.stages:
-            if st.pulse is not None:
-                x, z = x ^ st.pulse.x_mask, z ^ st.pulse.z_mask
-        return PauliAssignment._from_masks(x, z, self.n_dots)
+            x, z = x ^ st.pulse.x_mask, z ^ st.pulse.z_mask
+        return PauliAssignment(self.n_dots, x, z)
 
     def to_json(self) -> str:
-        doc = {
-            "stages": [
-                {
-                    "tau": st.duration,
-                    "pulse": [
-                        {"dot": j, "pauli": lab}
-                        for j, lab in enumerate(st.pulse.labels)
-                        if lab != "I"
-                    ]
-                    if st.pulse is not None
-                    else [],
-                }
-                for st in self.stages
-            ]
-        }
+        def pulse(p):
+            return [{"dot": j, "pauli": lab} for j, lab in enumerate(p.labels) if lab != "I"]
+
+        doc = {"stages": [{"tau": st.duration, "pulse": pulse(st.pulse)} for st in self.stages]}
         return json.dumps(doc, indent=2)
 
     @classmethod
@@ -259,14 +249,16 @@ class PulseSchedule:
         doc = json.loads(source) if isinstance(source, str) else source
         stages = []
         for rec in doc["stages"]:
-            labels = ["I"] * n_dots
+            labels = {}
             for p in rec.get("pulse", []):
                 dot = integer(p["dot"], "pulse dot")
                 if not 0 <= dot < n_dots:
                     raise ValueError(f"dot {dot} is not in 0..{n_dots - 1}")
+                if dot in labels:
+                    raise ValueError(f"a stage's pulse names dot {dot} twice")
                 labels[dot] = str(p["pauli"])
-            pulse = PauliAssignment(labels)
-            stages.append(Stage(float(rec["tau"]), None if pulse.is_identity() else pulse))
+            pulse = PauliAssignment.from_labels(labels.get(j, "I") for j in range(n_dots))
+            stages.append(Stage(finite(rec["tau"], "stage tau"), pulse))
         return cls(n_dots, stages)
 
 
@@ -322,10 +314,8 @@ def stage_sign_matrix(array: DotArray, schedule: PulseSchedule) -> np.ndarray:
 
 def accumulated_bond_phases(array: DotArray, schedule: PulseSchedule) -> np.ndarray:
     """Per-bond phase integral sum_n tau_n * a_w^(n) * Delta_w."""
-    signs = stage_sign_matrix(array, schedule)
-    durations = np.array([st.duration for st in schedule.stages])
     velocities = np.array([b.velocity for b in array.bonds])
-    return velocities * (signs @ durations)
+    return velocities * (stage_sign_matrix(array, schedule) @ schedule.durations)
 
 
 # -- assignment enumeration -----------------------------------------------------
@@ -629,7 +619,7 @@ def solve_intervals(
     phi = phases[active]
     n_bonds, n_stages = amat.shape
     if n_bonds == 0:
-        return PulseSchedule(n_dots, [Stage(0.0, None)])
+        return PulseSchedule(n_dots, [Stage(0.0)])
     if n_stages < n_bonds or np.linalg.matrix_rank(amat) < n_bonds:
         raise ValueError("stage assignments do not span the active bonds")
 
@@ -656,7 +646,7 @@ def solve_intervals(
     kept = [0] + [idx for idx in range(1, n_stages) if durations[idx] > 1e-12]
     toggles = [masks[a] ^ masks[b] for a, b in zip(kept, kept[1:])] + [0]
     schedule = PulseSchedule(n_dots, [
-        Stage(float(durations[idx]), PauliAssignment._from_masks(x, 0, n_dots) if x else None)
+        Stage(float(durations[idx]), PauliAssignment(n_dots, x))
         for idx, x in zip(kept, toggles)
     ])
     achieved = accumulated_bond_phases(array, schedule)
@@ -683,8 +673,7 @@ def extra_local_phases(schedule: PulseSchedule, array: DotArray) -> FreePhase:
     if len(eps) != schedule.n_dots:
         raise ValueError("schedule and array disagree on the dot count")
     signs = _dot_signs(schedule.frames(), schedule.n_dots)
-    durations = np.array([st.duration for st in schedule.stages], dtype=float)
-    terms = 0.5 * (signs[:-1] - signs[-1]) * eps * durations[:, None]  # (stages, dots)
+    terms = 0.5 * (signs[:-1] - signs[-1]) * eps * schedule.durations[:, None]  # (stages, dots)
     phi = sum(terms, np.zeros(schedule.n_dots))  # stage by stage, in time order
     return FreePhase(wrap_2pi(-np.sum(phi)), wrap_2pi(2.0 * phi))
 
@@ -715,7 +704,7 @@ def weave_dd(schedule: PulseSchedule, budget: int = 16) -> PulseSchedule:
     # A dot's existing pulses are the stage ends where its frame bit toggles.
     frames = schedule.frames()
     toggles = bit_of((frames[1:] ^ frames[:-1])[:, None], np.arange(n), n)
-    ends = np.cumsum([0.0] + [st.duration for st in schedule.stages])[1:].tolist()
+    ends = np.cumsum(np.append(0.0, schedule.durations))[1:].tolist()
 
     # Event list: (time, dot) for existing pulses; end-of-schedule insertions
     # carry the timestamp `total`.
@@ -778,9 +767,9 @@ def weave_dd(schedule: PulseSchedule, budget: int = 16) -> PulseSchedule:
     stages: list[Stage] = []
     prev = 0.0
     for t, x, z in slots:
-        stages.append(Stage(max(t - prev, 0.0), PauliAssignment._from_masks(x, z, n)))
+        stages.append(Stage(max(t - prev, 0.0), PauliAssignment(n, x, z)))
         prev = t
-    stages.append(Stage(total - prev if prev < total - 1e-15 else 0.0, None))
+    stages.append(Stage(total - prev if prev < total - 1e-15 else 0.0))
     return PulseSchedule(n, stages)
 
 

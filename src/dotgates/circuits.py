@@ -118,7 +118,7 @@ def run_circuit(
 
 def pauli_string(n_qubits: int, ops: dict[int, str]) -> np.ndarray:
     """Dense operator with the given single-qubit Paulis, identity elsewhere."""
-    return PauliAssignment(ops.get(j, "I") for j in range(n_qubits)).matrix()
+    return PauliAssignment.from_labels(ops.get(j, "I") for j in range(n_qubits)).matrix()
 
 
 # -- triangle logical Z --------------------------------------------------------
@@ -167,7 +167,7 @@ def parity_check_circuit(n_targets: int, basis: str = "z") -> Circuit:
 def parity_operator(n_targets: int, basis: str) -> PauliAssignment:
     """Joint Z (or X) parity of the targets, identity on the ancilla."""
     label = "Z" if basis == "z" else "X"
-    return PauliAssignment(("I",) + (label,) * n_targets)
+    return PauliAssignment.from_labels(("I",) + (label,) * n_targets)
 
 
 def check_parity_run(

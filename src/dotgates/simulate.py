@@ -77,6 +77,10 @@ class DenseLimitExceeded(ValueError):
 # overlaps above 1/2 pair states and eigenvectors one to one.
 MIN_OVERLAP = 0.75
 
+# Largest phase t |E| a time may give: one ulp of 2^38 rad is 2^-14 rad, more
+# than 100x below the 1e-2 rad an answer is verified to.
+MAX_PHASE = 2.0**38
+
 
 def entangled_state(bond: Bond) -> np.ndarray:
     """Normalized bond state (s*, t*, -t, s)/sqrt(2) on (uu, ud, du, dd)."""
@@ -206,11 +210,13 @@ class Spectrum:
         return cls(pair.h0, h_ex_diag, evals, evecs)
 
     def check_time(self, t: float) -> None:
-        """Refuse a time whose phases ``t E`` or ``t h0`` overflow a float,
-        which would make every exponential NaN (``ValueError``)."""
-        energy = float(max(np.abs(self.evals).max(), np.abs(self.h0).max()))
-        if not np.isfinite(abs(float(t)) * energy):
-            raise ValueError(f"time {t!r} times an energy of the array overflows a float")
+        """Refuse a negative or NaN time, and one whose largest phase
+        ``t max(|E|, |h0|)`` exceeds ``MAX_PHASE`` (``ValueError``).  Every
+        array has a positive Zeeman energy, so that phase has t's sign."""
+        phase = t * float(max(np.abs(self.evals).max(), np.abs(self.h0).max()))
+        if not 0 <= phase <= MAX_PHASE:
+            raise ValueError(f"time {t!r} gives phases up to {phase:.3g} rad; a time must be "
+                             "nonnegative with phases of at most 2^38 rad, one ulp 2^-14 rad")
 
     def diagonal(self, tau: float) -> np.ndarray:
         """Diagonal of ``exp(+i tau H0) exp(-i tau H)``:
@@ -262,7 +268,7 @@ class Spectrum:
         """
         self.check_time(schedule.total_time)
         v = self.evecs
-        identity = PauliAssignment.identity(schedule.n_dots)
+        identity = PauliAssignment(schedule.n_dots)
         pending, c = identity, 1  # c P_h, the pulses since the last evolving stage
         buffers = []  # work buffers of the reflections
 
@@ -289,20 +295,14 @@ class Spectrum:
                 w = cross(w)
                 w *= np.exp(-1j * stage.duration * self.evals)[:, None]
                 pending, c = identity, 1
-            if stage.pulse is not None:
-                pending, phase = stage.pulse.compose(pending)
-                c *= phase
+            pending, phase = stage.pulse.compose(pending)
+            c *= phase
         if w is None:  # nothing evolves: the schedule is its pulses alone
             w = cross(w)
             pending, c = identity, 1
         head, phase = net.compose(pending)
         frame = np.exp(1j * schedule.total_time * self.h0)
         return head.apply_rows(v, frame[np.arange(v.shape[0]) ^ net.x_mask] * (c * phase)), w
-
-    def pulsed(self, schedule: PulseSchedule) -> np.ndarray:
-        """Dense qubit-frame propagator of a staged, pulsed evolution."""
-        left, right = self._pulsed_factors(schedule, PauliAssignment.identity(schedule.n_dots))
-        return left @ right
 
     def pulsed_diagonal(self, schedule: PulseSchedule) -> np.ndarray:
         """``diag(net^dag U)`` of the pulsed propagator U, in O(4^N) beyond
@@ -315,9 +315,7 @@ class Spectrum:
 
 def qubit_frame_evolution(array: DotArray, tau: float) -> np.ndarray:
     """Exact propagator ``exp(+i tau H0) exp(-i tau (H0 + Hex))``."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    return Spectrum.of(array).pulsed(PulseSchedule(array.n_dots, [Stage(tau)]))
+    return pulsed_evolution(array, PulseSchedule(array.n_dots, [Stage(tau)]))
 
 
 def _diagonal_fidelity(u_diag: np.ndarray, v_diag: PhaseVector) -> float:
@@ -371,7 +369,8 @@ def pulsed_evolution(array: DotArray, schedule: PulseSchedule) -> np.ndarray:
     uses the total elapsed time.  The dense oracle of
     :meth:`Spectrum.pulsed_diagonal`.
     """
-    return Spectrum.of(array).pulsed(schedule)
+    left, right = Spectrum.of(array)._pulsed_factors(schedule, PauliAssignment(schedule.n_dots))
+    return left @ right
 
 
 @dataclass(frozen=True)
@@ -417,8 +416,6 @@ class SimReport:
 
 def simulate_gate(array: DotArray, tau: float) -> SimReport:
     """Run the exact evolution and assemble the fidelity accounting."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
     spectrum = Spectrum.of(array)
     u_diag = spectrum.diagonal(tau)
     ideal = PhaseVector(-tau * spectrum.h_ex_diag)

@@ -54,7 +54,7 @@ def time_upper_bound(n_targets, epsilon, v_min):
 
 def pulse_count(schedule, dot):
     """Number of X or Y pulses on ``dot``, read from the labels."""
-    return sum(1 for st in schedule.stages if st.pulse is not None and st.pulse.labels[dot] in "XY")
+    return sum(1 for st in schedule.stages if not st.pulse.is_identity() and st.pulse.labels[dot] in "XY")
 
 
 def fully_connected(n, j_scale=1.0):
@@ -104,7 +104,7 @@ class TestPauliBits:
     @pytest.mark.parametrize("a", "IXYZ")
     @pytest.mark.parametrize("b", "IXYZ")
     def test_compose_matches_dense_product(self, a, b):
-        prod, phase = PauliAssignment([a]).compose(PauliAssignment([b]))
+        prod, phase = PauliAssignment.from_labels([a]).compose(PauliAssignment.from_labels([b]))
         assert np.max(np.abs(phase * prod.matrix() - PAULI_2X2[a] @ PAULI_2X2[b])) <= 1e-15
         assert abs(abs(phase) - 1.0) <= 1e-15
 
@@ -112,7 +112,7 @@ class TestPauliBits:
         for _ in range(100):
             n = int(rng.integers(1, 6))
             labels = [list(rng.choice(list("IXYZ"), size=n)) for _ in range(int(rng.integers(2, 7)))]
-            pa = PauliAssignment(labels[0])
+            pa = PauliAssignment.from_labels(labels[0])
             assert np.array_equal(pa.matrix(), kron_labels(labels[0]))
             m = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
             assert np.allclose(pa.apply_rows(m), kron_labels(labels[0]) @ m, atol=1e-14)
@@ -121,19 +121,36 @@ class TestPauliBits:
             dense = np.diag(scale) @ kron_labels(labels[0]) @ m
             assert np.allclose(pa.apply_rows(m, scale), dense, atol=1e-14)
             # factors applied in order, first label first: compose is exact on the masks
-            prod, phase, dense = PauliAssignment.identity(n), 1, np.eye(1 << n)
+            prod, phase, dense = PauliAssignment(n), 1, np.eye(1 << n)
             for la in labels:
-                prod, step = PauliAssignment(la).compose(prod)
+                prod, step = PauliAssignment.from_labels(la).compose(prod)
                 phase *= step
                 dense = kron_labels(la) @ dense
             assert phase in (1, 1j, -1, -1j)
             assert np.array_equal(phase * prod.matrix(), dense)
 
+    def test_labels_read_back_the_masks(self, rng):
+        for _ in range(50):
+            n = int(rng.integers(1, 7))
+            p = PauliAssignment(n, int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)))
+            assert PauliAssignment.from_labels(p.labels) == p
+
+    @pytest.mark.parametrize("labels", [["X", "I"], "XI", ("Z",)])
+    def test_a_label_call_raises(self, labels):
+        # labels go through from_labels; the constructor takes a width and masks
+        with pytest.raises(TypeError):
+            PauliAssignment(labels)
+
+    @pytest.mark.parametrize("x, z", [(4, 0), (0, 4), (-1, 0), (0, -2)])
+    def test_masks_outside_the_width_raise(self, x, z):
+        with pytest.raises(ValueError, match=r"not in \[0, 2\^2\)"):
+            PauliAssignment(2, x, z)
+
     def test_masks_follow_basis_order(self):
-        p = PauliAssignment("XYZI")
+        p = PauliAssignment.from_labels("XYZI")
         assert (p.x_mask, p.z_mask) == (0b1100, 0b0110)
-        assert PauliAssignment.identity(3).is_identity()
-        assert not PauliAssignment("IZI").is_identity()
+        assert PauliAssignment(3).is_identity()
+        assert not PauliAssignment.from_labels("IZI").is_identity()
 
 
 class TestConjugatedGridVector:
@@ -142,7 +159,7 @@ class TestConjugatedGridVector:
 
     def test_identity_assignment(self, rng):
         arr = stellar_array(2, rng=rng)
-        q = PauliAssignment.identity(3)
+        q = PauliAssignment(3)
         assert oracle_conjugated_grid(arr, q) == pytest.approx(grid_vector(arr))
 
     def test_single_endpoint_flip_swaps_rates(self):
@@ -150,19 +167,19 @@ class TestConjugatedGridVector:
         arr = DotArray([Dot(0, 1.0), Dot(1, 1.2)], [bond])
         s, t = bond.spin_flip_rate, bond.spin_conserved_rate
         for label in ("X", "Y"):
-            q = PauliAssignment(["I", label])
+            q = PauliAssignment.from_labels(["I", label])
             assert oracle_conjugated_grid(arr, q) == pytest.approx([t, s, s, t])
 
     def test_double_flip_restores(self):
         bond = make_bond(0, 1, 1.0, 0.8)
         arr = DotArray([Dot(0, 1.0), Dot(1, 1.2)], [bond])
         for labels in (("X", "Y"), ("X", "X"), ("Y", "Y")):
-            q = PauliAssignment(labels)
+            q = PauliAssignment.from_labels(labels)
             assert oracle_conjugated_grid(arr, q) == pytest.approx(grid_vector(arr))
 
     def test_z_labels_do_nothing(self, rng):
         arr = stellar_array(3, rng=rng)
-        q = PauliAssignment(["Z", "I", "Z", "I"])
+        q = PauliAssignment.from_labels(["Z", "I", "Z", "I"])
         assert oracle_conjugated_grid(arr, q) == pytest.approx(grid_vector(arr))
 
 
@@ -212,7 +229,7 @@ class TestSolveIntervals:
         target = CalibrationTarget.for_array(arr, [np.pi / 2, np.pi / 2])
         sched = solve_intervals(arr, target)
         assert len(sched.stages) == 1
-        assert sched.stages[0].pulse is None
+        assert sched.stages[0].pulse == PauliAssignment(3)
         delta = arr.bonds[0].velocity
         assert sched.stages[0].duration == pytest.approx((np.pi / 2) / delta)
 
@@ -221,7 +238,7 @@ class TestSolveIntervals:
         target = CalibrationTarget.for_array(arr, [np.pi / 2] * 4)
         sched = solve_intervals(arr, target, RECT_STAGE_SUBSETS)
         assert np.array_equal(stage_sign_matrix(arr, sched), EQ_SIGN_MATRIX)
-        pulses = [st.pulse.labels for st in sched.stages if st.pulse]
+        pulses = [st.pulse.labels for st in sched.stages if not st.pulse.is_identity()]
         assert pulses == [tuple("IIXI"), tuple("IIIX"), tuple("IIXI")]
         acc = accumulated_bond_phases(arr, sched)
         assert np.max(circular_distance(acc, np.pi / 2, np.pi)) <= 1e-9
@@ -280,10 +297,35 @@ class TestScheduleJson:
 
     def test_pulse_records_only_non_identity(self):
         sched = PulseSchedule(
-            3, [Stage(1.0, PauliAssignment(["I", "X", "I"])), Stage(2.0, None)]
+            3, [Stage(1.0, PauliAssignment.from_labels(["I", "X", "I"])), Stage(2.0, None)]
         )
         doc = sched.to_json()
         assert '"dot": 1' in doc and '"dot": 0' not in doc
+
+    def test_a_missing_pulse_is_the_identity(self):
+        for n in (1, 3, 6):
+            assert PulseSchedule(n, [Stage(2.5)]) == PulseSchedule(n, [Stage(2.5, PauliAssignment(n))])
+            assert PulseSchedule(n, [Stage(2.5, None)]).stages[0].pulse == PauliAssignment(n)
+
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), -1.0])
+    def test_stage_refuses_a_duration(self, duration):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            Stage(duration)
+
+    @pytest.mark.parametrize(
+        "doc", [{"stages": [{"tau": "nan"}]}, '{"stages": [{"tau": NaN}]}',
+                '{"stages": [{"tau": 1.0}, {"tau": Infinity}]}'],
+        ids=["nan-text", "nan-json", "infinity-json"],
+    )
+    def test_non_finite_tau_raises(self, doc):
+        with pytest.raises(ValueError, match="must be finite"):
+            PulseSchedule.from_json(doc, 2)
+
+    def test_repeated_dot_raises(self):
+        # read in order, the later label would silently replace the earlier
+        pulse = [{"dot": 0, "pauli": "X"}, {"dot": 0, "pauli": "Z"}]
+        with pytest.raises(ValueError, match="names dot 0 twice"):
+            PulseSchedule.from_json({"stages": [{"tau": 1.0, "pulse": pulse}]}, 2)
 
     @pytest.mark.parametrize("dot", [-1, 3])
     def test_dot_outside_the_array_raises(self, dot):
@@ -359,7 +401,7 @@ class TestWeave:
         for j in range(2):
             assert pulse_count(woven, j) == 4
         labels = [
-            st.pulse.labels[0] for st in woven.stages if st.pulse is not None
+            st.pulse.labels[0] for st in woven.stages if not st.pulse.is_identity()
         ]
         assert labels == ["X", "Y", "X", "Y"]
         # classic spacing: pulses at T/4, T/2, 3T/4, T
@@ -373,7 +415,7 @@ class TestWeave:
         assert woven.total_time == 0.0
         for j in range(2):
             assert pulse_count(woven, j) == 4
-        labels = [st.pulse.labels[0] for st in woven.stages if st.pulse is not None]
+        labels = [st.pulse.labels[0] for st in woven.stages if not st.pulse.is_identity()]
         assert labels == ["X", "Y", "X", "Y"]
         assert woven.net_pulse().is_identity()
 
@@ -400,7 +442,7 @@ class TestWeave:
             trace = [
                 st.pulse.labels[j]
                 for st in woven.stages
-                if st.pulse is not None and st.pulse.labels[j] != "I"
+                if not st.pulse.is_identity() and st.pulse.labels[j] != "I"
             ]
             assert trace == ["X", "Y"] * (len(trace) // 2)
 

@@ -523,6 +523,31 @@ class TestInputErrors:
         assert captured.err.startswith("input error: ") and len(captured.err.splitlines()) == 1
         assert not out.exists()
 
+    def rounding_star(self, tmp_path):
+        """The star of ``star_files`` with Zeeman energies 1, 14.5 and 0.62 and
+        the gate 0->1 by 1.1, 0->2 by 2.3; its largest energy is about 8."""
+        array, gate, out = self.star_files(tmp_path, [1.0, 14.5, 0.62], [1e-3, 1.3e-3], 0.0)
+        targets = [{"dot": 1, "theta": 1.1}, {"dot": 2, "theta": 2.3}]
+        Path(gate).write_text(json.dumps({"factors": [{"control": 0, "targets": targets}]}))
+        return array, gate, out
+
+    @pytest.mark.parametrize("tau", ["1e306", "1e16", "1e12"])
+    def test_time_whose_phases_are_rounding_exits_one(self, tmp_path, capsys, tau):
+        # tau |E| is finite but past 2^38 rad, where one ulp exceeds 2^-14 rad
+        array, gate, out = self.rounding_star(tmp_path)
+        assert run("simulate", array, gate, out, f"--tau={tau}") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ") and len(captured.err.splitlines()) == 1
+        assert "2^38 rad" in captured.err
+        assert not out.exists()
+
+    def test_time_within_the_phase_limit_simulates(self, tmp_path, capsys):
+        array, gate, out = self.rounding_star(tmp_path)
+        assert run("simulate", array, gate, out, "--tau=1e6") == 0
+        assert capsys.readouterr().out.startswith("fidelity ")
+        assert (out / "simulate.json").exists()
+
     @pytest.mark.parametrize("command", ["check", "solve", "simulate", "calibrate"])
     @pytest.mark.parametrize(
         "fault",

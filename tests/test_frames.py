@@ -54,10 +54,10 @@ def oracle_subset_signs(array, dots):
 
 
 def oracle_cumulative(schedule):
-    out = [PauliAssignment.identity(schedule.n_dots)]
+    out = [PauliAssignment(schedule.n_dots)]
     for st in schedule.stages[:-1]:
         current = out[-1]
-        if st.pulse is not None:
+        if not st.pulse.is_identity():
             current, _ = st.pulse.compose(current)
         out.append(current)
     return out
@@ -97,7 +97,7 @@ def oracle_toggle_times(schedule):
     t = 0.0
     for st in schedule.stages:
         t += st.duration
-        if st.pulse is not None:
+        if not st.pulse.is_identity():
             for j in flipped(st.pulse):
                 times[j].append(t)
     return times
@@ -138,7 +138,7 @@ def oracle_weave(schedule, budget=16):
             slots.append((t, {j: lab}))
     stages, prev = [], 0.0
     for t, group in slots:
-        stages.append(Stage(max(t - prev, 0.0), PauliAssignment(group.get(j, "I") for j in range(n))))
+        stages.append(Stage(max(t - prev, 0.0), PauliAssignment.from_labels(group.get(j, "I") for j in range(n))))
         prev = t
     stages.append(Stage(total - prev if prev < total - 1e-15 else 0.0, None))
     return PulseSchedule(n, stages)
@@ -198,9 +198,9 @@ def random_schedule(rng, n_dots):
         if kind < 0.15:
             pulse = None
         elif kind < 0.3:
-            pulse = PauliAssignment.identity(n_dots)
+            pulse = PauliAssignment(n_dots)
         else:
-            pulse = PauliAssignment(rng.choice(list("IXYZ"), size=n_dots).tolist())
+            pulse = PauliAssignment.from_labels(rng.choice(list("IXYZ"), size=n_dots).tolist())
         stages.append(Stage(duration, pulse))
     return PulseSchedule(n_dots, stages)
 
@@ -214,13 +214,13 @@ def instances(seed, count=120):
 
 # every property the random schedules are meant to cover, on one schedule
 HAND = PulseSchedule(4, [
-    Stage(0.0, PauliAssignment("YIZX")),
-    Stage(3.0, PauliAssignment("IIII")),
-    Stage(2.5, PauliAssignment("XYII")),
-    Stage(0.0, PauliAssignment("XZYI")),
-    Stage(0.0, PauliAssignment("IIXY")),
+    Stage(0.0, PauliAssignment.from_labels("YIZX")),
+    Stage(3.0, PauliAssignment.from_labels("IIII")),
+    Stage(2.5, PauliAssignment.from_labels("XYII")),
+    Stage(0.0, PauliAssignment.from_labels("XZYI")),
+    Stage(0.0, PauliAssignment.from_labels("IIXY")),
     Stage(4.0, None),
-    Stage(1.0, PauliAssignment("ZZZZ")),
+    Stage(1.0, PauliAssignment.from_labels("ZZZZ")),
 ])
 
 
@@ -228,13 +228,12 @@ def test_instances_cover_the_awkward_cases():
     seen = set()
     for _, schedule in instances(0):
         for a, b in zip(schedule.stages, schedule.stages[1:]):
-            if a.pulse is not None and b.pulse is not None and b.duration == 0.0:
+            if not a.pulse.is_identity() and not b.pulse.is_identity() and b.duration == 0.0:
                 seen.add("stacked")
         for st in schedule.stages:
             if st.duration == 0.0:
                 seen.add("zero")
-            if st.pulse is not None:
-                seen.update({"identity"} if st.pulse.is_identity() else set(st.pulse.labels))
+            seen.update({"identity"} if st.pulse.is_identity() else set(st.pulse.labels))
     assert {"stacked", "zero", "identity", "X", "Y", "Z"} <= seen
 
 
@@ -248,6 +247,16 @@ def test_frames_are_the_cumulative_products(seed):
         assert frames.shape == (len(schedule.stages) + 1,)
         assert frames[:-1].tolist() == [q.x_mask for q in products]
         assert int(frames[-1]) == schedule.net_pulse().x_mask
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_json_round_trip_is_exact(seed):
+    # identity pulses are written as empty lists and read back as the same value
+    with_identity = 0
+    for _, schedule in list(instances(seed)) + [(None, HAND)]:
+        assert PulseSchedule.from_json(schedule.to_json(), schedule.n_dots) == schedule
+        with_identity += any(st.pulse.is_identity() for st in schedule.stages)
+    assert with_identity > 60
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -276,7 +285,7 @@ def test_subset_reader_matches_the_labels():
     for _ in range(200):
         n = int(rng.integers(2, 7))
         array = random_array(rng, n)
-        q = PauliAssignment(rng.choice(list("IXYZ"), size=n).tolist())
+        q = PauliAssignment.from_labels(rng.choice(list("IXYZ"), size=n).tolist())
         assert np.array_equal(subset_signs(array, flipped(q)), oracle_subset_signs(array, flipped(q)))
 
 

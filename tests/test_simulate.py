@@ -22,6 +22,7 @@ from dotgates import (
 from dotgates.basis import bit_table, circular_distance, wrap_pm_pi
 from dotgates.model import grid_vector
 from dotgates.simulate import (
+    MAX_PHASE,
     MIN_OVERLAP,
     DegenerateSpectrum,
     Spectrum,
@@ -167,18 +168,35 @@ class TestEvolutions:
         pair = build_hamiltonian(arr)
         h = np.diag(pair.h0).astype(complex) + pair.h_ex
         stages = [
-            Stage(120.0, PauliAssignment(["X", "I", "I"])),
-            Stage(75.0, PauliAssignment(["I", "Y", "I"])),
+            Stage(120.0, PauliAssignment.from_labels(["X", "I", "I"])),
+            Stage(75.0, PauliAssignment.from_labels(["I", "Y", "I"])),
             Stage(40.0, None),
         ]
         sched = PulseSchedule(3, stages)
         reference = np.eye(8, dtype=complex)
-        for st in stages:
+        for st in sched.stages:
             reference = expm(-1j * st.duration * h) @ reference
-            if st.pulse is not None:
-                reference = st.pulse.matrix() @ reference
+            reference = st.pulse.matrix() @ reference
         reference = np.diag(np.exp(1j * sched.total_time * pair.h0)) @ reference
         assert np.max(np.abs(pulsed_evolution(arr, sched) - reference)) <= 1e-9
+
+    @pytest.mark.parametrize("tau", [-1.0, float("nan"), float("inf"), 1e12])
+    def test_time_outside_the_rule_raises(self, tau):
+        # the largest energy is about 8, so tau = 1e12 gives phases past 2^38 rad
+        arr = DotArray([Dot(0, 1.0), Dot(1, 14.5), Dot(2, 0.62)],
+                       [make_bond(0, 1, 1e-3, 0.8), make_bond(0, 2, 1.3e-3, 0.8)])
+        with pytest.raises(ValueError):
+            simulate_gate(arr, tau)
+        with pytest.raises(ValueError):
+            qubit_frame_evolution(arr, tau)
+
+    def test_phase_limit_is_the_boundary(self, rng):
+        spectrum = Spectrum.of(random_connected_array(rng, 3))
+        energy = max(np.abs(spectrum.evals).max(), np.abs(spectrum.h0).max())
+        spectrum.check_time(0.0)
+        spectrum.check_time(MAX_PHASE / energy * (1 - 1e-12))
+        with pytest.raises(ValueError, match="2\\^38 rad"):
+            spectrum.check_time(MAX_PHASE / energy * (1 + 1e-12))
 
     def test_ideal_single_bond(self):
         bond = make_bond(0, 1, 1.0, 0.8)

@@ -52,7 +52,7 @@ def expm_reference(array, schedule):
     u = np.eye(h.shape[0], dtype=complex)
     for st in schedule.stages:
         u = expm(-1j * st.duration * h) @ u
-        if st.pulse is not None:
+        if not st.pulse.is_identity():
             u = kron_pulse(st.pulse) @ u
     return np.exp(1j * schedule.total_time * pair.h0)[:, None] * u
 
@@ -100,7 +100,7 @@ def random_schedule(rng, n, n_stages, labels="IXYZ", zero_frac=0.25):
         duration = 0.0 if rng.random() < zero_frac else float(rng.uniform(50.0, 900.0))
         pulse = None
         if i < n_stages - 1 or rng.random() < 0.5:
-            pulse = PauliAssignment(rng.choice(list(labels), size=n))
+            pulse = PauliAssignment.from_labels(rng.choice(list(labels), size=n))
             if pulse.is_identity():
                 pulse = None
         stages.append(Stage(duration, pulse))
@@ -142,36 +142,36 @@ class TestPulsedDiagonal:
 
     EDGE_SCHEDULES = {
         "y_and_z_labels": [
-            Stage(300.0, PauliAssignment("YZI")),
-            Stage(200.0, PauliAssignment("ZYY")),
+            Stage(300.0, PauliAssignment.from_labels("YZI")),
+            Stage(200.0, PauliAssignment.from_labels("ZYY")),
             Stage(150.0, None),
         ],
         "zero_duration_stages": [
-            Stage(250.0, PauliAssignment("XII")),
-            Stage(0.0, PauliAssignment("IYZ")),
-            Stage(0.0, PauliAssignment("YIX")),
+            Stage(250.0, PauliAssignment.from_labels("XII")),
+            Stage(0.0, PauliAssignment.from_labels("IYZ")),
+            Stage(0.0, PauliAssignment.from_labels("YIX")),
             Stage(400.0, None),
             Stage(0.0, None),
         ],
         "pulse_before_first_evolution": [
-            Stage(0.0, PauliAssignment("XYZ")),
-            Stage(500.0, PauliAssignment("IXI")),
+            Stage(0.0, PauliAssignment.from_labels("XYZ")),
+            Stage(500.0, PauliAssignment.from_labels("IXI")),
             Stage(120.0, None),
         ],
         "adjacent_evolutions": [
             Stage(100.0, None),
             Stage(200.0, None),
-            Stage(300.0, PauliAssignment("YYY")),
+            Stage(300.0, PauliAssignment.from_labels("YYY")),
         ],
         "scalar_boundary": [  # Z Y X = -i I: the boundary scales w and takes no rows
-            Stage(300.0, PauliAssignment("XII")),
-            Stage(0.0, PauliAssignment("YII")),
-            Stage(0.0, PauliAssignment("ZII")),
+            Stage(300.0, PauliAssignment.from_labels("XII")),
+            Stage(0.0, PauliAssignment.from_labels("YII")),
+            Stage(0.0, PauliAssignment.from_labels("ZII")),
             Stage(200.0, None),
         ],
         "total_time_zero": [
-            Stage(0.0, PauliAssignment("XZY")),
-            Stage(0.0, PauliAssignment("ZIX")),
+            Stage(0.0, PauliAssignment.from_labels("XZY")),
+            Stage(0.0, PauliAssignment.from_labels("ZIX")),
         ],
         "nothing_at_all": [Stage(0.0, None)],
     }
@@ -196,9 +196,9 @@ def random_unitary(rng, dim):
 def composite(labels_list):
     """``(c, P_h)``: the pulses applied in order, first label first, composed
     on their masks into a scalar and a Pauli string."""
-    out, c = PauliAssignment(labels_list[0]), 1
+    out, c = PauliAssignment.from_labels(labels_list[0]), 1
     for labels in labels_list[1:]:
-        out, phase = PauliAssignment(labels).compose(out)
+        out, phase = PauliAssignment.from_labels(labels).compose(out)
         c *= phase
     return c, out
 
@@ -264,7 +264,7 @@ class TestReflection:
         # a pulse is two masks, so an operator that is no Pauli string is
         # refused where the pulse is built, before any reflection
         with pytest.raises(ValueError, match="unknown Pauli label"):
-            PauliAssignment(op)
+            PauliAssignment.from_labels(op)
 
     def test_non_pauli_boundary_fails_the_chain(self):
         # a schedule document naming a non-Pauli boundary is refused when read

@@ -34,6 +34,7 @@ from .simulate import (
     DegenerateSpectrum,
     DenseLimitExceeded,
     EigensolverFailure,
+    PhaseLimitExceeded,
     SimReport,
     Spectrum,
     build_hamiltonian,
@@ -50,7 +51,6 @@ from .calibrate import (
     PauliAssignment,
     PulseSchedule,
     Stage,
-    assignment_vectors,
     accumulated_bond_phases,
     extra_local_phases,
     kspace_path,

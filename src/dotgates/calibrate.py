@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .basis import bit_of, bit_table, circular_distance, single_bit_index, wrap_2pi
+from .basis import bit_of, circular_distance, single_bit_index, wrap_2pi
 from .gates import FreePhase, NoBondVelocity, Unreachable
 from .model import DotArray, finite, integer
 
@@ -316,64 +316,6 @@ def accumulated_bond_phases(array: DotArray, schedule: PulseSchedule) -> np.ndar
     """Per-bond phase integral sum_n tau_n * a_w^(n) * Delta_w."""
     velocities = np.array([b.velocity for b in array.bonds])
     return velocities * (stage_sign_matrix(array, schedule) @ schedule.durations)
-
-
-# -- assignment enumeration -----------------------------------------------------
-
-@dataclass(frozen=True)
-class AssignmentEnumeration:
-    """Distinct bond-sign vectors reachable by flipping dot subsets."""
-
-    vectors: tuple[tuple[int, ...], ...]
-    representatives: tuple[frozenset[int], ...]
-    n_distinct: int
-    n_bonds: int
-
-
-# Most dots whose 2^N X-subsets ``assignment_vectors`` enumerates.  Its sign
-# table holds 2^N x bonds entries: 16 fully connected dots (120 bonds) took
-# 1.4 s and 310 MB of peak memory.
-ENUMERATION_MAX_DOTS = 16
-
-
-def assignment_vectors(array: DotArray) -> AssignmentEnumeration:
-    """Enumerate all X-subset assignments and their distinct sign vectors.
-
-    Each vector's representative is its first subset in the order of
-    ``sum(2^j for j in subset)``.
-
-    The vectors always span the bond space positively, so nonnegative
-    stage durations exist for any right-hand side.  Bond (j, k) has sign
-    ``(-1)^(b_j + b_k)`` in the frame with X-mask b: the Walsh function of
-    the mask with bits j and k set.  ``DotArray`` forces j < k and forbids
-    duplicate bonds, so distinct bonds have distinct Walsh functions.
-    Distinct Walsh functions are orthogonal over the 2^N masks, so the
-    sign table, and with it the set of distinct vectors, has rank equal to
-    the bond count.  None of these Walsh functions is the constant one
-    (j != k), so each sums to 0 over all masks, and the distinct vectors
-    weighted by their multiplicities (all > 0) sum to 0.  That puts every
-    -v in the cone of the vectors, so their positive span equals their
-    linear span.
-
-    Raises
-    ------
-    ValueError
-        If the array has more than ``ENUMERATION_MAX_DOTS`` dots.
-    """
-    n = array.n_dots
-    if n > ENUMERATION_MAX_DOTS:
-        raise ValueError(f"enumeration over 2^{n} subsets exceeds the limit")
-    # reversing the bits of subset index i gives its X-mask (dot j at bit i_j)
-    masks = bit_table(n) @ (1 << np.arange(n))
-    table, first = np.unique(bond_signs(array, masks), axis=0, return_index=True)
-    vectors = tuple(tuple(int(v) for v in row) for row in table[::-1])
-    reps = tuple(frozenset(j for j in range(n) if (i >> j) & 1) for i in first[::-1].tolist())
-    return AssignmentEnumeration(
-        vectors=vectors,
-        representatives=reps,
-        n_distinct=len(vectors),
-        n_bonds=array.n_bonds,
-    )
 
 
 def choose_assignments(array: DotArray) -> list[frozenset[int]]:

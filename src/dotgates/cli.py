@@ -246,8 +246,7 @@ def cmd_simulate(args) -> int:
         if skipped:
             doc = [{"j_over_eps": x, "error": msg} for x, msg in skipped]
             _write(args.out, "sweep_skipped.json", json.dumps(doc, indent=2))
-            print(f"skipped {len(skipped)} of {len(args.sweep)} sweep points with a degenerate "
-                  "spectrum (sweep_skipped.json)")
+            print(f"skipped {len(skipped)} of {len(args.sweep)} sweep points (sweep_skipped.json)")
     if args.tau is None:  # the solved time is an answer; a given one is simulated anyway
         _require_verified("equiv_residual_vs_target", equiv_residual)
     print(f"fidelity {report.fidelity!r}, bound {report.bound!r}")

@@ -10,17 +10,21 @@ basis state's overlap with its eigenvector), and staged evolutions with
 instantaneous Pauli pulses.  Its first-order approximation is the diagonal
 gate ``exp(+i tau Lambda)`` with Lambda the grid vector.
 
-The eigendecomposition is LAPACK's ``zheevd`` (divide and conquer), called
-in place through ``ctypes`` from the library numpy already loads: the
+The eigendecomposition runs LAPACK's three stages, each called in place
+through ``ctypes`` from the library numpy already loads: ``zhetrd``
+reduces H to a real tridiagonal T = Q^dag H Q, ``zungtr`` forms Q in H's
+own buffer, and ``dstedc`` (divide and conquer) returns T's real
+eigenvectors Z.  The eigenvectors Q Z are then real GEMMs over two column
+halves of the buffer: Z is real, so one ``dgemm`` of Z with a block's float
+view, its real and imaginary columns interleaved, covers both.  The
 C-ordered H reaches Fortran as its conjugate, so the buffer comes back
-holding V^dag row by row, and V is its conjugate's transpose view, with no
-n x n copy.  The workspace is n^2 + 65 n + 4160 complex numbers: zheevd
-keeps n^2 + n of it, and the rest lets the eigenvector back-transformation
-(``zunmtr``) apply its Householder reflectors in blocks of 64.
-``numpy.linalg.eigh`` passes the minimum workspace, which leaves them one
-at a time and takes about twice as long.  Where numpy's LAPACK exports no
-64-bit-integer ``zheevd`` (Accelerate, MKL or a 32-bit-integer build),
-``numpy.linalg.eigh`` runs instead; the choice is made once, at import.
+holding V^dag row by row, and V is its conjugate's transpose view.  Beside
+H itself the peak is Z and ``dstedc``'s work, n^2 floats each: 2x H in
+all, where ``zheevd`` would copy Z into n^2 complex numbers of work and
+back-transform it there, about 3x H.  Where numpy's LAPACK exports no
+64-bit-integer stage under one prefix (Accelerate, MKL or a
+32-bit-integer build), ``numpy.linalg.eigh`` runs instead; the choice is
+made once, at import.
 
 The flows read only the diagonal of the propagator, which costs O(4^N)
 given the spectrum.  Pulses compose on their masks
@@ -42,6 +46,7 @@ from __future__ import annotations
 
 import ctypes
 import json
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,10 +65,14 @@ class DegenerateSpectrum(RuntimeError):
     """Coupled levels too close for the perturbative treatment."""
 
 
+class PhaseLimitExceeded(ValueError):
+    """A time whose phases exceed ``MAX_PHASE``, where they are rounding."""
+
+
 # Most dots the dense path takes.  At 13 dots the complex 2^N x 2^N
-# Hamiltonian alone is 1 GiB; zheevd overwrites it in place and adds n^2
-# complex numbers of work and 2 n^2 floats of rwork, about 3x H in all,
-# and every further dot multiplies that by four.
+# Hamiltonian alone is 1 GiB; the eigensolver overwrites it in place and
+# adds the n^2 floats of the tridiagonal's eigenvectors and n^2 floats of
+# dstedc's work, 2x H in all, and every further dot multiplies that by four.
 DENSE_MAX_DOTS = 12
 
 
@@ -127,41 +136,56 @@ def build_hamiltonian(array: DotArray) -> HamiltonianPair:
     return HamiltonianPair(h0=h0, h_ex=h_ex)
 
 
-def _lapack_zheevd():
-    """LAPACK's ``zheevd`` with 64-bit integers from the library numpy
-    links, or None where that library exports no such symbol."""
+# The three LAPACK stages of ``_eigh``, in the order they run
+_Stages = namedtuple("_Stages", "zhetrd zungtr dstedc")
+
+
+def _lapack_stages():
+    """LAPACK's ``zhetrd``, ``zungtr`` and ``dstedc`` with 64-bit integers,
+    all under one symbol prefix, from the library numpy links, or None where
+    that library does not export all three."""
     try:
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     except (AttributeError, OSError):
         return None
-    func = getattr(lib, "scipy_zheevd_64_", None) or getattr(lib, "zheevd_64_", None)
-    if func is None:
+    for prefix in ("scipy_", ""):
+        funcs = [getattr(lib, f"{prefix}{name}_64_", None) for name in _Stages._fields]
+        if all(funcs):
+            break
+    else:
         return None
     integer = ctypes.POINTER(ctypes.c_int64)
 
     def buffer(dtype, ndim=1):
         return np.ctypeslib.ndpointer(dtype, ndim=ndim, flags="C_CONTIGUOUS, WRITEABLE")
 
-    # jobz, uplo, n, a, lda, w, work, lwork, rwork, lrwork, iwork, liwork,
-    # info, and the hidden lengths of the two strings
-    func.argtypes = [
-        ctypes.c_char_p, ctypes.c_char_p, integer, buffer(np.complex128, 2), integer,
-        buffer(np.float64), buffer(np.complex128), integer, buffer(np.float64), integer,
-        buffer(np.int64), integer, integer, ctypes.c_size_t, ctypes.c_size_t,
-    ]
-    func.restype = None
-    return func
+    real, cplx = buffer(np.float64), buffer(np.complex128)
+    heads = (
+        # uplo, n, a, lda, d, e, tau, work, lwork
+        [ctypes.c_char_p, integer, buffer(np.complex128, 2), integer, real, real, cplx, cplx, integer],
+        # uplo, n, a, lda, tau, work, lwork
+        [ctypes.c_char_p, integer, buffer(np.complex128, 2), integer, cplx, cplx, integer],
+        # compz, n, d, e, z, ldz, work, lwork, iwork, liwork
+        [ctypes.c_char_p, integer, real, real, buffer(np.float64, 2), integer, real, integer,
+         buffer(np.int64), integer],
+    )
+    for func, head in zip(funcs, heads):
+        func.argtypes = head + [integer, ctypes.c_size_t]  # info, the hidden string length
+        func.restype = None
+    return _Stages(*funcs)
 
 
-_ZHEEVD = _lapack_zheevd()
+_STAGES = _lapack_stages()
 
 
 def _eigh(matrix: np.ndarray):
     """Eigenvalues (ascending) and eigenvector columns of a Hermitian
-    complex C-ordered matrix.  The direct ``zheevd`` path overwrites the
-    matrix and returns the eigenvectors as a transposed view of its buffer;
-    the ``numpy.linalg.eigh`` fallback leaves it as it was."""
-    if _ZHEEVD is None:
+    complex C-ordered matrix.  The direct path overwrites the matrix and
+    returns the eigenvectors as a transposed view of its buffer, at a peak
+    of twice the matrix; the ``numpy.linalg.eigh`` fallback leaves it as it
+    was.  Any stage that reports ``info != 0`` raises
+    :class:`EigensolverFailure`."""
+    if _STAGES is None:
         try:
             return np.linalg.eigh(matrix)
         except np.linalg.LinAlgError as exc:
@@ -169,18 +193,35 @@ def _eigh(matrix: np.ndarray):
     n = matrix.shape[0]
     if matrix.shape != (n, n):
         raise ValueError(f"eigh needs a square matrix, got shape {matrix.shape}")
-    evals = np.empty(n)
-    # zheevd keeps n^2 + n of work; zunmtr's blocked back-transformation
-    # needs n * 64 + 65 * 64 more (ilaenv's block size 64 and its T factor)
-    work = np.empty(n * n + 65 * n + 4160, dtype=complex)
-    rwork = np.empty(2 * n * n + 5 * n + 1)
-    iwork = np.empty(5 * n + 3, dtype=np.int64)
     size, info = ctypes.c_int64(n), ctypes.c_int64(0)
-    _ZHEEVD(b"V", b"L", size, matrix, size, evals, work, ctypes.c_int64(work.size),
-            rwork, ctypes.c_int64(rwork.size), iwork, ctypes.c_int64(iwork.size), info, 1, 1)
-    if info.value:
-        raise EigensolverFailure(f"LAPACK zheevd returned info = {info.value}")
-    # Fortran read the buffer as conj(H), so row k holds conj(v_k)
+
+    def call(name, *args):
+        getattr(_STAGES, name)(*args, info, 1)  # then info and the length of the one string
+        if info.value:
+            raise EigensolverFailure(f"LAPACK {name} returned info = {info.value}")
+
+    # Fortran reads the buffer as conj(H): T = Q^dag conj(H) Q, then Q in place;
+    # 32 n complex numbers of work, the optimum both report, run them in blocks
+    evals, off = np.empty(n), np.empty(n)
+    tau, work = np.empty(n, dtype=complex), np.empty(32 * n, dtype=complex)
+    lwork = ctypes.c_int64(work.size)
+    call("zhetrd", b"L", size, matrix, size, evals, off, tau, work, lwork)
+    call("zungtr", b"L", size, matrix, size, tau, work, lwork)
+    del tau, work  # freed before dstedc's n^2 work is taken
+    z = np.empty((n, n))  # row k holds column k of Z
+    work, iwork = np.empty(n * n + 4 * n + 1), np.empty(5 * n + 3, dtype=np.int64)
+    call("dstedc", b"I", size, evals, off, z, size, work, ctypes.c_int64(work.size), iwork,
+         ctypes.c_int64(iwork.size))
+    # the buffer holds Q^T row by row, so (Q Z)^T = Z^T Q^T is z @ buffer, one
+    # column half at a time; the products land in dstedc's spent work, whose
+    # n^2 + 4n + 1 floats hold n x 2 ceil(n/2)
+    half = (n + 1) // 2
+    product = work[:2 * half * n].reshape(n, 2 * half)
+    for cols in (matrix[:, :half], matrix[:, half:]):
+        part = product[:, :2 * cols.shape[1]]
+        np.matmul(z, cols.view(float), out=part)
+        cols[...] = part.view(complex)
+    # row k now holds the eigenvector of conj(H), the conjugate of H's v_k
     np.conjugate(matrix, out=matrix)
     return evals, matrix.T
 
@@ -210,13 +251,15 @@ class Spectrum:
         return cls(pair.h0, h_ex_diag, evals, evecs)
 
     def check_time(self, t: float) -> None:
-        """Refuse a negative or NaN time, and one whose largest phase
-        ``t max(|E|, |h0|)`` exceeds ``MAX_PHASE`` (``ValueError``).  Every
-        array has a positive Zeeman energy, so that phase has t's sign."""
+        """Refuse a negative or NaN time (``ValueError``), and one whose
+        largest phase ``t max(|E|, |h0|)`` exceeds ``MAX_PHASE``
+        (:class:`PhaseLimitExceeded`)."""
+        if not t >= 0:
+            raise ValueError(f"time {t!r} must be nonnegative")
         phase = t * float(max(np.abs(self.evals).max(), np.abs(self.h0).max()))
-        if not 0 <= phase <= MAX_PHASE:
-            raise ValueError(f"time {t!r} gives phases up to {phase:.3g} rad; a time must be "
-                             "nonnegative with phases of at most 2^38 rad, one ulp 2^-14 rad")
+        if not phase <= MAX_PHASE:
+            raise PhaseLimitExceeded(f"time {t!r} gives phases up to {phase:.3g} rad; a time "
+                                     "must give phases of at most 2^38 rad, one ulp 2^-14 rad")
 
     def diagonal(self, tau: float) -> np.ndarray:
         """Diagonal of ``exp(+i tau H0) exp(-i tau H)``:
@@ -453,15 +496,16 @@ def sweep_rows(
 ) -> tuple[list[tuple[float, float, float, float]], list[tuple[float, str]]]:
     """(J/eps, infidelity, bound, max residue) rows over a coupling sweep.
 
-    A point whose spectrum is degenerate is skipped; it is returned in the
-    second list as (J/eps, message), so one such point does not cost the rest.
+    A point whose spectrum is degenerate, or whose scaled energies take tau's
+    phases past ``MAX_PHASE``, is skipped; it is returned in the second list
+    as (J/eps, message), so one such point does not cost the rest.
     """
     rows, skipped = [], []
     for x in grid:
         scaled = scaled_zeeman_array(array, float(x))
         try:
             report = simulate_gate(scaled, tau)
-        except DegenerateSpectrum as exc:
+        except (DegenerateSpectrum, PhaseLimitExceeded) as exc:
             skipped.append((float(x), str(exc)))
             continue
         rows.append((float(x), 1.0 - report.fidelity, report.bound, report.max_residue))

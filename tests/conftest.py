@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from dotgates import (
     order_reversal,
 )
 from dotgates.basis import bit_of, bit_table, wrap_2pi
+from dotgates.calibrate import bond_signs
 
 
 def make_bond(j, k, exchange, t_sq, phase_t=0.0, phase_s=0.0):
@@ -166,6 +169,59 @@ def reversal_signs_brute_force(n_qubits: int, tol: float = 1e-9) -> np.ndarray:
             raise AssertionError("reversal signs are not real")
         signs[a] = np.sign(value.real)
     return signs
+
+
+@dataclass(frozen=True)
+class AssignmentEnumeration:
+    """Distinct bond-sign vectors reachable by flipping dot subsets."""
+
+    vectors: tuple[tuple[int, ...], ...]
+    representatives: tuple[frozenset[int], ...]
+    n_distinct: int
+    n_bonds: int
+
+
+# Most dots whose 2^N X-subsets ``assignment_vectors`` enumerates.  Its sign
+# table holds 2^N x bonds entries: 16 fully connected dots (120 bonds) took
+# 1.4 s and 310 MB of peak memory.
+ENUMERATION_MAX_DOTS = 16
+
+
+def assignment_vectors(array):
+    """Enumerate all X-subset assignments and their distinct sign vectors:
+    the oracle of the spanning theorem the stage solver relies on.
+
+    Each vector's representative is its first subset in the order of
+    ``sum(2^j for j in subset)``.
+
+    The vectors always span the bond space positively, so nonnegative
+    stage durations exist for any right-hand side.  Bond (j, k) has sign
+    ``(-1)^(b_j + b_k)`` in the frame with X-mask b: the Walsh function of
+    the mask with bits j and k set.  ``DotArray`` forces j < k and forbids
+    duplicate bonds, so distinct bonds have distinct Walsh functions.
+    Distinct Walsh functions are orthogonal over the 2^N masks, so the
+    sign table, and with it the set of distinct vectors, has rank equal to
+    the bond count.  None of these Walsh functions is the constant one
+    (j != k), so each sums to 0 over all masks, and the distinct vectors
+    weighted by their multiplicities (all > 0) sum to 0.  That puts every
+    -v in the cone of the vectors, so their positive span equals their
+    linear span.  An array of more than ``ENUMERATION_MAX_DOTS`` dots
+    raises ``ValueError``.
+    """
+    n = array.n_dots
+    if n > ENUMERATION_MAX_DOTS:
+        raise ValueError(f"enumeration over 2^{n} subsets exceeds the limit")
+    # reversing the bits of subset index i gives its X-mask (dot j at bit i_j)
+    masks = bit_table(n) @ (1 << np.arange(n))
+    table, first = np.unique(bond_signs(array, masks), axis=0, return_index=True)
+    vectors = tuple(tuple(int(v) for v in row) for row in table[::-1])
+    reps = tuple(frozenset(j for j in range(n) if (i >> j) & 1) for i in first[::-1].tolist())
+    return AssignmentEnumeration(
+        vectors=vectors,
+        representatives=reps,
+        n_distinct=len(vectors),
+        n_bonds=array.n_bonds,
+    )
 
 
 @pytest.fixture

@@ -19,7 +19,6 @@ from dotgates import (
     MqcpFactor,
     PhaseVector,
     accumulated_bond_phases,
-    assignment_vectors,
     equiv_up_to_free_phase,
     extra_local_phases,
     mqcp_phase_solution,
@@ -45,6 +44,7 @@ from dotgates.simulate import (
 )
 
 from conftest import (
+    assignment_vectors,
     decompose_intrinsic,
     ideal_evolution,
     make_bond,

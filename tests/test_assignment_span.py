@@ -13,9 +13,9 @@ import pytest
 import scipy.optimize
 
 from dotgates import Dot, DotArray
-from dotgates.calibrate import assignment_vectors, bond_signs
+from dotgates.calibrate import bond_signs
 
-from conftest import make_bond
+from conftest import assignment_vectors, make_bond
 
 
 def linearly_spans(enum) -> bool:

@@ -17,7 +17,6 @@ from dotgates import (
     PulseSchedule,
     Stage,
     accumulated_bond_phases,
-    assignment_vectors,
     equiv_up_to_free_phase,
     extra_local_phases,
     kspace_path,
@@ -33,7 +32,7 @@ from dotgates.calibrate import (
 from dotgates.model import grid_vector
 from dotgates.simulate import pulsed_evolution
 
-from conftest import make_bond, stellar_array
+from conftest import assignment_vectors, make_bond, stellar_array
 from test_assignment_span import linearly_spans, positively_spans
 from test_frames import oracle_conjugated_grid
 

@@ -454,15 +454,17 @@ class TestInputErrors:
         array, gate, out = stellar_files
 
         def fail(*args):
-            args[12].value = 1  # LAPACK's info: the divide and conquer did not converge
+            args[-2].value = 1  # LAPACK's info, the last argument before the string length
 
-        monkeypatch.setattr(simulate, "_ZHEEVD", fail)
-        code = main(["simulate", "--array", array, "--gate", gate, "--out", str(out),
-                     "--tau", "100.0"])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "Traceback" not in err
-        assert err.startswith("eigensolver failure") and len(err.strip().splitlines()) == 1
+        # where numpy's LAPACK lacks the stages, stubs that succeed stand in
+        stages = simulate._STAGES or simulate._Stages(*[lambda *args: None] * 3)
+        for name in stages._fields:
+            monkeypatch.setattr(simulate, "_STAGES", stages._replace(**{name: fail}))
+            code = main(["simulate", "--array", array, "--gate", gate, "--out", str(out),
+                         "--tau", "100.0"])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert err == f"eigensolver failure: LAPACK {name} returned info = 1\n"
 
     def test_memory_error_exits_one(self, stellar_files, monkeypatch, capsys):
         array, gate, out = stellar_files
@@ -547,6 +549,20 @@ class TestInputErrors:
         assert run("simulate", array, gate, out, "--tau=1e6") == 0
         assert capsys.readouterr().out.startswith("fidelity ")
         assert (out / "simulate.json").exists()
+
+    def test_sweep_point_past_the_phase_limit_is_skipped(self, tmp_path, capsys):
+        # tau |E| is about 2.4e10 rad at the array's own scale, but J/eps = 1e-4
+        # scales the energies 21-fold, past 2^38 rad; the other points remain
+        array, gate, out = self.rounding_star(tmp_path)
+        assert run("simulate", array, gate, out, "--tau=3e9", "--sweep=1e-4:1e-2:3") == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith("skipped 1 of 3 sweep points (sweep_skipped.json)\n")
+        skipped = json.loads((out / "sweep_skipped.json").read_text())
+        assert [rec["j_over_eps"] for rec in skipped] == [1e-4]
+        assert "2^38 rad" in skipped[0]["error"]
+        sweep = (out / "sweep.csv").read_text().splitlines()
+        assert [float(line.split(",")[0]) for line in sweep[1:]] == pytest.approx([1e-3, 1e-2])
 
     @pytest.mark.parametrize("command", ["check", "solve", "simulate", "calibrate"])
     @pytest.mark.parametrize(
@@ -650,8 +666,8 @@ def test_calibrate_and_simulate_leave_scipy_unimported(stellar_files):
         "for mod in pkgutil.iter_modules(dotgates.__path__):\n"
         "    if mod.name != '__main__':\n"
         "        importlib.import_module(f'dotgates.{mod.name}')\n"
-        "from conftest import chain_array\n"
-        "from dotgates.calibrate import PauliAssignment, assignment_vectors\n"
+        "from conftest import assignment_vectors, chain_array\n"
+        "from dotgates.calibrate import PauliAssignment\n"
         "from dotgates.cli import main\n"
         "assert assignment_vectors(chain_array(16)).n_bonds == 15\n"
         # the exact verify crosses pulse boundaries through the reflection kernel

@@ -24,7 +24,6 @@ from dotgates.calibrate import (
     PauliAssignment,
     PulseSchedule,
     Stage,
-    assignment_vectors,
     bond_signs,
     choose_assignments,
     extra_local_phases,
@@ -36,7 +35,13 @@ from dotgates.calibrate import (
 from dotgates.gates import FreePhase
 from dotgates.model import grid_vector
 
-from conftest import conjugated, make_bond, random_connected_array
+from conftest import (
+    ENUMERATION_MAX_DOTS,
+    assignment_vectors,
+    conjugated,
+    make_bond,
+    random_connected_array,
+)
 
 
 # -- oracles: the label-by-label readers ------------------------------------------
@@ -377,7 +382,7 @@ def test_enumeration_matches_the_subset_loop():
 
 
 def test_enumeration_refuses_too_many_dots():
-    n = calibrate.ENUMERATION_MAX_DOTS + 1
+    n = ENUMERATION_MAX_DOTS + 1
     array = DotArray([Dot(j, 1.0) for j in range(n)], [make_bond(0, 1, 1e-3, 0.8)])
     with pytest.raises(ValueError, match="exceeds the limit"):
         assignment_vectors(array)

@@ -1,5 +1,7 @@
 """One spectrum per array: diagonal readouts against dense references."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -427,11 +429,11 @@ def random_hermitian(rng, dim):
 
 @pytest.fixture(params=["direct", "fallback"])
 def kernel(request, monkeypatch):
-    """``_eigh`` on the direct zheevd call, then on numpy's eigh."""
-    if request.param == "direct" and simulate._ZHEEVD is None:
-        pytest.skip("numpy's LAPACK exports no 64-bit-integer zheevd")
+    """``_eigh`` on the direct LAPACK stages, then on numpy's eigh."""
+    if request.param == "direct" and simulate._STAGES is None:
+        pytest.skip("numpy's LAPACK exports no 64-bit-integer zhetrd, zungtr and dstedc")
     if request.param == "fallback":
-        monkeypatch.setattr(simulate, "_ZHEEVD", None)
+        monkeypatch.setattr(simulate, "_STAGES", None)
     return request.param
 
 
@@ -470,24 +472,50 @@ class TestEighKernel:
         assert self.assert_matches_numpy(diag).tolist() == [False, False, True, False, False, False, True]
 
     def test_non_convergence_raises(self, kernel, monkeypatch):
-        if kernel == "direct":
-            monkeypatch.setattr(simulate, "_ZHEEVD", lambda *args: setattr(args[12], "value", 3))
-        else:
+        if kernel == "fallback":
             def fail(_):
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
             monkeypatch.setattr(np.linalg, "eigh", fail)
-        with pytest.raises(simulate.EigensolverFailure):
-            _eigh(np.eye(4, dtype=complex))
+            with pytest.raises(simulate.EigensolverFailure):
+                _eigh(np.eye(4, dtype=complex))
+            return
+        stages = simulate._STAGES
+        for name in stages._fields:
+            # a stage's info is its last argument before the hidden string length
+            failing = stages._replace(**{name: lambda *args: setattr(args[-2], "value", 3)})
+            monkeypatch.setattr(simulate, "_STAGES", failing)
+            with pytest.raises(simulate.EigensolverFailure, match=f"LAPACK {name} returned info = 3"):
+                _eigh(random_hermitian(np.random.default_rng(7), 40))
 
 
 def test_direct_kernel_resolves_on_scipy_openblas():
-    # pip's numpy wheels link scipy-openblas, whose zheevd the direct path
-    # calls: a renamed symbol there would silently halve sweep speed
+    # pip's numpy wheels link scipy-openblas, whose three stages the direct
+    # path calls: a renamed symbol there would silently fall back to numpy's
+    # eigh, at about twice the time and 1.5x the memory
     try:
         lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]["name"]
     except (TypeError, KeyError) as exc:  # numpy < 1.26 has no mode="dicts"
         pytest.skip(f"numpy reports no LAPACK name ({exc!r})")
     if lapack != "scipy-openblas":
         pytest.skip(f"numpy's LAPACK is {lapack}, not scipy-openblas")
-    assert simulate._ZHEEVD is not None
+    assert simulate._STAGES is not None
+    names = [func.__name__ for func in simulate._STAGES]
+    assert names == [f"scipy_{stage}_64_" for stage in simulate._STAGES._fields]
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_spectrum_peaks_at_twice_the_hamiltonian(n):
+    # H and the eigenvectors share one buffer, and beside it the direct path
+    # holds at most Z and dstedc's work, n^2 floats each; tracemalloc sees
+    # numpy's buffers, so the peak is exact and reads no OS counter
+    if simulate._STAGES is None:
+        pytest.skip("numpy's LAPACK exports no 64-bit-integer zhetrd, zungtr and dstedc")
+    array = chain_array(n)
+    tracemalloc.start()
+    try:
+        Spectrum.of(array)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * 16 * 4**n

@@ -144,15 +144,13 @@ class PauliAssignment:
     def _shifted(self) -> np.ndarray:
         return np.arange(1 << self.n_dots) ^ self.x_mask
 
-    def apply_rows(self, matrix: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
-        """``diag(scale) @ self @ matrix``, one product per entry of ``matrix``."""
-        shifted = self._shifted()
-        phase = self._phases() if scale is None else self._phases() * scale[shifted]
-        return (phase[:, None] * matrix)[shifted]
-
-    def apply_columns(self, matrix: np.ndarray) -> np.ndarray:
-        """``matrix @ self``."""
-        return matrix[:, self._shifted()] * self._phases()[None, :]
+    def apply_rows(self, matrix: np.ndarray, scale: np.ndarray | None = None,
+                   rows: slice = slice(None)) -> np.ndarray:
+        """Rows ``rows`` of ``diag(scale) @ self @ matrix``, one product per
+        entry: row b is ``scale[b] phase[b ^ x] matrix[b ^ x]``."""
+        shifted = self._shifted()[rows]
+        phase = self._phases()[shifted] if scale is None else self._phases()[shifted] * scale[rows]
+        return phase[:, None] * matrix[shifted]
 
     def matrix(self) -> np.ndarray:
         idx = np.arange(1 << self.n_dots)
@@ -160,16 +158,17 @@ class PauliAssignment:
         out[idx ^ self.x_mask, idx] = self._phases()
         return out
 
-    def reflection(self, v: np.ndarray, out: np.ndarray) -> np.ndarray | None:
-        """``C`` with ``V^dag self V = C^dag C - I`` for unitary V, or None for I.
+    def reflection(self, vt: np.ndarray, out: np.ndarray) -> np.ndarray | None:
+        """``C^T`` with ``V^dag self V = C^dag C - I`` for unitary ``V = vt^T``,
+        or None for I.
 
         A Pauli string other than I is a traceless Hermitian involution, so
         ``self = 2 Pi - I`` with ``Pi`` the projector on its +1 eigenspace,
         of rank 2^N / 2.  ``C`` holds ``sqrt(2) Pi V`` in that eigenspace's
         basis: one row ``V[b] + conj(phase[b]) V[b ^ x]`` for each pair
         ``{b, b ^ x}``, or ``sqrt(2) V[b]`` for each b with ``phase[b] = +1``
-        when the X mask is 0.  The gather costs O(4^N) and writes C into
-        ``out`` (2^N / 2 rows).
+        when the X mask is 0.  The gather reads columns of ``vt``, costs
+        O(4^N) and writes ``C^T`` into ``out`` (2^N x 2^N / 2).
         """
         if self.is_identity():
             return None
@@ -178,13 +177,14 @@ class PauliAssignment:
             top = 1 << (self.x_mask.bit_length() - 1)
             lo = np.arange(phase.shape[0]).reshape(-1, 2, top)[:, 0].ravel()
             # mode "clip" lets take write into out unbuffered; every index is in range
-            rows = np.take(v, lo ^ self.x_mask, axis=0, out=out, mode="clip")
-            rows *= np.conj(phase[lo])[:, None]
-            rows += v[lo]
+            cols = np.take(vt, lo ^ self.x_mask, axis=1, out=out, mode="clip")
+            cols *= np.conj(phase[lo])
+            pairs = cols.reshape(vt.shape[0], -1, top)  # += vt[:, lo], read as a view
+            pairs += vt.reshape(vt.shape[0], -1, 2, top)[:, :, 0]
         else:
-            rows = np.take(v, np.flatnonzero(phase.real > 0), axis=0, out=out, mode="clip")
-            rows *= np.sqrt(2.0)
-        return rows
+            cols = np.take(vt, np.flatnonzero(phase.real > 0), axis=1, out=out, mode="clip")
+            cols *= np.sqrt(2.0)
+        return cols
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,9 @@ Pauli string ``P_h`` and a scalar c.  Pulses before the first and after the
 last evolving stage permute and sign rows, also O(4^N).  Between two
 evolving stages, ``V^dag P_h V = C^dag C - I`` is a reflection with C of
 2^N / 2 rows (:meth:`PauliAssignment.reflection`): each such boundary costs
-two half-size products, 8^N complex multiply-adds.  The dense propagator is
-built only on request (``qubit_frame_evolution``, ``pulsed_evolution``).
+two half-size products, 8^N complex multiply-adds, in place: the verify
+holds at most 3x H.  The dense propagator is built only on request
+(``qubit_frame_evolution``, ``pulsed_evolution``).
 
 The difference from the ideal gate is coherent error, quantified by the
 average gate fidelity, a perturbative lower bound, per-state residue
@@ -72,7 +73,8 @@ class PhaseLimitExceeded(ValueError):
 # Most dots the dense path takes.  At 13 dots the complex 2^N x 2^N
 # Hamiltonian alone is 1 GiB; the eigensolver overwrites it in place and
 # adds the n^2 floats of the tridiagonal's eigenvectors and n^2 floats of
-# dstedc's work, 2x H in all, and every further dot multiplies that by four.
+# dstedc's work, 2x H in all; the pulsed verify holds at most 3x H (0.75 GiB at
+# 12 dots), and every further dot multiplies both by four.
 DENSE_MAX_DOTS = 12
 
 
@@ -291,8 +293,8 @@ class Spectrum:
         return float(np.sum(1.0 - overlaps))
 
     def _pulsed_factors(self, schedule: PulseSchedule, net: PauliAssignment):
-        """``(left, right)`` with ``left @ right = net U``, U the qubit-frame
-        propagator of the schedule and ``net`` a Pauli string.
+        """``(head, scale, w)`` with ``head.apply_rows(V, scale) @ w = net U``, U
+        the qubit-frame propagator of the schedule and ``net`` a Pauli string.
 
         The running product is kept as ``V w`` in eigen coordinates ``w``.
         Evolving stages scale the rows of ``w``.  The pulses since the last
@@ -301,33 +303,40 @@ class Spectrum:
         reflection, ``V^dag P_h V = C^dag C - I`` with C the 2^N / 2 rows of
         :meth:`PauliAssignment.reflection`, so ``w <- c (C^dag (C w) - w)``
         costs two half-size products, 8^N complex multiply-adds, and none
-        when P_h is I.  ``w`` is updated in place and the work buffers are
-        reused from boundary to boundary.
-        Pulses before the first evolution act on the columns of ``V^dag``.
+        when P_h is I.  ``w`` is updated in place by panels of columns, ``w_p
+        <- conj(C^T conj(C w_p)) - w_p``: beside V, only ``C^T`` and two panels.
+        Pulses before the first evolution gather the columns of ``V^dag``.
         Pulses after the last one, ``net`` and the frame rotation
         ``F = exp(i T H0)`` act on the rows of V: ``net F = F[b ^ x_net] net``
-        (F read at the flipped index), so ``left = F[b ^ x_net] c (net P_h) V``
-        and neither side takes a dense product.
+        (F read at the flipped index), so the left factor is ``head =
+        net P_h`` applied to the rows of V with ``scale = F[b ^ x_net] c``.
         """
         self.check_time(schedule.total_time)
         v = self.evecs
+        n, width = v.shape[0], self._panel_width()
         identity = PauliAssignment(schedule.n_dots)
         pending, c = identity, 1  # c P_h, the pulses since the last evolving stage
-        buffers = []  # work buffers of the reflections
+        buffers = []  # C^T and the two panels, reused from boundary to boundary
 
         def cross(w):
             """``w`` after the boundary ``c P_h``."""
-            if w is None:
-                w = v.conj().T if pending.is_identity() else pending.apply_columns(v.conj().T)
+            if w is None:  # V^dag P_h: one gather of V^T's columns, then in place
+                w = np.take(v.T, pending._shifted(), axis=1)
+                np.conjugate(w, out=w)
+                if not pending.is_identity():
+                    w *= pending._phases()
             elif not pending.is_identity():
                 if not buffers:
-                    buffers.extend(np.empty((2, v.shape[0] // 2, v.shape[0]), dtype=complex))
-                    buffers.append(np.empty(v.shape, dtype=complex))
-                rows, half, spare = buffers
-                np.matmul(pending.reflection(v, out=rows), w, out=half)
-                np.conjugate(rows, out=rows)
-                np.matmul(rows.T, half, out=spare)
-                np.subtract(spare, w, out=w)
+                    shapes = ((n, n // 2), (n // 2, width), (n, width))
+                    buffers.extend(np.empty(shape, dtype=complex) for shape in shapes)
+                ct, x, y = buffers
+                pending.reflection(v.T, out=ct)
+                for panel in np.split(w, n // width, axis=1):  # views of w
+                    np.matmul(ct.T, panel, out=x)
+                    np.conjugate(x, out=x)
+                    np.matmul(ct, x, out=y)
+                    np.conjugate(y, out=y)
+                    panel[...] = np.subtract(y, panel, out=y)  # out=panel would copy
             if c != 1:
                 w *= c
             return w
@@ -345,15 +354,23 @@ class Spectrum:
             pending, c = identity, 1
         head, phase = net.compose(pending)
         frame = np.exp(1j * schedule.total_time * self.h0)
-        return head.apply_rows(v, frame[np.arange(v.shape[0]) ^ net.x_mask] * (c * phase)), w
+        return head, frame[np.arange(n) ^ net.x_mask] * (c * phase), w
 
     def pulsed_diagonal(self, schedule: PulseSchedule) -> np.ndarray:
         """``diag(net^dag U)`` of the pulsed propagator U, in O(4^N) beyond
         the products between evolving stages; ``net`` is the schedule's net
         Pauli (a Pauli string is its own inverse), so the result holds the
-        gate's phases."""
-        left, right = self._pulsed_factors(schedule, schedule.net_pulse())
-        return np.einsum("bk,kb->b", left, right)
+        gate's phases.  The left factor is formed one block of rows at a time."""
+        head, scale, w = self._pulsed_factors(schedule, schedule.net_pulse())
+        width = self._panel_width()
+        return np.concatenate([
+            np.einsum("bk,kb->b", head.apply_rows(self.evecs, scale, rows), w[:, rows])
+            for rows in (slice(start, start + width) for start in range(0, w.shape[0], width))
+        ])
+
+    def _panel_width(self) -> int:
+        """Columns per panel of the pulsed verify: n / 8, and from 32 up to n."""
+        return min(max(self.evals.shape[0] // 8, 32), self.evals.shape[0])
 
 
 def qubit_frame_evolution(array: DotArray, tau: float) -> np.ndarray:
@@ -412,8 +429,9 @@ def pulsed_evolution(array: DotArray, schedule: PulseSchedule) -> np.ndarray:
     uses the total elapsed time.  The dense oracle of
     :meth:`Spectrum.pulsed_diagonal`.
     """
-    left, right = Spectrum.of(array)._pulsed_factors(schedule, PauliAssignment(schedule.n_dots))
-    return left @ right
+    spectrum = Spectrum.of(array)
+    head, scale, w = spectrum._pulsed_factors(schedule, PauliAssignment(schedule.n_dots))
+    return head.apply_rows(spectrum.evecs, scale) @ w
 
 
 @dataclass(frozen=True)
@@ -496,16 +514,18 @@ def sweep_rows(
 ) -> tuple[list[tuple[float, float, float, float]], list[tuple[float, str]]]:
     """(J/eps, infidelity, bound, max residue) rows over a coupling sweep.
 
-    A point whose spectrum is degenerate, or whose scaled energies take tau's
-    phases past ``MAX_PHASE``, is skipped; it is returned in the second list
-    as (J/eps, message), so one such point does not cost the rest.
+    A point whose scaled energies leave the float range, whose spectrum is
+    degenerate, or whose scaled energies take tau's phases past ``MAX_PHASE``
+    is skipped and returned in the second list as (J/eps, message).  An
+    array with no bond of J > 0 has no scale (``ValueError``, before any point).
     """
+    if not any(b.exchange > 0 for b in array.bonds):
+        raise ValueError("a coupling sweep needs a bond with J > 0")
     rows, skipped = [], []
     for x in grid:
-        scaled = scaled_zeeman_array(array, float(x))
         try:
-            report = simulate_gate(scaled, tau)
-        except (DegenerateSpectrum, PhaseLimitExceeded) as exc:
+            report = simulate_gate(scaled_zeeman_array(array, float(x)), tau)
+        except (DegenerateSpectrum, ValueError) as exc:
             skipped.append((float(x), str(exc)))
             continue
         rows.append((float(x), 1.0 - report.fidelity, report.bound, report.max_residue))

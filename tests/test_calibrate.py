@@ -115,10 +115,13 @@ class TestPauliBits:
             assert np.array_equal(pa.matrix(), kron_labels(labels[0]))
             m = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
             assert np.allclose(pa.apply_rows(m), kron_labels(labels[0]) @ m, atol=1e-14)
-            assert np.allclose(pa.apply_columns(m), m @ kron_labels(labels[0]), atol=1e-14)
             scale = np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=1 << n))
             dense = np.diag(scale) @ kron_labels(labels[0]) @ m
             assert np.allclose(pa.apply_rows(m, scale), dense, atol=1e-14)
+            # a block of rows is those rows of the whole, to the bit
+            start = int(rng.integers(0, 1 << n))
+            block = slice(start, start + int(rng.integers(1, 1 << n)))
+            assert np.array_equal(pa.apply_rows(m, scale, block), pa.apply_rows(m, scale)[block])
             # factors applied in order, first label first: compose is exact on the masks
             prod, phase, dense = PauliAssignment(n), 1, np.eye(1 << n)
             for la in labels:

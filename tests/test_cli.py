@@ -498,8 +498,6 @@ class TestInputErrors:
         [
             # each energy is finite, but their sum overflows the Zeeman diagonal
             ("simulate", [1e308, 1e308], [1e-3], 1.0, ["--tau=10"]),
-            # J/eps = 1e-320 scales the Zeeman energies past the float range
-            ("simulate", [1.0, 1.4], [1e-3], 1.0, ["--sweep=1e-320:1e-2:3"]),
             # the energies are finite, but the schedule's total time times
             # them is not: every phase of the verify would be NaN
             ("calibrate", [1e306, 1.45e306, 0.62e306], [1e-3, 1.3e-3], np.pi, ["--dd"]),
@@ -507,13 +505,9 @@ class TestInputErrors:
             ("simulate", [1.0, 14.5, 0.62], [1e-3, 1.3e-3], np.pi, ["--tau=1e308"]),
             ("simulate", [1.0, 14.5, 0.62], [1e-3, 1.3e-3], np.pi,
              ["--tau=1e308", "--sweep=1e-4:1e-2:3"]),
-            # the time is in range at the given energies, but the sweep's
-            # first point scales them 21-fold, past it
-            ("simulate", [1.0, 14.5, 0.62], [1e-3, 1.3e-3], np.pi,
-             ["--tau=1e307", "--sweep=1e-4:1e-2:3"]),
         ],
-        ids=["zeeman-sum-overflow", "sweep-scale-overflow", "calibrate-phase-overflow",
-             "simulate-phase-overflow", "sweep-phase-overflow", "sweep-point-phase-overflow"],
+        ids=["zeeman-sum-overflow", "calibrate-phase-overflow", "simulate-phase-overflow",
+             "sweep-phase-overflow"],
     )
     def test_energy_past_the_float_range_exits_one(
         self, tmp_path, capsys, command, zeeman, exchanges, theta, flags
@@ -524,6 +518,22 @@ class TestInputErrors:
         assert captured.out == ""
         assert captured.err.startswith("input error: ") and len(captured.err.splitlines()) == 1
         assert not out.exists()
+
+    def test_sweep_point_past_the_float_range_is_skipped(self, tmp_path, capsys):
+        # J/eps = 1e-320 scales the Zeeman energies past the float range, and
+        # 1e-161 takes tau's phases past 2^38 rad; 1e-2 remains
+        array, gate, out = self.star_files(tmp_path, [1.0, 1.4], [1e-3], 1.0)
+        assert run("simulate", array, gate, out, "--tau=10", "--sweep=1e-320:1e-2:3") == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith("skipped 2 of 3 sweep points (sweep_skipped.json)\n")
+        skipped = json.loads((out / "sweep_skipped.json").read_text())
+        assert skipped[0]["j_over_eps"] == 1e-320 and 1e-162 < skipped[1]["j_over_eps"] < 1e-160
+        assert "must be positive and finite, got inf" in skipped[0]["error"]
+        assert "2^38 rad" in skipped[1]["error"]
+        sweep = (out / "sweep.csv").read_text().splitlines()
+        assert [float(line.split(",")[0]) for line in sweep[1:]] == pytest.approx([1e-2])
+        assert (out / "simulate.json").exists()
 
     def rounding_star(self, tmp_path):
         """The star of ``star_files`` with Zeeman energies 1, 14.5 and 0.62 and

@@ -50,13 +50,17 @@ def kron_pulse(pulse):
 def expm_reference(array, schedule):
     """Stage-by-stage expm and Kronecker pulses, independent of Spectrum."""
     pair = build_hamiltonian(array)
-    h = np.diag(pair.h0) + pair.h_ex
+    return expm_product(pair.h0, np.diag(pair.h0) + pair.h_ex, schedule)
+
+
+def expm_product(h0, h, schedule):
+    """The qubit-frame propagator of ``schedule`` under H, by expm."""
     u = np.eye(h.shape[0], dtype=complex)
     for st in schedule.stages:
         u = expm(-1j * st.duration * h) @ u
         if not st.pulse.is_identity():
             u = kron_pulse(st.pulse) @ u
-    return np.exp(1j * schedule.total_time * pair.h0)[:, None] * u
+    return np.exp(1j * schedule.total_time * h0)[:, None] * u
 
 
 def dense_readout(array, schedule):
@@ -189,6 +193,34 @@ class TestPulsedDiagonal:
         assert np.max(np.abs(got - readout)) <= 1e-12
 
 
+    @pytest.mark.parametrize("n_dots", [1, 2, 6])
+    def test_pulse_first_and_z_only_boundaries(self, n_dots):
+        # at 2 and 4 rows one panel covers every column, at 64 two panels do;
+        # a pulse before the first evolution is one gather of V^dag's columns,
+        # and a Z-only boundary takes the reflection's x_mask == 0 branch.
+        # One dot is no array, so H is a random Hermitian matrix here.
+        rng = np.random.default_rng(30 + n_dots)
+        dim = 1 << n_dots
+        h0 = 1.0 + rng.random(dim)
+        h_ex = 3e-3 * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        h = np.diag(h0) + h_ex + h_ex.conj().T
+        evals, evecs = np.linalg.eigh(h)
+        spectrum = Spectrum(h0, np.real(np.diag(h)) - h0, evals, evecs)
+        sched = PulseSchedule(n_dots, [
+            Stage(0.0, PauliAssignment.from_labels("Y" * n_dots)),
+            Stage(300.0, PauliAssignment.from_labels("Z" * n_dots)),
+            Stage(200.0, PauliAssignment.from_labels("Y" * n_dots)),
+            Stage(150.0, None),
+        ])
+        got = spectrum.pulsed_diagonal(sched)
+        # the dense product of the same factors, as pulsed_evolution forms it
+        head, scale, w = spectrum._pulsed_factors(sched, PauliAssignment(n_dots))
+        dense = head.apply_rows(evecs, scale) @ w
+        net = kron_pulse(sched.net_pulse()).conj().T
+        assert np.max(np.abs(got - np.diag(net @ dense))) <= 1e-12
+        assert np.max(np.abs(got - np.diag(net @ expm_product(h0, h, sched)))) <= 1e-9
+
+
 def random_unitary(rng, dim):
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, _ = np.linalg.qr(z)
@@ -209,17 +241,17 @@ class TestReflection:
     """``V^dag P V = C^dag C - I`` for every Pauli string P."""
 
     def assert_reflection(self, op, v):
-        out = np.empty((v.shape[0] // 2, v.shape[0]), dtype=complex)
-        rows = op.reflection(v, out)
+        out = np.empty((v.shape[0], v.shape[0] // 2), dtype=complex)
+        cols = op.reflection(v.T, out)  # C^T, read from the columns of V^T
         target = v.conj().T @ op.matrix() @ v
-        if rows is None:
+        if cols is None:
             assert op.is_identity()
             assert np.max(np.abs(target - np.eye(v.shape[0]))) <= 1e-13
-            return rows
-        assert rows is out
-        rebuilt = rows.conj().T @ rows - np.eye(v.shape[0])
+            return cols
+        assert cols is out
+        rebuilt = cols.conj() @ cols.T - np.eye(v.shape[0])
         assert np.max(np.abs(target - rebuilt)) <= 1e-13
-        return rows
+        return cols
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_pauli_strings_and_their_products(self, n):
@@ -519,3 +551,25 @@ def test_spectrum_peaks_at_twice_the_hamiltonian(n):
     finally:
         tracemalloc.stop()
     assert peak <= 2.1 * 16 * 4**n
+
+
+@pytest.mark.parametrize("kind", ["chain", "star"])
+@pytest.mark.parametrize("n", [8, 9])
+def test_pulsed_verify_peaks_at_three_times_the_hamiltonian(n, kind):
+    # beside the eigenvectors V the verify holds the running product w, the
+    # reflection's C^T (half of V) and two panels of columns; a whole left
+    # factor, a spare product or a conjugate of C would each pass 3x H
+    if simulate._STAGES is None:
+        pytest.skip("numpy's LAPACK exports no 64-bit-integer zhetrd, zungtr and dstedc")
+    array = chain_array(n) if kind == "chain" else stellar_array(n - 1)
+    base = random_schedule(np.random.default_rng(n), n, 4, zero_frac=0.0)
+    schedules = (base, weave_dd(base))
+    tracemalloc.start()
+    try:
+        spectrum = Spectrum.of(array)
+        for schedule in schedules:
+            spectrum.pulsed_diagonal(schedule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * 16 * 4**n

@@ -6,24 +6,19 @@ identity leave them alone.  A pulse schedule therefore steers the per-bond
 accumulated phase along a piecewise-linear path in "k-space" (phase in
 units of pi per bond), and the per-stage durations can be solved so every
 bond lands on its target lattice point regardless of velocity mismatch.
+On a forest every bond sign vector is some frame, so ``solve_intervals``
+builds the time-optimal schedule in closed form; on an array with cycles,
+or at given frames, it searches integer lattice offsets.
 
 Every stage runs in a toggling frame: the X-mask of the dots flipped an odd
-number of times so far, with dot 0 the most significant bit, as in the
-basis indices.  ``PulseSchedule.frames`` accumulates the pulses' X-masks
-by XOR, one frame per stage plus the net frame after the last, and
-``bond_signs`` reads every bond's velocity sign in a frame as ``1 - 2
-(b_j xor b_k)``.  The stage sign matrix, the stage pulses of
-``solve_intervals``, the pulse-induced local phases (from the per-dot
-signs) and the echo weave (from the per-dot toggles) are all read from
-those frames.  A pulse is its X and Z masks, and ``PauliAssignment`` is
-the one pulse type, built from its width and masks (``PauliAssignment(n)``
-is the identity) or from text by ``PauliAssignment.from_labels``.  Every
-stage of a schedule carries a pulse, the identity where none fires, so a
-schedule has one value.  The net pulse of a schedule is the XOR of the
-masks, ``PauliAssignment.compose`` multiplies two pulses on their masks and
-returns the product's scalar exactly, and the exact layer applies a pulse
-to rows or columns, or as the reflection ``PauliAssignment.reflection``,
-from its masks alone.
+number of times so far, dot 0 the most significant bit as in the basis
+indices.  ``PulseSchedule.frames`` accumulates the pulses' X-masks by XOR,
+one frame per stage plus the net frame after the last, and ``bond_signs``
+reads a bond's velocity sign in a frame as ``1 - 2 (b_j xor b_k)``; the
+stage signs, the local phases and the echo weave are read from the frames.
+``PauliAssignment``, the one pulse type, is its X and Z masks
+(``PauliAssignment(n)`` is the identity; ``from_labels`` parses text), every
+stage carries one, and the exact layer applies it from its masks alone.
 """
 
 from __future__ import annotations
@@ -321,18 +316,15 @@ def accumulated_bond_phases(array: DotArray, schedule: PulseSchedule) -> np.ndar
 def choose_assignments(array: DotArray) -> list[frozenset[int]]:
     """Default stage assignments: the trivial one plus a greedy linearly
     independent set of X-subsets, preferring small subsets."""
-    n = array.n_dots
-    b = array.n_bonds
-    chosen: list[frozenset[int]] = [frozenset()]
-    rows = [np.ones(b)]
+    n, b = array.n_dots, array.n_bonds
+    chosen, rows = [frozenset()], [np.ones(b)]
     # by size, then lexicographically, generated only as far as needed
     subsets = (frozenset(c) for size in range(1, n + 1) for c in combinations(range(n), size))
     for subset in subsets:
         if len(chosen) >= b:
             break
         vec = subset_signs(array, subset).astype(float)
-        trial = np.array(rows + [vec])
-        if np.linalg.matrix_rank(trial) > len(rows):
+        if np.linalg.matrix_rank(np.array(rows + [vec])) > len(rows):
             chosen.append(subset)
             rows.append(vec)
     return chosen
@@ -368,19 +360,12 @@ def _narrow(lo: np.ndarray, hi: np.ndarray, value: np.ndarray, slope: float, flo
         np.minimum(hi, np.floor((floor - value) / slope), out=hi)
 
 
-def _least_total(phi: np.ndarray, vel: np.ndarray, modulus: float) -> float:
-    """Lower bound on the total time of any offset tuple: bond w needs at
-    least its distance to the lattice ``phi_w + modulus Z`` over ``|vel_w|``."""
-    gap = np.abs(np.remainder(phi + 0.5 * modulus, modulus) - 0.5 * modulus)
-    return float(np.max(gap / np.abs(vel)))
-
-
 def _square_durations(
-    amat: np.ndarray, phi: np.ndarray, vel: np.ndarray, modulus: float, bound: int, tol: float
+    amat: np.ndarray, phi: np.ndarray, vel: np.ndarray, bound: int, tol: float, least: float
 ) -> np.ndarray:
     """Durations of the best offset tuple for one invertible b x b sign matrix.
 
-    ``tau(m) = A^-1 ((phi + modulus m) / vel)`` is affine in the offsets.  The
+    ``tau(m) = A^-1 ((phi + pi m) / vel)`` is affine in the offsets.  The
     first b - 1 offsets are enumerated; for each such prefix tau is affine in
     the last offset m_b, so the m_b that keep every tau >= -tol form an integer
     interval, and the total time, linear in m_b, is least at one of its ends.
@@ -388,9 +373,10 @@ def _square_durations(
     a superset of those the exact rule below can accept; only they are
     evaluated exactly.
 
-    The offsets are searched in rounds under a cap T on the total time.  A is
-    a +-1 matrix, so a tuple with durations >= -tol and total <= T has
-    ``|phi_w + modulus m_w| <= |vel_w| (T + 2 b tol)`` up to rounding: each
+    The offsets are searched in rounds under a cap T on the total time, the
+    first just above ``least``, a total no tuple can beat.  A is a +-1
+    matrix, so a tuple with durations >= -tol and total <= T has
+    ``|phi_w + pi m_w| <= |vel_w| (T + 2 b tol)`` up to rounding: each
     round searches only that box of offsets, and accepts its winner when the
     winner's whole tie window lies under T, as then no tuple outside the box
     can win or tie.  Otherwise T grows.  The round whose box is the whole
@@ -410,19 +396,19 @@ def _square_durations(
     ainv = np.linalg.inv(amat)
 
     def taus_of(mcombo):  # (rows, bonds) offsets -> (rows, stages) durations
-        return ((phi[None, :] + modulus * mcombo) / vel[None, :]) @ ainv.T
+        return ((phi[None, :] + np.pi * mcombo) / vel[None, :]) @ ainv.T
 
-    beta = ainv[:, -1] * (modulus / vel[-1])
+    beta = ainv[:, -1] * (np.pi / vel[-1])
     total_slope = beta.sum()
     # twice a forward-error bound of either way of computing tau (a dot
     # product of length n over right-hand sides of at most reach)
-    reach = np.abs(ainv) @ ((np.abs(phi) + modulus * bound) / np.abs(vel))
+    reach = np.abs(ainv) @ ((np.abs(phi) + np.pi * bound) / np.abs(vel))
     slack = 8 * (n + 4) * np.finfo(float).eps * reach
     total_slack = 2.0 * slack.sum()
     # a tuple the rule keeps under cap T has sum|tau| <= T + spread, and
     # pad covers the rounding of the box ends for offsets up to the bound
     spread = 2 * n * tol + 2.0 * total_slack
-    pad = 4 * np.finfo(float).eps * (np.abs(phi) + modulus * (bound + 1))
+    pad = 4 * np.finfo(float).eps * (np.abs(phi) + np.pi * (bound + 1))
 
     def search(box_lo, box_hi, cap):
         """Durations of the winner among the tuples in the box, or None when
@@ -477,11 +463,11 @@ def _square_durations(
         return np.clip(taus[winner], 0.0, None), None
 
     # the tie window's additive term makes the first cap positive, so it grows
-    cap = _least_total(phi, vel, modulus) * (1.0 + 1e-12) + 1e-15
+    cap = least * (1.0 + 1e-12) + 1e-15
     while True:
         radius = np.abs(vel) * (cap + spread) + pad
-        box_lo = np.maximum(np.ceil((-radius - phi) / modulus), -bound).astype(np.int64)
-        box_hi = np.minimum(np.floor((radius - phi) / modulus), bound).astype(np.int64)
+        box_lo = np.maximum(np.ceil((-radius - phi) / np.pi), -bound).astype(np.int64)
+        box_hi = np.minimum(np.floor((radius - phi) / np.pi), bound).astype(np.int64)
         if np.all(box_lo == -bound) and np.all(box_hi == bound):
             cap = np.inf
         sure = np.inf
@@ -503,6 +489,44 @@ def _square_durations(
         cap = sure if cap < sure < grown else grown
 
 
+def _forest_stages(bonds: Sequence, y: np.ndarray, least: float, n_dots: int):
+    """Frames and durations of a schedule of total ``least`` that moves bond
+    w by ``y[w]``, or None when the bonds close a cycle.
+
+    Bond w runs forwards for the first ``(1 + y_w / least) / 2`` of the time
+    and backwards after it (a threshold decomposition).  Each piece between
+    two cuts is one frame, its dot bits read out from the lowest dot of each
+    component, or its all-dot complement, which flips no bond, if that
+    toggles fewer dots; a zero-length stage pulses into a nonempty first one.
+    """
+    walk, seen = [], set()  # (near dot, far dot, bond), each component from its root
+    for root in range(n_dots):
+        queue = [] if root in seen else [root]
+        seen.add(root)
+        for near in queue:
+            for w, b in enumerate(bonds):
+                far = {b.j: b.k, b.k: b.j}.get(near)
+                if far is not None and far not in seen:
+                    seen.add(far)
+                    queue.append(far)
+                    walk.append((near, far, w))
+    if len(walk) < len(bonds):
+        return None
+    cut = 0.5 * (1.0 + y / least) if least else np.ones_like(y)
+    points = np.array(sorted({0.0, 1.0, *cut.tolist()}))
+    full, masks = (1 << n_dots) - 1, [0]
+    for start in points[:-1]:
+        bits = [0] * n_dots
+        for near, far, w in walk:
+            bits[far] = bits[near] ^ int(cut[w] <= start)
+        mask = int("".join(map(str, bits)), 2)
+        if ((mask ^ full) ^ masks[-1]).bit_count() < (mask ^ masks[-1]).bit_count():
+            mask ^= full
+        masks.append(mask)
+    durations = np.append(0.0, least * np.diff(points))
+    return (masks, durations) if masks[1] else (masks[1:], durations[1:])
+
+
 def solve_intervals(
     array: DotArray,
     target: CalibrationTarget,
@@ -511,89 +535,66 @@ def solve_intervals(
 ) -> PulseSchedule:
     """Solve stage durations so every bond accumulates its target phase.
 
-    The system is ``sum_n a_w^(n) tau_n = (phi_w + m_w * pi) / Delta_w``
-    with free integer offsets ``|m_w| <= offset_bound`` (per-bond offsets are
-    independent) and durations required nonnegative; among exact solutions
-    the smallest total time wins, ties broken by the smallest offset
-    magnitudes and then the lexicographically smallest tuple.  Stage 0 must
-    carry the trivial assignment (no pulses yet).
+    Bond w must move by ``y_w = (phi_w + m_w pi) / Delta_w`` for an integer
+    m_w, and a stage of length tau moves it by +-tau, the sign read from the
+    stage's frame, so no schedule is shorter than ``T* = max_w dist(phi_w,
+    pi Z) / |Delta_w|``.  When ``assignments`` is None and the active bonds
+    (|Delta| > 1e-15) form a forest, ``_forest_stages`` reaches T* whatever
+    ``offset_bound``; at distance pi/2 a bond takes the offset that runs it
+    forwards, so a homogeneous target is one stage with no pulse.
 
-    For fixed offsets, min sum(tau) subject to the system and tau >= 0 is a
-    linear program, so it is attained at a basic solution: b of the stages
-    (b active bonds) whose b x b sign matrix is invertible, the others held
-    at zero.  Every such basis is searched in closed form: the first b - 1
-    offsets are enumerated and the last one solved for, over a box of offsets
-    that a cap on the total time bounds, the cap growing until the box's
-    winner provably beats every tuple outside it.  The search costs
-    C(stages, b) times the offset prefixes of the boxes searched, at most
-    (2M+1)^(b-1) for M = ``offset_bound`` in the last, whole box, and the
-    result within a basis is the one an exhaustive search over all (2M+1)^b
-    tuples picks by the rule above.  Across bases the least total wins; a
-    later basis replaces an earlier one only when its total is lower by
-    more than the tie window ``1e-12`` relative plus ``1e-15``, so among
-    equal totals the earliest basis (the fewest pulses) is kept.  With as
-    many stages as active bonds, the default, there is one basis.
+    Otherwise (cycles, or given ``assignments``) the frames are fixed, one
+    per active bond with the trivial one first, by default
+    ``choose_assignments`` on the active bonds, and ``_square_durations``
+    searches the offsets ``|m_w| <= offset_bound`` for the least total with
+    nonnegative durations, ties going to the smallest offset magnitudes and
+    then to the lexicographically smallest tuple.
 
     Raises
     ------
     ValueError
-        If ``offset_bound`` is negative, the stage assignments are malformed,
-        or one round of the search would hold more than 4 * 10^6 offset
-        tuples.
+        If ``offset_bound`` is negative, the assignments are malformed or not
+        one independent frame per active bond, or one round of the search
+        would hold more than 4 * 10^6 offset tuples.
     InfeasibleSchedule
-        If no basis and offset combination inside the bound admits tau >= 0;
-        the reported residual is the least worst-case duration violation
-        over all of them.
+        If no offset tuple inside the bound admits durations >= 0; its
+        residual is the least worst-case duration violation.
     """
     if offset_bound < 0:
         raise ValueError(f"offset_bound must be nonnegative, got {offset_bound}")
-    if assignments is None:
-        assignments = choose_assignments(array)
     n_dots = array.n_dots
-    masks = [PauliAssignment.x_on(s, n_dots).x_mask for s in assignments]
-    if masks[0]:
-        raise ValueError("the first stage assignment must be the trivial one")
     velocities = np.array(target.velocities)
-    phases = np.asarray(target.phases, dtype=float)
     active = np.abs(velocities) > 1e-15
-    amat = bond_signs(array, masks).T.astype(float)[active]
-    vel = velocities[active]
-    phi = phases[active]
-    n_bonds, n_stages = amat.shape
-    if n_bonds == 0:
-        return PulseSchedule(n_dots, [Stage(0.0)])
-    if n_stages < n_bonds or np.linalg.matrix_rank(amat) < n_bonds:
-        raise ValueError("stage assignments do not span the active bonds")
-
-    durations, best_total, least = None, np.inf, np.inf
-    for basis in combinations(range(n_stages), n_bonds):
-        sub = amat[:, list(basis)]
-        if np.linalg.matrix_rank(sub) < n_bonds:
-            continue
-        try:
-            taus = _square_durations(sub, phi, vel, np.pi, offset_bound, _DURATION_TOL)
-        except InfeasibleSchedule as exc:
-            least = min(least, exc.best_residual)
-            continue
-        total = taus.sum()
-        if total * (1.0 + 1e-12) + 1e-15 < best_total:
-            durations = np.zeros(n_stages)
-            durations[list(basis)] = taus
-            best_total = total
-    if durations is None:
-        raise InfeasibleSchedule("no nonnegative durations in offset bound", least)
+    bonds = [b for b, on in zip(array.bonds, active) if on]
+    vel, phi = velocities[active], np.asarray(target.phases, dtype=float)[active]
+    near = np.remainder(phi + 0.5 * np.pi, np.pi) - 0.5 * np.pi  # in [-pi/2, pi/2)
+    y = np.where(near == -0.5 * np.pi, 0.5 * np.pi / np.abs(vel), near / vel)
+    least = float(np.max(np.abs(y), initial=0.0))
+    if assignments is None and (forest := _forest_stages(bonds, y, least, n_dots)):
+        masks, durations = forest
+    else:
+        if assignments is None:
+            assignments = choose_assignments(array.with_bonds(bonds))
+        masks = [PauliAssignment.x_on(s, n_dots).x_mask for s in assignments]
+        if masks[0]:
+            raise ValueError("the first stage assignment must be the trivial one")
+        amat = bond_signs(array, masks).T.astype(float)[active]
+        if not bonds:
+            return PulseSchedule(n_dots, [Stage(0.0)])
+        if amat.shape[1] != len(bonds) or np.linalg.matrix_rank(amat) < len(bonds):
+            raise ValueError("stage assignments are not one independent stage per active bond")
+        durations = _square_durations(amat, phi, vel, offset_bound, _DURATION_TOL, least)
 
     # Drop zero-length stages; the pulse between two kept stages is X on
     # every dot whose frame bit differs.
-    kept = [0] + [idx for idx in range(1, n_stages) if durations[idx] > 1e-12]
+    kept = [0] + [idx for idx in range(1, len(masks)) if durations[idx] > 1e-12]
     toggles = [masks[a] ^ masks[b] for a, b in zip(kept, kept[1:])] + [0]
     schedule = PulseSchedule(n_dots, [
         Stage(float(durations[idx]), PauliAssignment(n_dots, x))
         for idx, x in zip(kept, toggles)
     ])
-    achieved = accumulated_bond_phases(array, schedule)
-    err = circular_distance(achieved[active], phi, np.pi)
-    if np.max(err) > 1e-7:
+    err = circular_distance(accumulated_bond_phases(array, schedule)[active], phi, np.pi)
+    if np.max(err, initial=0.0) > 1e-7:
         raise InfeasibleSchedule("schedule verification failed", float(np.max(err)))
     return schedule
 
@@ -706,8 +707,7 @@ def weave_dd(schedule: PulseSchedule, budget: int = 16) -> PulseSchedule:
         else:
             slots.append([t, bit, y])
 
-    stages: list[Stage] = []
-    prev = 0.0
+    stages, prev = [], 0.0
     for t, x, z in slots:
         stages.append(Stage(max(t - prev, 0.0), PauliAssignment(n, x, z)))
         prev = t

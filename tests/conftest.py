@@ -128,6 +128,13 @@ def chain_array(n_dots, j_scale=1e-3, t_sq=0.8, zeemans=None, rng=None):
     return DotArray(dots, bonds)
 
 
+def least_total(phi, vel):
+    """T*, the least total time of any schedule: the largest over the bonds
+    of the distance to the lattice ``phi + pi Z`` over the speed."""
+    gap = np.abs(np.remainder(np.asarray(phi) + 0.5 * np.pi, np.pi) - 0.5 * np.pi)
+    return float(np.max(gap / np.abs(vel), initial=0.0))
+
+
 def random_connected_array(rng, n_dots, j_scale=1e-3):
     """Random spanning tree plus one extra edge when it fits."""
     zeemans = 1.0 + 0.9 * rng.random(n_dots)

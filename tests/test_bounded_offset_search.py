@@ -26,6 +26,7 @@ from dotgates.calibrate import (
     subset_signs,
 )
 
+from conftest import least_total
 from test_offset_search import array_with_velocities, edges_of, instance, square_assignments
 
 TOL = 1e-9
@@ -40,20 +41,20 @@ def _narrow(lo, hi, value, slope, floor):
         np.minimum(hi, np.floor((floor - value) / slope), out=hi)
 
 
-def whole_box_durations(amat, phi, vel, modulus, bound, tol):
+def whole_box_durations(amat, phi, vel, bound, tol, least):
     """The closed-form search over every prefix of the whole box (the reference)."""
     n = amat.shape[0]
     ainv = np.linalg.inv(amat)
 
     def taus_of(mcombo):
-        return ((phi[None, :] + modulus * mcombo) / vel[None, :]) @ ainv.T
+        return ((phi[None, :] + np.pi * mcombo) / vel[None, :]) @ ainv.T
 
     side = 2 * bound + 1
     prefixes = np.indices((side,) * (n - 1)).reshape(n - 1, side ** (n - 1)).T - bound
     base = taus_of(np.column_stack([prefixes, np.zeros(len(prefixes))]))
-    beta = ainv[:, -1] * (modulus / vel[-1])
+    beta = ainv[:, -1] * (np.pi / vel[-1])
     totals, total_slope = base.sum(axis=1), beta.sum()
-    reach = np.abs(ainv) @ ((np.abs(phi) + modulus * bound) / np.abs(vel))
+    reach = np.abs(ainv) @ ((np.abs(phi) + np.pi * bound) / np.abs(vel))
     slack = 8 * (n + 4) * np.finfo(float).eps * reach
     total_slack = 2.0 * slack.sum()
 
@@ -94,24 +95,28 @@ def whole_box_durations(amat, phi, vel, modulus, bound, tol):
 
 
 def square_problem(array, target):
-    """(amat, phi, vel, modulus) of the square basis over the active bonds."""
+    """(amat, phi, vel) of the square basis over the active bonds."""
     velocities = np.array(target.velocities)
     active = np.abs(velocities) > 1e-15
     assignments = square_assignments(array, target)
     amat = np.array([subset_signs(array, s) for s in assignments], dtype=float).T[active]
-    return amat, np.asarray(target.phases, dtype=float)[active], velocities[active], np.pi
+    return amat, np.asarray(target.phases, dtype=float)[active], velocities[active]
 
 
-def run(search, problem, bound):
+def run(search, problem, bound, least=None):
+    """The search's durations, or its refusal; its first cap is just above
+    ``least``, by default the least total time T* of any schedule."""
+    if least is None:
+        least = least_total(problem[1], problem[2])
     try:
-        return search(*problem, bound, TOL)
+        return search(*problem, bound, TOL, least)
     except InfeasibleSchedule as exc:
         return exc
 
 
 def offsets_of(taus, problem):
-    amat, phi, vel, modulus = problem
-    return np.rint((vel * (amat @ taus) - phi) / modulus).astype(np.int64)
+    amat, phi, vel = problem
+    return np.rint((vel * (amat @ taus) - phi) / np.pi).astype(np.int64)
 
 
 def assert_same(got, want, problem):
@@ -146,11 +151,6 @@ class Rounds:
 
         monkeypatch.setattr(np, "indices", counted_indices)
         monkeypatch.setattr(np, "column_stack", counted_stack)
-
-
-def start_at(monkeypatch, least):
-    """Start the search as if no total could be below ``least``."""
-    monkeypatch.setattr(calibrate, "_least_total", lambda phi, vel, modulus: least)
 
 
 def bounds_for(n_bonds):
@@ -195,13 +195,13 @@ def test_answer_does_not_depend_on_the_first_cap(fraction, monkeypatch):
                 want = run(whole_box_durations, problem, 8)
                 if isinstance(want, InfeasibleSchedule):
                     continue
-                amat, phi, vel, modulus = problem
+                amat, phi, vel = problem
                 m = offsets_of(want, problem)
-                total = float((((phi + modulus * m) / vel) @ np.linalg.inv(amat).T).sum())
+                total = float((((phi + np.pi * m) / vel) @ np.linalg.inv(amat).T).sum())
                 with monkeypatch.context() as patch:
-                    start_at(patch, fraction * total)
                     rounds = Rounds(patch)
-                    assert_same(run(calibrate._square_durations, problem, 8), want, problem)
+                    got = run(calibrate._square_durations, problem, 8, fraction * total)
+                    assert_same(got, want, problem)
                 if fraction == 1.0 - 1e-13 and total > 0:
                     # the winner's tie window straddles the first cap
                     assert rounds.count >= 2
@@ -252,7 +252,7 @@ def test_thirteen_dot_tree_at_bound_8_solves(seed):
     # that the total time bounds stay within it
     assert 17**12 > calibrate._OFFSET_BUDGET
     array, target = planted_tree(12, 1.5, np.random.default_rng(seed))
-    schedule = solve_intervals(array, target, offset_bound=8)
+    schedule = solve_intervals(array, target, choose_assignments(array), offset_bound=8)
     achieved = accumulated_bond_phases(array, schedule)
     assert np.max(circular_distance(achieved, np.array(target.phases), np.pi)) <= 1e-7
 
@@ -280,7 +280,7 @@ def test_negative_bound_raises_instead_of_looping():
         "from dotgates.calibrate import _square_durations\n"
         "try:\n"
         "    _square_durations(np.eye(2), np.array([0.3, 1.2]), np.array([1e-3, -2e-3]),"
-        " np.pi, -1, 1e-9)\n"
+        " -1, 1e-9, 600.0)\n"
         "except ValueError as exc:\n"
         "    print(exc)\n"
     )

@@ -21,13 +21,13 @@ from dotgates.calibrate import (
 )
 
 
-def exhaustive_durations(amat, phi, vel, modulus, bound, tol):
+def exhaustive_durations(amat, phi, vel, bound, tol, least):
     """Square-branch search over the full offset grid (the reference rule)."""
     n_bonds = amat.shape[0]
     offsets = np.arange(-bound, bound + 1)
     grids = np.meshgrid(*([offsets] * n_bonds), indexing="ij")
     mcombo = np.stack([g.ravel() for g in grids], axis=1)
-    rhs = (phi[None, :] + modulus * mcombo) / vel[None, :]
+    rhs = (phi[None, :] + np.pi * mcombo) / vel[None, :]
     taus = rhs @ np.linalg.inv(amat).T
     feasible = np.all(taus >= -tol, axis=1)
     if not np.any(feasible):

@@ -1,9 +1,9 @@
-"""``solve_intervals`` with more stages than active bonds, against a linear program.
+"""``solve_intervals`` at fixed frames, against a linear program.
 
 For fixed offsets the least total time with nonnegative durations is a
 linear program.  The oracle below solves one with HiGHS for every offset
 tuple inside the bound and keeps the least total; the solver under test
-searches every invertible basis of b stages in closed form instead.
+searches the offsets of its one square sign matrix in closed form instead.
 """
 
 import numpy as np
@@ -21,8 +21,8 @@ from dotgates.calibrate import (
     subset_signs,
 )
 
-from conftest import make_bond, stellar_array
-from test_offset_search import instance
+from conftest import least_total, make_bond, stellar_array
+from test_offset_search import instance, square_assignments
 
 
 def lp_durations(array, target, assignments, bound):
@@ -52,26 +52,6 @@ def lp_durations(array, target, assignments, bound):
     return None if best_sol is None else np.clip(best_sol, 0.0, None)
 
 
-def oracle_stage_count(durations):
-    """Stages the schedule keeps: stage 0 and every later one of nonzero length."""
-    return 1 + int(np.sum(durations[1:] > 1e-12))
-
-
-def extra_assignments(array, assignments, n_extra, rng):
-    """Random X-subsets, or the complement of a stage already listed, which
-    flips every dot of it and so repeats that stage's sign column."""
-    n = array.n_dots
-    extra = []
-    for _ in range(n_extra):
-        if rng.random() < 0.5:
-            pick = assignments[int(rng.integers(len(assignments)))]
-            extra.append(frozenset(range(n)) - pick)
-        else:
-            mask = int(rng.integers(1, 1 << n))
-            extra.append(frozenset(j for j in range(n) if (mask >> j) & 1))
-    return extra
-
-
 def assert_matches_lp(array, target, assignments, bound):
     """Same verdict and total as the oracle, phases on target, no more stages.
     Returns whether a schedule was found."""
@@ -88,7 +68,7 @@ def assert_matches_lp(array, target, assignments, bound):
     achieved = accumulated_bond_phases(array, got)[active]
     err = circular_distance(achieved, np.array(target.phases)[active], np.pi)
     assert np.max(err) <= 1e-9
-    assert len(got.stages) <= oracle_stage_count(want)
+    assert len(got.stages) <= 1 + int(np.sum(want[1:] > 1e-12))
     return True
 
 
@@ -103,52 +83,15 @@ def test_matches_linear_program(kind):
     found = infeasible = 0
     for flavour in ("random", "homogeneous", "zero"):
         for n_bonds, bound in SIZES:
-            for n_extra in (1, 2):
+            for _ in range(2):
                 array, target = instance(kind, n_bonds, flavour, rng)
-                assignments = choose_assignments(array)
-                assignments += extra_assignments(array, assignments, n_extra, rng)
-                if assert_matches_lp(array, target, assignments, bound):
+                if assert_matches_lp(array, target, square_assignments(array, target), bound):
                     found += 1
                 else:
                     infeasible += 1
     # 78 instances per family, and both verdicts occur in each
     assert found + infeasible == 78
     assert found >= 20 and infeasible >= 5
-
-
-def test_duplicate_sign_column_keeps_the_earlier_stage():
-    # the all-dot flip has stage 0's signs: both bases give the same total,
-    # and the earlier one needs no extra stage or pulse
-    rng = np.random.default_rng(9)
-    array, target = instance("star", 3, "random", rng)
-    base = solve_intervals(array, target, choose_assignments(array), 3)
-    doubled = choose_assignments(array) + [frozenset(range(array.n_dots))]
-    assert_matches_lp(array, target, doubled, 3)
-    again = solve_intervals(array, target, doubled, 3)
-    assert again.stages == base.stages
-
-
-def test_infeasible_residual_is_the_least_over_bases():
-    rng = np.random.default_rng(5)
-    found = 0
-    for _ in range(40):
-        array, target = instance("chain", 2, "random", rng)
-        assignments = choose_assignments(array)
-        assignments += extra_assignments(array, assignments, 1, rng)
-        try:
-            solve_intervals(array, target, assignments, 0)
-        except InfeasibleSchedule as exc:
-            least = np.inf
-            amat = np.array([subset_signs(array, s) for s in assignments], dtype=float).T
-            rhs = np.array(target.phases) / np.array(target.velocities)
-            for basis in ([0, 1], [0, 2], [1, 2]):
-                sub = amat[:, basis]
-                if np.linalg.matrix_rank(sub) == 2:
-                    taus = np.linalg.solve(sub, rhs)
-                    least = min(least, float(np.max(np.maximum(-taus, 0.0))))
-            assert exc.best_residual == pytest.approx(least, rel=1e-12)
-            found += 1
-    assert found >= 5
 
 
 def zero_velocity_star():
@@ -165,9 +108,9 @@ def zero_velocity_star():
 
 
 def test_zero_velocity_star_needs_no_linear_program(monkeypatch):
-    # one stage per bond is one more than the active bonds; the least total,
-    # 12204.373556743029 from the oracle at bounds 1 to 3, is reached with
-    # four of the five stages
+    # a star is a forest, so its default schedule is the closed form at the
+    # least total T*, below the 12204.373556743029 that the oracle finds at
+    # the five frames of choose_assignments, at bounds 1 to 3
     array, target = zero_velocity_star()
     assert target.velocities[2] == 0.0
 
@@ -176,14 +119,16 @@ def test_zero_velocity_star_needs_no_linear_program(monkeypatch):
 
     monkeypatch.setattr(scipy.optimize, "linprog", refuse)
     schedule = solve_intervals(array, target)
-    assert len(choose_assignments(array)) == 5
-    assert len(schedule.stages) == 4
-    assert schedule.total_time == pytest.approx(12204.373556743029, rel=1e-12)
+    active = np.array(target.velocities) != 0.0
+    least = least_total(np.array(target.phases)[active], np.array(target.velocities)[active])
+    assert len(schedule.stages) <= 5
+    assert schedule.total_time == pytest.approx(least, rel=1e-12)
+    assert schedule.total_time < 12204.373556743029
 
 
 def test_zero_velocity_star_matches_linear_program():
     array, target = zero_velocity_star()
-    assert assert_matches_lp(array, target, choose_assignments(array), 1)
+    assert assert_matches_lp(array, target, square_assignments(array, target), 1)
 
 
 def test_square_case_makes_one_closed_form_call(monkeypatch):
@@ -199,6 +144,27 @@ def test_square_case_makes_one_closed_form_call(monkeypatch):
     array, target = instance("tree", 4, "random", rng)
     solve_intervals(array, target, choose_assignments(array), 2)
     assert calls == [(4, 4)]
+
+
+def test_default_frames_skip_a_zero_velocity_bond(monkeypatch):
+    # the triangle 0-1-2 is a cycle; bond (2, 3) at |t|^2 = 1/2 has no
+    # velocity, so the three active bonds get three frames, not four
+    calls = []
+    inner = calibrate._square_durations
+
+    def counted(amat, *args):
+        calls.append(amat.shape)
+        return inner(amat, *args)
+
+    monkeypatch.setattr(calibrate, "_square_durations", counted)
+    bonds = [make_bond(0, 1, 1e-3, 0.8), make_bond(0, 2, 1.2e-3, 0.75),
+             make_bond(1, 2, 0.9e-3, 0.85), make_bond(2, 3, 1e-3, 0.5)]
+    array = DotArray([Dot(j, 1.0 + 0.3 * j) for j in range(4)], bonds)
+    target = CalibrationTarget.for_array(array, [0.4, 1.1, 2.0, 0.0])
+    schedule = solve_intervals(array, target, offset_bound=3)
+    assert calls == [(3, 3)]
+    achieved = accumulated_bond_phases(array, schedule)
+    assert np.max(circular_distance(achieved, np.array(target.phases), np.pi)) <= 1e-9
 
 
 def choose_assignments_by_sort(array):

@@ -71,7 +71,7 @@ print(f"accumulated bond phases mod pi: {np.round(np.mod(acc, np.pi), 9)} "
 
 spec = GateSpec(factors=(MqcpFactor(0, [(1, np.pi), (2, np.pi)]),))
 # diag(net^dag U) straight from one eigendecomposition; no dense propagator
-stripped = Spectrum.of(star).pulsed_diagonal(schedule)
+stripped = Spectrum.of(star).diagonal(schedule)
 _, _, residual = equiv_up_to_free_phase(PhaseVector(np.angle(stripped)), spec.expand(3))
 print(f"exact pulsed simulation vs the controlled Z x Z target: "
       f"residual {residual:.2e} rad")

@@ -9,8 +9,14 @@ sweet spots.
 
 import numpy as np
 
-from dotgates import Bond, Dot, DotArray, simulate_gate
+from dotgates import Bond, Dot, DotArray, PulseSchedule, Spectrum, Stage, simulate_gate
 from dotgates.simulate import scaled_zeeman_array
+
+
+def simulate_time(array, tau):
+    """The exact report of a time: its one-stage schedule."""
+    return simulate_gate(Spectrum.of(array), PulseSchedule(array.n_dots, [Stage(tau)]))
+
 
 print("=" * 72)
 print("1. Error scaling: residues go like J/eps, leak like (J/eps)^2")
@@ -29,7 +35,7 @@ grid = np.geomspace(1e-4, 1e-1, 7)
 rows = []
 print(f"{'J/eps':>9}  {'infidelity':>12}  {'bound':>12}  {'max residue':>12}  {'leak':>10}")
 for x in grid:
-    report = simulate_gate(scaled_zeeman_array(base, float(x)), tau)
+    report = simulate_time(scaled_zeeman_array(base, float(x)), tau)
     rows.append((x, 1 - report.fidelity, report.bound, report.max_residue, report.leak))
     print(f"{x:9.1e}  {1 - report.fidelity:12.3e}  {report.bound:12.5f}  "
           f"{report.max_residue:12.3e}  {report.leak:10.3e}")
@@ -65,7 +71,7 @@ def line_array(th1, e1, th2, e2):
 
 arr = line_array(theta1, eta1, theta2, eta2)
 tau2 = (np.pi / 2) / np.mean([abs(b.velocity) for b in arr.bonds])
-report = simulate_gate(arr, tau2)
+report = simulate_time(arr, tau2)
 floor = (tau2 * j1 * j2 / (8 * eps_center)
          * np.sin(2 * theta1) * np.sin(2 * theta2) * np.cos(eta1 - eta2))
 print(f"raw residue spread:            {report.max_residue:.3e} rad")
@@ -79,5 +85,5 @@ for label, args in [
     ("theta_1 = pi/2     ", (np.pi / 2, eta1, theta2, eta2)),
     ("eta_1 - eta_2 = pi/2", (theta1, 0.0, theta2, np.pi / 2)),
 ]:
-    sweet = simulate_gate(line_array(*args), tau2)
+    sweet = simulate_time(line_array(*args), tau2)
     print(f"  {label}: post-correction residue {sweet.max_post_residue:.3e} rad")

@@ -5,9 +5,6 @@ from .model import (
     Dot,
     DotArray,
     array_from_json,
-    array_to_json,
-    bond_vector,
-    grid_vector,
     tunneling_from_soi,
 )
 from .gates import (

@@ -14,10 +14,10 @@ dots, is out of reach.  The reading gives
 * and the local phases, which for gates controlled by dot 0 solve the
   parity rule ``L phi = theta mod 2pi`` (``solve_parity``).
 
-Two lattice conventions are in circulation, differing by a factor of
-two (``mod pi`` against ``mod 2pi``), and they realize different gates;
-both are computed and reported so the exact simulator can arbitrate which
-times realize a given target.
+The times that realize the target solve the dynamics rule mod pi.  A
+second lattice, ``tau * Delta_w = -theta_w (mod 2pi)``, is also reported:
+its times realize the doubled angle ``2 theta_w`` on every bond, not the
+target, and no flow simulates them.
 """
 
 from __future__ import annotations
@@ -404,10 +404,11 @@ def solve_dynamics(
     ``[0, tau_max]`` (at most ``LATTICE_BUDGET``, else ``LatticeBudgetExceeded``),
     scored by the worst per-bond deviation; exact hits exist when velocities
     are mutually rational.  The ``mod_pi`` branch solves ``tau Delta_w =
-    phi_w (mod pi)``; the ``mod_2pi`` branch solves ``tau Delta_w = 2 phi_w
-    (mod 2pi)`` and is reported alongside because the two conventions differ
-    by a factor of two and realize different gates (exact simulation
-    arbitrates which times hit a given target).
+    phi_w (mod pi)``, the times that realize the target.  The ``mod_2pi``
+    branch solves ``tau Delta_w = 2 phi_w = -theta_w (mod 2pi)``: bond w
+    then gains the controlled phase ``-2 tau Delta_w = 2 theta_w``, the
+    doubled angle, so these times do not realize the target, and no flow
+    simulates them.
     """
     tau_max = finite(tau_max, "tau_max")
     velocities = np.array([b.velocity for b in array.bonds])

@@ -25,7 +25,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .basis import pair_view
 
 TS_NORM_TOL = 1e-12
 
@@ -102,14 +101,6 @@ class Bond:
         return self.spin_conserved_rate - self.spin_flip_rate
 
 
-def bond_vector(bond: Bond) -> np.ndarray:
-    """Phase-rate quadruple (S, T, T, S) on the bond's (up-up, up-down,
-    down-up, down-down) subspace."""
-    s = bond.spin_flip_rate
-    t = bond.spin_conserved_rate
-    return np.array([s, t, t, s])
-
-
 @dataclass(frozen=True)
 class DotArray:
     """Simple graph of dots and bonds; the device model."""
@@ -150,16 +141,6 @@ class DotArray:
 
     def with_bonds(self, bonds: Iterable[Bond]) -> "DotArray":
         return DotArray(self.dots, bonds)
-
-
-def grid_vector(array: DotArray) -> np.ndarray:
-    """Kronecker sum of all bond vectors over the full 2^N space."""
-    n = array.n_dots
-    total = np.zeros(1 << n)
-    for bond in array.bonds:
-        block = pair_view(total, bond.j, bond.k)
-        block += bond_vector(bond).reshape((2, 2) + (1,) * (n - 2))
-    return total
 
 
 def soi_strength_table(x_so: Sequence[float], gamma_so: Sequence[float]) -> Callable[[float], float]:
@@ -253,23 +234,3 @@ def array_from_json(source: str | dict) -> DotArray:
     bonds = [_bond_from_record(rec) for rec in doc.get("bonds", [])]
     return DotArray(dots, bonds)
 
-
-def array_to_json(array: DotArray) -> str:
-    doc = {
-        "dots": [
-            {"id": int(d.id), "zeeman": float(d.zeeman)}
-            | ({"chem_potential": float(d.chem_potential)} if d.chem_potential is not None else {})
-            for d in array.dots
-        ],
-        "bonds": [
-            {
-                "j": int(b.j),
-                "k": int(b.k),
-                "J": float(b.exchange),
-                "t": [float(np.real(b.t)), float(np.imag(b.t))],
-                "s": [float(np.real(b.s)), float(np.imag(b.s))],
-            }
-            for b in array.bonds
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)

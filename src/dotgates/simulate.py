@@ -4,11 +4,11 @@ The computational Hamiltonian splits into a diagonal Zeeman part and an
 exchange part assembled from one projector per bond onto the entangled
 state ``(s* |uu> + t* |ud> - t |du> + s |dd>) / sqrt(2)``.  One Hermitian
 eigendecomposition per array, held by :class:`Spectrum`, serves every
-exact flow: the qubit-frame propagator ``exp(+i tau H0) exp(-i tau (H0 +
-Hex))``, the one regime check (:meth:`Spectrum.leak`, which reads each
-basis state's overlap with its eigenvector), and staged evolutions with
-instantaneous Pauli pulses.  Its first-order approximation is the diagonal
-gate ``exp(+i tau Lambda)`` with Lambda the grid vector.
+exact flow through one entry point, :meth:`Spectrum.diagonal` of a pulse
+schedule; a time tau is ``PulseSchedule(n, [Stage(tau)])``, propagator
+``exp(+i tau H0) exp(-i tau (H0 + Hex))``.  :meth:`Spectrum.leak` (each basis
+state's overlap with its eigenvector) is the one regime check, and
+:func:`simulate_gate` compares any schedule with its first-order gate.
 
 The eigendecomposition runs LAPACK's three stages, each called in place
 through ``ctypes`` from the library numpy already loads: ``zhetrd``
@@ -46,7 +46,7 @@ least-squares free phase, which has a closed form.
 from __future__ import annotations
 
 import ctypes
-import json
+import functools
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -263,13 +263,28 @@ class Spectrum:
             raise PhaseLimitExceeded(f"time {t!r} gives phases up to {phase:.3g} rad; a time "
                                      "must give phases of at most 2^38 rad, one ulp 2^-14 rad")
 
-    def diagonal(self, tau: float) -> np.ndarray:
-        """Diagonal of ``exp(+i tau H0) exp(-i tau H)``:
-        ``e^{i tau h0} (|V|^2 e^{-i tau E})``."""
-        self.check_time(tau)
-        rot = np.exp(-1j * tau * self.evals)
-        mixed = np.abs(self.evecs) ** 2 @ np.column_stack([rot.real, rot.imag])
-        return np.exp(1j * tau * self.h0) * (mixed[:, 0] + 1j * mixed[:, 1])
+    def diagonal(self, schedule: PulseSchedule) -> np.ndarray:
+        """``diag(net U)``, U the schedule's qubit-frame propagator and ``net``
+        its net Pauli (its own inverse): the gate's phases.  A schedule whose
+        pulses are all I, a time among them, is one evolution for its total T:
+        ``e^{i T h0} (|V|^2 e^{-i T E})``.  Any other costs O(4^N) beyond the
+        products between evolving stages, its left factor formed by blocks of rows."""
+        if all(st.pulse.is_identity() for st in schedule.stages):
+            tau = schedule.total_time
+            self.check_time(tau)
+            rot = np.exp(-1j * tau * self.evals)
+            mixed = np.abs(self.evecs) ** 2 @ np.column_stack([rot.real, rot.imag])
+            return np.exp(1j * tau * self.h0) * (mixed[:, 0] + 1j * mixed[:, 1])
+        head, scale, w = self._pulsed_factors(schedule, schedule.net_pulse())
+        width = self._panel_width()
+        return np.concatenate([
+            np.einsum("bk,kb->b", head.apply_rows(self.evecs, scale, rows), w[:, rows])
+            for rows in (slice(start, start + width) for start in range(0, w.shape[0], width))
+        ])
+
+    @functools.cached_property
+    def _overlaps(self) -> np.ndarray:  # each row's largest |V|^2 weight, read once
+        return np.max(np.abs(self.evecs) ** 2, axis=1)
 
     def leak(self) -> float:
         """Leaked population ``sum_n (1 - |<n|n'>|^2)``, the regime check of
@@ -283,7 +298,7 @@ class Spectrum:
         eigenvector with the state it overlaps most.  The terms are summed
         in basis-row order.
         """
-        overlaps = np.max(np.abs(self.evecs) ** 2, axis=1)
+        overlaps = self._overlaps
         if np.min(overlaps) < MIN_OVERLAP:
             worst = int(np.argmin(overlaps))
             raise DegenerateSpectrum(
@@ -331,7 +346,7 @@ class Spectrum:
                     buffers.extend(np.empty(shape, dtype=complex) for shape in shapes)
                 ct, x, y = buffers
                 pending.reflection(v.T, out=ct)
-                for panel in np.split(w, n // width, axis=1):  # views of w
+                for panel in (w[:, k:k + width] for k in range(0, n, width)):  # views of w
                     np.matmul(ct.T, panel, out=x)
                     np.conjugate(x, out=x)
                     np.matmul(ct, x, out=y)
@@ -356,18 +371,6 @@ class Spectrum:
         frame = np.exp(1j * schedule.total_time * self.h0)
         return head, frame[np.arange(n) ^ net.x_mask] * (c * phase), w
 
-    def pulsed_diagonal(self, schedule: PulseSchedule) -> np.ndarray:
-        """``diag(net^dag U)`` of the pulsed propagator U, in O(4^N) beyond
-        the products between evolving stages; ``net`` is the schedule's net
-        Pauli (a Pauli string is its own inverse), so the result holds the
-        gate's phases.  The left factor is formed one block of rows at a time."""
-        head, scale, w = self._pulsed_factors(schedule, schedule.net_pulse())
-        width = self._panel_width()
-        return np.concatenate([
-            np.einsum("bk,kb->b", head.apply_rows(self.evecs, scale, rows), w[:, rows])
-            for rows in (slice(start, start + width) for start in range(0, w.shape[0], width))
-        ])
-
     def _panel_width(self) -> int:
         """Columns per panel of the pulsed verify: n / 8, and from 32 up to n."""
         return min(max(self.evals.shape[0] // 8, 32), self.evals.shape[0])
@@ -380,8 +383,6 @@ def qubit_frame_evolution(array: DotArray, tau: float) -> np.ndarray:
 
 def _diagonal_fidelity(u_diag: np.ndarray, v_diag: PhaseVector) -> float:
     d = u_diag.shape[0]
-    if v_diag.values.shape[0] != d:
-        raise ValueError("dimension mismatch")
     tr = np.sum(np.conj(u_diag) * np.exp(1j * v_diag.values))
     return float((d + np.abs(tr) ** 2) / (d * (d + 1)))
 
@@ -427,7 +428,7 @@ def pulsed_evolution(array: DotArray, schedule: PulseSchedule) -> np.ndarray:
     Stages evolve under the full Hamiltonian for their duration and each
     boundary pulse is applied as a Pauli operator; the final frame rotation
     uses the total elapsed time.  The dense oracle of
-    :meth:`Spectrum.pulsed_diagonal`.
+    :meth:`Spectrum.diagonal`.
     """
     spectrum = Spectrum.of(array)
     head, scale, w = spectrum._pulsed_factors(schedule, PauliAssignment(schedule.n_dots))
@@ -436,10 +437,9 @@ def pulsed_evolution(array: DotArray, schedule: PulseSchedule) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimReport:
-    """Exact-versus-ideal comparison for one evolution."""
+    """Exact-versus-ideal comparison for one schedule."""
 
-    tau: float
-    u_diag: np.ndarray  # diagonal of the exact propagator
+    u_diag: np.ndarray  # diagonal of net U, the exact propagator read through its net Pauli
     u_ideal: PhaseVector
     fidelity: float
     bound: float
@@ -456,35 +456,27 @@ class SimReport:
     def max_post_residue(self) -> float:
         return float(np.max(np.abs(self.post_residues)))
 
-    def to_json(self) -> str:
-        doc = {
-            "fidelity": self.fidelity,
-            "bound": self.bound,
-            "leak": self.leak,
-            "residues": list(map(float, self.residues)),
-            "max_residue": self.max_residue,
-            "correction": {
-                "global": self.correction.global_phase,
-                "local": list(self.correction.local),
-            },
-            "post_residues": list(map(float, self.post_residues)),
-            "max_post_residue": self.max_post_residue,
-            "u_exact_diag_phase": list(map(float, np.angle(self.u_diag))),
-            "u_ideal": list(map(float, self.u_ideal.values)),
-        }
-        return json.dumps(doc, indent=2)
 
-
-def simulate_gate(array: DotArray, tau: float) -> SimReport:
-    """Run the exact evolution and assemble the fidelity accounting."""
-    spectrum = Spectrum.of(array)
-    u_diag = spectrum.diagonal(tau)
-    ideal = PhaseVector(-tau * spectrum.h_ex_diag)
-    residues = diagonal_residues(u_diag, ideal)
+def simulate_gate(spectrum: Spectrum, schedule: PulseSchedule) -> SimReport:
+    """The schedule's exact evolution, scored against its first-order ideal:
+    stage n, in frame x_n, adds ``-tau_n (h_ex_diag + h0)[b ^ x_n]`` to state
+    b's phase, the frame rotation ``T h0[b ^ x_net]``, and the pulses, which
+    compose to ``c net``, arg c.  A time's ideal is ``-tau h_ex_diag``."""
     leak = spectrum.leak()
-    corr = optimal_phase_correction(residues, array.n_dots)
+    u_diag = spectrum.diagonal(schedule)
+    frames, rows = schedule.frames(), np.arange(u_diag.shape[0])
+    flipped = rows ^ frames[:-1, None]  # (stages, states): b ^ x_n
+    pulses, c = PauliAssignment(schedule.n_dots), 1
+    for stage in schedule.stages:
+        pulses, phase = stage.pulse.compose(pulses)
+        c *= phase
+    # h0 - h0 is 0 exactly in a time's one frame, which keeps its ideal bit for bit;
+    # the stages are summed in time order, row after row
+    energies = spectrum.h_ex_diag[flipped] - (spectrum.h0[rows ^ frames[-1]] - spectrum.h0[flipped])
+    ideal = PhaseVector(np.angle(c) - (schedule.durations[:, None] * energies).sum(axis=0))
+    residues = diagonal_residues(u_diag, ideal)
+    corr = optimal_phase_correction(residues, schedule.n_dots)
     return SimReport(
-        tau=tau,
         u_diag=u_diag,
         u_ideal=ideal,
         fidelity=_diagonal_fidelity(u_diag, ideal),
@@ -522,9 +514,10 @@ def sweep_rows(
     if not any(b.exchange > 0 for b in array.bonds):
         raise ValueError("a coupling sweep needs a bond with J > 0")
     rows, skipped = [], []
+    schedule = PulseSchedule(array.n_dots, [Stage(tau)])
     for x in grid:
         try:
-            report = simulate_gate(scaled_zeeman_array(array, float(x)), tau)
+            report = simulate_gate(Spectrum.of(scaled_zeeman_array(array, float(x))), schedule)
         except (DegenerateSpectrum, ValueError) as exc:
             skipped.append((float(x), str(exc)))
             continue

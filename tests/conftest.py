@@ -1,3 +1,4 @@
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,11 +12,55 @@ from dotgates import (
     GateSpec,
     MqcpFactor,
     PhaseVector,
-    grid_vector,
+    PulseSchedule,
+    Spectrum,
+    Stage,
     order_reversal,
+    simulate_gate,
 )
-from dotgates.basis import bit_of, bit_table, wrap_2pi
+from dotgates.basis import bit_of, bit_table, pair_view, wrap_2pi
 from dotgates.calibrate import bond_signs
+
+
+def bond_vector(bond):
+    """Phase-rate quadruple (S, T, T, S) on the bond's (up-up, up-down,
+    down-up, down-down) subspace."""
+    s = bond.spin_flip_rate
+    t = bond.spin_conserved_rate
+    return np.array([s, t, t, s])
+
+
+def grid_vector(array):
+    """Kronecker sum of all bond vectors over the full 2^N space: the
+    first-order phase rates, equal to minus the diagonal of the exchange part."""
+    n = array.n_dots
+    total = np.zeros(1 << n)
+    for bond in array.bonds:
+        block = pair_view(total, bond.j, bond.k)
+        block += bond_vector(bond).reshape((2, 2) + (1,) * (n - 2))
+    return total
+
+
+def array_to_json(array):
+    """The array's JSON document, the schema ``array_from_json`` reads."""
+    doc = {
+        "dots": [
+            {"id": int(d.id), "zeeman": float(d.zeeman)}
+            | ({"chem_potential": float(d.chem_potential)} if d.chem_potential is not None else {})
+            for d in array.dots
+        ],
+        "bonds": [
+            {
+                "j": int(b.j),
+                "k": int(b.k),
+                "J": float(b.exchange),
+                "t": [float(np.real(b.t)), float(np.imag(b.t))],
+                "s": [float(np.real(b.s)), float(np.imag(b.s))],
+            }
+            for b in array.bonds
+        ],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def make_bond(j, k, exchange, t_sq, phase_t=0.0, phase_s=0.0):
@@ -51,6 +96,11 @@ def parity_matrix(n_qubits):
     mat[:, 0] = -1
     mat[:, 1:] = 1 - 2 * bit_table(n_qubits - 1)
     return mat
+
+
+def simulate_time(array, tau):
+    """``simulate_gate`` of a time: its one-stage schedule on the array's spectrum."""
+    return simulate_gate(Spectrum.of(array), PulseSchedule(array.n_dots, [Stage(tau)]))
 
 
 def ideal_evolution(array, tau):

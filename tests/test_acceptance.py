@@ -23,7 +23,6 @@ from dotgates import (
     extra_local_phases,
     mqcp_phase_solution,
     qubit_frame_evolution,
-    simulate_gate,
     solve_intervals,
     solve_parity,
     weave_dd,
@@ -50,6 +49,7 @@ from conftest import (
     make_bond,
     parity_matrix,
     reversal_signs_brute_force,
+    simulate_time,
 )
 
 
@@ -134,7 +134,7 @@ def test_criterion_2_exact_vs_ideal_scaling():
                 res = diagonal_residues(np.diag(u), ideal)
                 residues.append(np.max(np.abs(res)))
                 leaks.append(Spectrum.of(scaled).leak())
-                report_sim = simulate_gate(scaled, tau)
+                report_sim = simulate_time(scaled, tau)
                 if report_sim.bound >= 0.0:
                     bound_checked += 1
                     assert report_sim.fidelity >= report_sim.bound - 1e-12
@@ -172,7 +172,7 @@ def test_criterion_3_interference_residue_formula():
 
     arr = build(theta1, eta1, theta2, eta2)
     tau = (np.pi / 2) / np.mean([abs(b.velocity) for b in arr.bonds])
-    rep = simulate_gate(arr, tau)
+    rep = simulate_time(arr, tau)
     phi_max = (
         tau
         * j1
@@ -189,7 +189,7 @@ def test_criterion_3_interference_residue_formula():
 
     generic = rep.max_post_residue
     for sweet in (build(np.pi / 2, eta1, theta2, eta2), build(theta1, 0.0, theta2, np.pi / 2)):
-        assert simulate_gate(sweet, tau).max_post_residue <= generic / 10.0
+        assert simulate_time(sweet, tau).max_post_residue <= generic / 10.0
     report(
         3,
         f"post-correction residue {generic:.3e} vs formula {abs(phi_max):.3e} "

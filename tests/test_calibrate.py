@@ -29,10 +29,9 @@ from dotgates.calibrate import (
     straight_path_fold,
     subset_signs,
 )
-from dotgates.model import grid_vector
 from dotgates.simulate import pulsed_evolution
 
-from conftest import assignment_vectors, make_bond, stellar_array
+from conftest import assignment_vectors, grid_vector, make_bond, stellar_array
 from test_assignment_span import linearly_spans, positively_spans
 from test_frames import oracle_conjugated_grid
 

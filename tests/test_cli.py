@@ -17,10 +17,10 @@ from dotgates.calibrate import PulseSchedule, choose_assignments, extra_local_ph
 from dotgates.circuits import order_reversal
 from dotgates.cli import main
 from dotgates.gates import GateSpec, PhaseVector, equiv_up_to_free_phase, read_bonds, solve_dynamics
-from dotgates.model import array_from_json, array_to_json
+from dotgates.model import array_from_json
 from dotgates.simulate import Spectrum
 
-from conftest import chain_array, parity_matrix, random_connected_array, stellar_array
+from conftest import array_to_json, chain_array, parity_matrix, random_connected_array, stellar_array
 
 
 @pytest.fixture
@@ -279,9 +279,34 @@ class TestCalibrate:
                               ("dd_equiv_residual", "schedule_dd.json")):
                 schedule = PulseSchedule.from_json((out / name).read_text(), array.n_dots)
                 frame = extra_local_phases(schedule, array).expand().values
-                diag = PhaseVector(np.angle(spectrum.pulsed_diagonal(schedule)) - frame)
+                diag = PhaseVector(np.angle(spectrum.diagonal(schedule)) - frame)
                 _, _, residual = equiv_up_to_free_phase(diag, target)
                 assert abs(record[key] - residual) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["star", "chain"])
+    def test_reports_are_the_simulate_document(self, tmp_path, kind):
+        # each schedule's report is simulate's document of that schedule, bit
+        # for bit, after the five keys calibrate has always written
+        rng = np.random.default_rng(23)
+        zeemans = 1.0 + 0.4 * np.arange(6)
+        array = (stellar_array(5, 2e-4, zeemans=zeemans, rng=rng) if kind == "star"
+                 else chain_array(6, 2e-4, zeemans=zeemans, rng=rng))
+        gate = {"factors": [{"control": int(b.j), "targets": [{"dot": int(b.k), "theta": float(th)}]}
+                            for b, th in zip(array.bonds, rng.uniform(0.1, 6.0, array.n_bonds))]}
+        (tmp_path / "array.json").write_text(array_to_json(array))
+        (tmp_path / "gate.json").write_text(json.dumps(gate))
+        out = tmp_path / "out"
+        assert run("calibrate", str(tmp_path / "array.json"), str(tmp_path / "gate.json"), out, "--dd") == 0
+        record = json.loads((out / "calibrate.json").read_text())
+        assert list(record) == ["total_time", "bond_phases_mod_pi", "equiv_residual",
+                                "dd_equiv_residual", "dd_total_time", "report", "dd_report"]
+        target = GateSpec.from_json(gate).expand(array.n_dots)
+        for key, name, residual in (("report", "schedule.json", "equiv_residual"),
+                                    ("dd_report", "schedule_dd.json", "dd_equiv_residual")):
+            schedule = PulseSchedule.from_json((out / name).read_text(), array.n_dots)
+            doc = cli._report(Spectrum.of(array), schedule, target)
+            assert json.dumps(record[key]) == json.dumps(doc)
+            assert record[key]["equiv_residual_vs_target"] == record[residual]
 
     def test_schedule_and_path_files(self, stellar_files):
         array, gate, out = stellar_files

@@ -31,12 +31,12 @@ from dotgates.calibrate import (
     weave_dd,
 )
 from dotgates.gates import FreePhase
-from dotgates.model import grid_vector
 
 from conftest import (
     ENUMERATION_MAX_DOTS,
     assignment_vectors,
     conjugated,
+    grid_vector,
     least_total,
     make_bond,
     random_connected_array,

@@ -6,9 +6,6 @@ from dotgates import (
     Dot,
     DotArray,
     array_from_json,
-    array_to_json,
-    bond_vector,
-    grid_vector,
     tunneling_from_soi,
 )
 from dotgates.basis import pair_view
@@ -17,9 +14,12 @@ from dotgates.model import soi_strength_table
 from dotgates.simulate import build_hamiltonian, entangled_state
 
 from conftest import (
+    array_to_json,
     bond_pair_index,
+    bond_vector,
     chain_array,
     conjugated,
+    grid_vector,
     make_bond,
     random_connected_array,
     stellar_array,

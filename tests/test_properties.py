@@ -18,14 +18,13 @@ from dotgates import (
     Spectrum,
     Stage,
     array_from_json,
-    array_to_json,
     extra_local_phases,
     read_bonds,
     weave_dd,
 )
 from dotgates.basis import bit_table, circular_distance
 
-from conftest import chain_array, make_bond, random_connected_array, stellar_array
+from conftest import array_to_json, chain_array, make_bond, random_connected_array, stellar_array
 from test_frames import oracle_conjugated_grid
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -180,7 +179,7 @@ def test_pulsed_phases_are_the_staged_first_order_phases(drawn):
     for s in (schedule, weave_dd(schedule)):
         tol = array.n_bonds * (s.total_time * j_max**2 / delta
                                + (len(s.stages) + 1) * (j_max / delta) ** 2)
-        actual = (np.angle(spectrum.pulsed_diagonal(s))
+        actual = (np.angle(spectrum.diagonal(s))
                   - extra_local_phases(s, array).expand().values)
         staged = np.zeros(1 << n)
         for mask, stage in zip(s.frames().tolist(), s.stages):

@@ -12,15 +12,14 @@ from dotgates import (
     PulseSchedule,
     Stage,
     build_hamiltonian,
+    cli,
     equiv_up_to_free_phase,
     fidelity_lower_bound,
     optimal_phase_correction,
     pulsed_evolution,
     qubit_frame_evolution,
-    simulate_gate,
 )
 from dotgates.basis import bit_table, circular_distance, wrap_pm_pi
-from dotgates.model import grid_vector
 from dotgates.simulate import (
     MAX_PHASE,
     MIN_OVERLAP,
@@ -33,10 +32,12 @@ from dotgates.simulate import (
 
 from conftest import (
     argmax_match,
+    grid_vector,
     ideal_evolution,
     make_bond,
     min_column_overlap,
     random_connected_array,
+    simulate_time,
     stellar_array,
 )
 from test_frames import oracle_conjugated_grid
@@ -186,7 +187,7 @@ class TestEvolutions:
         arr = DotArray([Dot(0, 1.0), Dot(1, 14.5), Dot(2, 0.62)],
                        [make_bond(0, 1, 1e-3, 0.8), make_bond(0, 2, 1.3e-3, 0.8)])
         with pytest.raises(ValueError):
-            simulate_gate(arr, tau)
+            simulate_time(arr, tau)
         with pytest.raises(ValueError):
             qubit_frame_evolution(arr, tau)
 
@@ -272,9 +273,9 @@ class TestFidelity:
             if min_column_overlap(Spectrum.of(arr).evecs) < MIN_OVERLAP:
                 refused += 1
                 with pytest.raises(DegenerateSpectrum):
-                    simulate_gate(arr, tau)
+                    simulate_time(arr, tau)
                 continue
-            report = simulate_gate(arr, tau)
+            report = simulate_time(arr, tau)
             if report.bound >= 0:
                 checked += 1
                 assert report.fidelity >= report.bound - 1e-12
@@ -425,11 +426,13 @@ class TestSimReport:
     def test_report_fields_consistent(self, rng):
         arr = stellar_array(2, rng=rng)
         tau = (np.pi / 2) / abs(arr.bonds[0].velocity)
-        report = simulate_gate(arr, tau)
+        report = simulate_time(arr, tau)
         assert 0.0 <= report.fidelity <= 1.0
         assert report.max_post_residue <= report.max_residue + 1e-15
         u = qubit_frame_evolution(arr, tau)
         assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= 1e-10
         assert np.all(np.abs(report.residues) <= np.pi)
-        doc = report.to_json()
-        assert "fidelity" in doc
+        doc = cli._report(Spectrum.of(arr), PulseSchedule(arr.n_dots, [Stage(tau)]), report.u_ideal)
+        assert doc["fidelity"] == report.fidelity
+        assert doc["u_ideal"] == report.u_ideal.values.tolist()
+        assert doc["equiv_residual_vs_target"] <= report.max_residue

@@ -9,7 +9,10 @@ from scipy.linalg import expm
 from dotgates import (
     CalibrationTarget,
     DegenerateSpectrum,
+    Dot,
+    DotArray,
     PauliAssignment,
+    PhaseVector,
     PulseSchedule,
     Spectrum,
     Stage,
@@ -27,8 +30,10 @@ from dotgates.simulate import MIN_OVERLAP, _eigh, optimal_phase_correction, scal
 from conftest import (
     argmax_match,
     chain_array,
+    make_bond,
     min_column_overlap,
     random_connected_array,
+    simulate_time,
     stellar_array,
 )
 
@@ -129,7 +134,7 @@ class TestPulsedDiagonal:
                 sched = random_schedule(rng, n, int(rng.integers(2, 6)))
                 woven = [weave_dd(sched)] if sched.total_time > 0 else []
                 for s in [sched] + woven:
-                    got = spectrum.pulsed_diagonal(s)
+                    got = spectrum.diagonal(s)
                     assert np.max(np.abs(got - dense_readout(arr, s))) <= 1e-12
                     assert np.max(np.abs(got - expm_readout(arr, s))) <= 1e-9
 
@@ -142,7 +147,7 @@ class TestPulsedDiagonal:
             base = solve_intervals(arr, target, offset_bound=3)
             spectrum = Spectrum.of(arr)
             for s in (base, weave_dd(base)):
-                got = spectrum.pulsed_diagonal(s)
+                got = spectrum.diagonal(s)
                 assert np.max(np.abs(got - dense_readout(arr, s))) <= 1e-12
                 assert np.max(np.abs(got - expm_readout(arr, s))) <= 1e-9
 
@@ -188,7 +193,7 @@ class TestPulsedDiagonal:
         sched = PulseSchedule(3, self.EDGE_SCHEDULES[name])
         dense = pulsed_evolution(arr, sched)
         assert np.max(np.abs(dense - expm_reference(arr, sched))) <= 1e-9
-        got = Spectrum.of(arr).pulsed_diagonal(sched)
+        got = Spectrum.of(arr).diagonal(sched)
         readout = np.diag(kron_pulse(sched.net_pulse()).conj().T @ dense)
         assert np.max(np.abs(got - readout)) <= 1e-12
 
@@ -212,7 +217,7 @@ class TestPulsedDiagonal:
             Stage(200.0, PauliAssignment.from_labels("Y" * n_dots)),
             Stage(150.0, None),
         ])
-        got = spectrum.pulsed_diagonal(sched)
+        got = spectrum.diagonal(sched)
         # the dense product of the same factors, as pulsed_evolution forms it
         head, scale, w = spectrum._pulsed_factors(sched, PauliAssignment(n_dots))
         dense = head.apply_rows(evecs, scale) @ w
@@ -406,9 +411,9 @@ class TestSimulateGateDiagonal:
                 # n = 3: the random array's Zeeman energies 1.2508 and 1.2507
                 # mix two states at overlap 0.535
                 with pytest.raises(DegenerateSpectrum):
-                    simulate_gate(arr, tau)
+                    simulate_time(arr, tau)
                 continue
-            report = simulate_gate(arr, tau)
+            report = simulate_time(arr, tau)
 
             # the spectrum's own eigenpairs: tau up to 3000 would multiply a
             # second solver's rounding of E; TestEighKernel checks the pairs
@@ -439,8 +444,61 @@ class TestSimulateGateDiagonal:
         calls = []
         real_eigh = simulate._eigh
         monkeypatch.setattr(simulate, "_eigh", lambda a: calls.append(1) or real_eigh(a))
-        simulate_gate(stellar_array(3, rng=rng), 500.0)
+        simulate_time(stellar_array(3, rng=rng), 500.0)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_a_time_is_its_one_stage_schedule(self, n):
+        # a time reads the |V|^2 product it was always read by, and its
+        # first-order ideal is -tau h_ex_diag, both bit for bit
+        rng = np.random.default_rng(60 + n)
+        tau = float(rng.uniform(100.0, 3000.0))
+        chain, star, _ = ladder_arrays(rng, n, 1e-3)
+        for arr in (chain, star):
+            spectrum = Spectrum.of(arr)
+            rot = np.exp(-1j * tau * spectrum.evals)
+            mixed = np.abs(spectrum.evecs) ** 2 @ np.column_stack([rot.real, rot.imag])
+            product = np.exp(1j * tau * spectrum.h0) * (mixed[:, 0] + 1j * mixed[:, 1])
+            schedule = PulseSchedule(n, [Stage(tau)])
+            assert np.array_equal(spectrum.diagonal(schedule), product)
+            report = simulate_gate(spectrum, schedule)
+            assert np.array_equal(report.u_diag, product)
+            ideal = PhaseVector(-tau * spectrum.h_ex_diag)
+            assert np.array_equal(report.u_ideal.values, ideal.values)
+
+    @pytest.mark.parametrize("j_scale", [2e-4, 1e-3, 3e-3])
+    def test_schedule_reports_hold_their_bound(self, j_scale):
+        # a schedule's first-order ideal carries the Zeeman phases of its
+        # frames and the scalar its pulses compose to; without either, some
+        # residues sit near pi.  The rest is second order, J^2 / 0.4 over
+        # the total time
+        rng = np.random.default_rng(round(j_scale * 1e5))
+        checked = 0
+        for n in range(3, 8):
+            for arr in ladder_arrays(rng, n, j_scale):
+                target = CalibrationTarget.for_array(arr, rng.uniform(0.0, np.pi, arr.n_bonds))
+                base = solve_intervals(arr, target)
+                spectrum = Spectrum.of(arr)
+                for schedule in (base, weave_dd(base)):
+                    report = simulate_gate(spectrum, schedule)
+                    if report.bound >= 0:
+                        checked += 1
+                        assert report.fidelity >= report.bound - 1e-12
+                    if j_scale <= 1e-3:
+                        assert report.max_residue < 0.1
+        assert checked >= 20
+
+
+def ladder_arrays(rng, n, j_scale):
+    """A chain, a star and a random tree of n dots on the ladder Zeeman
+    energies 1 + 0.4 j (+/- 0.05): every bond's gap is far above J."""
+    zeemans = 1.0 + 0.4 * np.arange(n) + rng.uniform(-0.05, 0.05, n)
+    tree = [make_bond(int(rng.integers(0, k)), k, j_scale * (0.6 + 0.8 * rng.random()),
+                      0.72 + 0.2 * rng.random(), *rng.uniform(0.0, 2 * np.pi, 2))
+            for k in range(1, n)]
+    return (chain_array(n, j_scale, zeemans=zeemans, rng=rng),
+            stellar_array(n - 1, j_scale, zeemans=zeemans, rng=rng),
+            DotArray([Dot(j, float(e)) for j, e in enumerate(zeemans)], tree))
 
 
 def array_hamiltonians(n):
@@ -568,7 +626,7 @@ def test_pulsed_verify_peaks_at_three_times_the_hamiltonian(n, kind):
     try:
         spectrum = Spectrum.of(array)
         for schedule in schedules:
-            spectrum.pulsed_diagonal(schedule)
+            spectrum.diagonal(schedule)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
